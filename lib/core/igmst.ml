@@ -31,9 +31,110 @@ let try_cost h cache ~terminals =
   | tree -> G.Tree.cost (G.Dist_cache.graph cache) tree
   | exception Routing_err.Unroutable _ -> infinity
 
-(* Quick Δ proxy: the MST cost of the distance graph over the members plus
-   one candidate.  Distances to the candidate come from the members' cached
-   Dijkstra arrays, so each candidate costs O(k²) float work and no graph
+(* Prim over the first [n] rows of [w] with {!Fr_graph.Mst.prim_dense}'s
+   pick rule (the first index on a strict [<]), update rule and summation
+   order, so the cost is bit-identical to it.  The cost goes to [out.(0)]
+   and the largest picked edge ([neg_infinity] if none) to [out.(1)]:
+   through a float array, so nothing is boxed and scoring a candidate
+   allocates nothing. *)
+let prim_into w ~n ~best ~in_tree out =
+  if n <= 1 then begin
+    out.(0) <- 0.;
+    out.(1) <- neg_infinity
+  end
+  else begin
+    Array.fill in_tree 0 n false;
+    in_tree.(0) <- true;
+    let w0 = w.(0) in
+    for j = 1 to n - 1 do
+      best.(j) <- w0.(j)
+    done;
+    let cost = ref 0. and longest = ref neg_infinity in
+    for _ = 1 to n - 1 do
+      let pick = ref (-1) and pick_w = ref infinity in
+      for j = 0 to n - 1 do
+        if (not in_tree.(j)) && (!pick < 0 || best.(j) < !pick_w) then begin
+          pick := j;
+          pick_w := best.(j)
+        end
+      done;
+      let j = !pick in
+      in_tree.(j) <- true;
+      cost := !cost +. !pick_w;
+      if !pick_w > !longest then longest := !pick_w;
+      let wj = w.(j) in
+      for k = 0 to n - 1 do
+        if not in_tree.(k) then begin
+          let x = wj.(k) in
+          if x < best.(k) then best.(k) <- x
+        end
+      done
+    done;
+    out.(0) <- !cost;
+    out.(1) <- !longest
+  end
+
+(* The Δ proxy of every candidate: the MST cost of the distance graph over
+   the members plus that candidate, kept when it beats the members alone
+   by more than [improvement_eps], ranked by cost (stable, so equal costs
+   keep candidate order).
+
+   A candidate whose second-smallest member distance exceeds the largest
+   edge L of the members' own MST is skipped without running Prim, because
+   its cost provably fails the filter.  Every link from it but the nearest
+   costs more than L, hence more than every pick of the members-only run:
+   it lowers no member's value at that member's pick and cannot win a tie
+   (it has the highest index and the pick is a strict [<]), and it can
+   join the tree only through its nearest member once that member is in —
+   any other way in costs more than L.  So its run is the members' run
+   with one non-negative term inserted, and rounded addition is monotone,
+   so its cost is at least the members' cost.  Infinite distances fall out
+   of the same argument. *)
+let rank_candidates ~members ~rows ~candidates =
+  let k = Array.length members in
+  if not (Int.equal (Array.length rows) k) then
+    invalid_arg "Igmst.rank_candidates: one row per member";
+  let size = k + 1 in
+  let w = Array.make_matrix size size 0. in
+  for i = 0 to k - 1 do
+    for j = i + 1 to k - 1 do
+      let d = rows.(i).(members.(j)) in
+      w.(i).(j) <- d;
+      w.(j).(i) <- d
+    done
+  done;
+  let best = Array.make size infinity and in_tree = Array.make size false in
+  let out = Array.make 2 0. in
+  prim_into w ~n:k ~best ~in_tree out;
+  let base = out.(0) and longest = out.(1) in
+  let rec scan acc = function
+    | [] -> List.rev acc
+    | t :: rest ->
+        let d1 = ref infinity and d2 = ref infinity in
+        for i = 0 to k - 1 do
+          let d = rows.(i).(t) in
+          if d < !d1 then begin
+            d2 := !d1;
+            d1 := d
+          end
+          else if d < !d2 then d2 := d
+        done;
+        if !d2 > longest then scan acc rest
+        else begin
+          for i = 0 to k - 1 do
+            let d = rows.(i).(t) in
+            w.(i).(k) <- d;
+            w.(k).(i) <- d
+          done;
+          prim_into w ~n:size ~best ~in_tree out;
+          let c = out.(0) in
+          if c < base -. improvement_eps then scan ((t, c) :: acc) rest else scan acc rest
+        end
+  in
+  List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) (scan [] candidates)
+
+(* Quick Δ proxy: {!rank_candidates} over the members' cached Dijkstra
+   arrays, so each candidate costs at most O(k²) float work and no graph
    traversal.  The proxy ranks candidates; the top few are re-evaluated
    with the genuine heuristic so the accepted Steiner node always yields a
    true cost(H) improvement (keeping IGMST's performance guarantee).
@@ -42,35 +143,12 @@ let try_cost h cache ~terminals =
    queries are target-bounded to that set — the searches stop as soon as
    the scan's inputs are settled instead of covering the whole graph. *)
 let quick_scan cache ~members ~candidates =
-  let ms = Array.of_list members in
-  let k = Array.length ms in
   let targets = List.rev_append members candidates in
-  let dist_arrays =
-    Array.map (fun m -> (G.Dist_cache.result_for cache ~src:m ~targets).G.Dijkstra.dist) ms
+  let members = Array.of_list members in
+  let rows =
+    Array.map (fun m -> (G.Dist_cache.result_for cache ~src:m ~targets).G.Dijkstra.dist) members
   in
-  let size = k + 1 in
-  let w = Array.make_matrix size size 0. in
-  for i = 0 to k - 1 do
-    for j = i + 1 to k - 1 do
-      let d = dist_arrays.(i).(ms.(j)) in
-      w.(i).(j) <- d;
-      w.(j).(i) <- d
-    done
-  done;
-  let base = snd (G.Mst.prim_dense ~n:k ~weight:(fun i j -> w.(i).(j))) in
-  let scored =
-    List.filter_map
-      (fun t ->
-        for i = 0 to k - 1 do
-          let d = dist_arrays.(i).(t) in
-          w.(i).(k) <- d;
-          w.(k).(i) <- d
-        done;
-        let c = snd (G.Mst.prim_dense ~n:size ~weight:(fun i j -> w.(i).(j))) in
-        if c < base -. improvement_eps then Some (t, c) else None)
-      candidates
-  in
-  List.sort (fun (_, a) (_, b) -> Float.compare a b) scored
+  rank_candidates ~members ~rows ~candidates
 
 (* The Fig 5 loop, returning the accepted Steiner set S.
 

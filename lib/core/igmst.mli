@@ -40,6 +40,20 @@ val solve :
     is unaffected.
     @raise Routing_err.Unroutable if even [H] alone cannot span the net. *)
 
+val rank_candidates :
+  members:int array -> rows:float array array -> candidates:int list -> (int * float) list
+(** The scoring step of the quick Δ scan.  [rows.(i)] is the distance row
+    of [members.(i)] (its Dijkstra [dist] array, indexed by node id).  A
+    candidate's score is the MST cost of the distance graph over the
+    members plus that candidate, equal bit for bit to
+    {!Fr_graph.Mst.prim_dense} on the same weights (the weight between
+    members [i < j] is [rows.(i).(members.(j))]).  Returns the candidates
+    whose score is below the members-only MST cost minus a 1e-7 margin,
+    with their scores, stably sorted by score.  Candidates that provably
+    cannot pass (second-smallest member distance above the members' longest
+    MST edge) are dropped without running Prim.
+    @raise Invalid_argument unless there is one row per member. *)
+
 val steiner_nodes :
   ?batched:bool ->
   ?candidates:int list ->

@@ -114,18 +114,25 @@ let move_to_front failed order =
 (* Shared distance caches                                              *)
 (* ------------------------------------------------------------------ *)
 
-let bbox_pred rrg cfg net =
+(* The net's bounding box, widened by the margin, as one bit per node:
+   the restriction every search of the footprint's cache tests, and the
+   filter [candidates_for] applies.  Built once per footprint from the
+   precomputed geometry, so the searches test one bit per scanned edge. *)
+let bbox_region rrg cfg net =
   let c0, r0, c1, r1 = Netlist.bounding_box net in
   let m = cfg.bbox_margin in
   let x0 = float_of_int c0 -. m
   and x1 = float_of_int (c1 + 1) +. m
   and y0 = float_of_int r0 -. m
   and y1 = float_of_int (r1 + 1) +. m in
-  (* Called per scanned edge: read the precomputed geometry, no decode. *)
   let node_x = rrg.Rrg.node_x and node_y = rrg.Rrg.node_y in
-  fun v ->
+  let n = G.Gstate.num_nodes rrg.Rrg.graph in
+  let region = Fr_util.Bitset.create ~value:false n in
+  for v = 0 to n - 1 do
     let x = node_x.(v) and y = node_y.(v) in
-    x >= x0 && x <= x1 && y >= y0 && y <= y1
+    if x >= x0 && x <= x1 && y >= y0 && y <= y1 then Fr_util.Bitset.set region v true
+  done;
+  region
 
 (* One [Dist_cache] per restriction footprint, shared by every net with
    that footprint and persisting across passes.  A restricted search is
@@ -158,7 +165,7 @@ let pool_cache pool rrg cfg net ~restricted =
   match Hashtbl.find_opt pool.caches key with
   | Some cache -> cache
   | None ->
-      let restrict = if restricted then Some (bbox_pred rrg cfg net) else None in
+      let restrict = if restricted then Some (bbox_region rrg cfg net) else None in
       let cache = G.Dist_cache.create ?restrict ~targeted:pool.targeted pool.pool_graph in
       Hashtbl.add pool.caches key cache;
       cache
@@ -177,13 +184,16 @@ let pool_h_evals pool =
 (* Per-net routing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Candidate Steiner nodes: wire nodes inside the bounding box, thinned to
-   the configured cap. *)
-let candidates_for rrg cfg pred =
+(* Candidate Steiner nodes: wire nodes inside the region (the bounding
+   box), thinned to the configured cap. *)
+let candidates_for rrg cfg region =
   let acc = ref [] in
   let count = ref 0 in
   for v = Rrg.num_wires rrg - 1 downto 0 do
-    if G.Gstate.node_enabled rrg.Rrg.graph v && pred v then begin
+    if
+      G.Gstate.node_enabled rrg.Rrg.graph v
+      && match region with None -> true | Some b -> Fr_util.Bitset.get b v
+    then begin
       acc := v :: !acc;
       incr count
     end
@@ -213,8 +223,7 @@ let solve_tree_alg pool alg rrg cfg net ~restricted =
   let cnet = Netlist.rrg_net rrg net in
   let cache = pool_cache pool rrg cfg net ~restricted in
   set_net_heuristic cache rrg cfg cnet;
-  let pred = if restricted then bbox_pred rrg cfg net else fun _ -> true in
-  let candidates = candidates_for rrg cfg pred in
+  let candidates = candidates_for rrg cfg (G.Dist_cache.restriction cache) in
   alg.C.Routing_alg.solve ~candidates cache ~net:cnet
 
 (* The CGE/SEGA/GBP-style baseline: each source-sink connection is routed

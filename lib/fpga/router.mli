@@ -117,12 +117,13 @@ type routed_net = {
   max_path : float;  (** max source–sink pathlength (base weights) *)
 }
 
-val candidates_for : Rrg.t -> config -> (int -> bool) -> int list
-(** Candidate Steiner nodes for one net: enabled wire nodes satisfying the
-    predicate (the net's bounding box), thinned by a uniform stride to at
-    most [max_candidates].  Exposed so tests can pin the thinning bounds:
-    when the scan finds [count > max_candidates] nodes, the kept count is
-    at most [max_candidates] and more than [max_candidates / 2]. *)
+val candidates_for : Rrg.t -> config -> Fr_util.Bitset.t option -> int list
+(** Candidate Steiner nodes for one net: enabled wire nodes set in the
+    region (the net's bounding box, one bit per node; [None] for the whole
+    graph), thinned by a uniform stride to at most [max_candidates].
+    Exposed so tests can pin the thinning bounds: when the scan finds
+    [count > max_candidates] nodes, the kept count is at most
+    [max_candidates] and more than [max_candidates / 2]. *)
 
 type stats = {
   passes : int;

@@ -15,7 +15,8 @@
 
     {b Goal-direction.}  With [~future_cost:h] the frontier is ordered by
     [f = g + h(v)] while [dist] keeps the true [g]; ties on [f] break by
-    [g], then push order.  When [h] is admissible ([h(v)] never exceeds
+    [g], then by the order in which the nodes got their current keys.
+    When [h] is admissible ([h(v)] never exceeds
     the true remaining distance) {e and} consistent
     ([h(u) <= w(u,v) + h(v)] on every enabled edge, with [h >= 0] and all
     edge weights strictly positive), every settled node's [g] is final at
@@ -26,10 +27,24 @@
     shortest-path {e tree} a pure graph property: bit-identical whether or
     not a heuristic is supplied.
 
-    {b Cost.}  The frontier is a {!Heap} keyed [(f, g)].  Targets are
-    tracked in a per-result tag array, so a targeted lookup costs
-    O(|targets|) on top of the nodes it settles, and settling a node
-    allocates no option, tuple or table entry. *)
+    {b Cost.}  The frontier is the search's own binary heap: parallel slot
+    arrays for [(f, g, seq)] and the node, plus a per-node slot index, with
+    at most one entry per node.  A strictly shorter path to a queued node
+    re-keys its entry in place (decrease-key) under a fresh sequence
+    number, so the search settles nodes in exactly the order of a
+    lazy-deletion heap that pushed a duplicate instead, minus the stale
+    pops; the settle order, the targeted stop and both counters are those
+    of that heap.  The enable bits and the restriction are tested inline on
+    their bitset words, so settling a node calls into no other module
+    except the heuristic.  Targets are tracked in a per-result tag array,
+    so a targeted lookup costs O(|targets|) on top of the nodes it
+    settles, and settling a node allocates no option, tuple or table
+    entry.  A result holds four node-indexed arrays: [dist],
+    [parent_edge], the tags and the slot index.
+
+    Every accessor that takes a node raises
+    [Invalid_argument "Dijkstra.<entry>: node out of range"] for a node
+    outside [\[0, n)]. *)
 
 type heuristic
 (** A future-cost lower bound [h : node -> float] tagged with a process-
@@ -57,13 +72,14 @@ type result = {
           heuristic-augmented key.  Raw reads are final only for settled
           nodes (see {!is_settled}/{!complete}); use {!dist} or {!extend}
           first when the result may be partial. *)
-  parent_edge : int array;  (** [-1] at the source / unreached nodes *)
-  parent_node : int array;  (** [-1] at the source / unreached nodes *)
+  parent_edge : int array;
+      (** [-1] at the source / unreached nodes; a node's tree parent is the
+          edge's other endpoint *)
   state : state;
 }
 
 val run :
-  ?restrict:(int -> bool) ->
+  ?restrict:Fr_util.Bitset.t ->
   ?edge_ok:(Gstate.edge -> bool) ->
   ?targets:int list ->
   ?future_cost:heuristic ->
@@ -71,14 +87,18 @@ val run :
   src:int ->
   result
 (** Single-source shortest paths over enabled nodes/edges.  [restrict]
-    further limits the explored node set (the router's bounding-box
-    pruning); the source is always allowed.  [edge_ok] limits the usable
+    further limits the explored node set to its set bits, one per node
+    (the router's bounding-box pruning); the source is always allowed.
+    The search keeps the bitset, not a copy, so it must not change while
+    the result can still be resumed.  [edge_ok] limits the usable
     edges (used to compute shortest-path trees inside the union subgraph of
     the arborescence constructions).  [targets], when given, stops the
     search as soon as the last distinct unsettled listed node is settled
     (unreachable targets exhaust the search); duplicates and the source
     count once.  Without it the whole graph is settled.  [future_cost]
-    goal-directs the search (see above). *)
+    goal-directs the search (see above).
+    @raise Invalid_argument on a source outside the graph, or a [restrict]
+    whose length is not the node count. *)
 
 val extend : result -> targets:int list -> unit
 (** Resume a partial run until every listed node is settled (or the search

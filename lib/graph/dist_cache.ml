@@ -23,7 +23,7 @@ let no_heuristic = -1
 
 type t = {
   g : Gstate.t;
-  restrict : (int -> bool) option;
+  restrict : Fr_util.Bitset.t option;
   targeted : bool;
   capacity : int;
   table : (int * int, entry) Hashtbl.t;
@@ -63,6 +63,8 @@ let create ?restrict ?(targeted = true) ?(capacity = default_capacity) g =
   }
 
 let graph t = t.g
+
+let restriction t = t.restrict
 
 let set_future_cost t h = t.future <- h
 

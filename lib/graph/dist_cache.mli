@@ -47,19 +47,27 @@
 type t
 
 val create :
-  ?restrict:(int -> bool) ->
+  ?restrict:Fr_util.Bitset.t ->
   ?targeted:bool ->
   ?capacity:int ->
   Gstate.t ->
   t
 (** [restrict] applies to every memoized Dijkstra run (candidate-pruning on
-    big routing graphs); callers must ensure all nodes they query satisfy
-    it.  [targeted] (default [true]) enables target-bounded partial runs;
+    big routing graphs): one bit per node of the graph, and a search
+    explores only set nodes besides its source ({!Dijkstra.run}, which
+    rejects a bitset of another length).  The
+    cache and its results share the bitset, so it must stay unchanged for
+    the cache's lifetime; callers must ensure all nodes they query are
+    set.  [targeted] (default [true]) enables target-bounded partial runs;
     [false] forces every run to settle the whole graph (the pre-targeting
     behavior, kept for A/B benchmarking).  [capacity] (default 1024) bounds
-    the number of cached sources; the least recently used is evicted. *)
+    the number of cached sources; the least recently used is evicted.
+    @raise Invalid_argument if [capacity < 1]. *)
 
 val graph : t -> Gstate.t
+
+val restriction : t -> Fr_util.Bitset.t option
+(** The [restrict] bitset given to {!create}, shared, not copied. *)
 
 val set_future_cost : t -> Dijkstra.heuristic option -> unit
 (** Install (or clear) the future-cost bound used by subsequent targeted

@@ -1,9 +1,11 @@
 (** Binary min-heap of integer payloads under a two-key float priority.
 
-    The frontier behind every {!Dijkstra} search, and the queue of the
-    label-setting searches in the core library (Mehlhorn's Voronoi regions,
-    AHHK, the exact Steiner program).  Payloads may repeat: the searches use
-    lazy deletion and skip entries of already-settled nodes on pop.
+    The queue of the label-setting searches in the core library
+    (Mehlhorn's Voronoi regions, AHHK, the exact Steiner program).
+    Payloads may repeat: those searches use lazy deletion and skip entries
+    of already-settled nodes on pop.  {!Dijkstra} keeps its own
+    addressable frontier instead (one entry per node, decrease-key), with
+    the same [(prio, tie, seq)] order.
 
     Entries are totally ordered by [(prio, tie, seq)], where [seq] is a
     per-heap push counter, so full ties pop in FIFO push order.  The order
@@ -22,8 +24,7 @@ val create : ?capacity:int -> unit -> t
 
 val push : t -> float -> float -> int -> unit
 (** [push h prio tie x] inserts payload [x] under the key [(prio, tie)].
-    Dijkstra passes [f = g + h(v)] and the true distance [g], so that equal
-    [f] keys settle in [g] order; the other searches pass [tie = 0.]. *)
+    The core searches pass [tie = 0.]. *)
 
 val pop : t -> int
 (** Removes the minimum entry by [(prio, tie, seq)] and returns its payload.

@@ -29,7 +29,12 @@ type t = {
   mutable session : session option;
   mutable requests : int;
   mutable stopping : bool;
-  mutable conns : Thread.t list;
+  conn_lock : Mutex.t;
+  conns : (int, Thread.t) Hashtbl.t;
+      (* live connection threads by id, under [conn_lock]: a thread drops
+         itself when its connection ends, so the table holds only open
+         connections however many the daemon has served.  The lock is
+         not [lock], so ending a connection never waits for a route. *)
 }
 
 let create ~socket =
@@ -49,10 +54,13 @@ let create ~socket =
     session = None;
     requests = 0;
     stopping = false;
-    conns = [];
+    conn_lock = Mutex.create ();
+    conns = Hashtbl.create 16;
   }
 
 let socket_path t = t.path
+
+let live_connections t = Mutex.protect t.conn_lock (fun () -> Hashtbl.length t.conns)
 
 let close_session t =
   match t.session with
@@ -246,21 +254,34 @@ let handle_conn t fd =
      unflushed can never reach a later connection that reuses the fd. *)
   Fun.protect ~finally:(fun () -> close_out_noerr oc) loop
 
+(* Serve one connection on its own thread.  The thread is registered
+   while [conn_lock] is held, and dropping itself needs the same lock, so
+   even a connection that ends at once is never left in the table. *)
+let spawn_conn t fd =
+  let forget () =
+    Mutex.protect t.conn_lock (fun () -> Hashtbl.remove t.conns (Thread.id (Thread.self ())))
+  in
+  let serve () = Fun.protect ~finally:forget (fun () -> handle_conn t fd) in
+  Mutex.protect t.conn_lock (fun () ->
+      let th = Thread.create serve () in
+      Hashtbl.replace t.conns (Thread.id th) th)
+
 let serve_forever t =
   let rec accept_loop () =
     let stop = Mutex.protect t.lock (fun () -> t.stopping) in
     if not stop then begin
       match Unix.accept t.sock with
       | fd, _ ->
-          let th = Thread.create (fun () -> handle_conn t fd) () in
-          Mutex.protect t.lock (fun () -> t.conns <- th :: t.conns);
+          spawn_conn t fd;
           accept_loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
     end
   in
   accept_loop ();
-  let conns = Mutex.protect t.lock (fun () -> t.conns) in
-  List.iter Thread.join conns;
+  let live =
+    Mutex.protect t.conn_lock (fun () -> Hashtbl.fold (fun _ th acc -> th :: acc) t.conns [])
+  in
+  List.iter Thread.join live;
   Mutex.protect t.lock (fun () -> close_session t);
   Unix.close t.sock;
   if Sys.file_exists t.path then Sys.remove t.path

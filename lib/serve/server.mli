@@ -28,8 +28,14 @@ val socket_path : t -> string
 
 val serve_forever : t -> unit
 (** Accept connections until a ["shutdown"] request arrives, then join
-    every connection thread, close the session (shutting its domain pool
-    down) and remove the socket file. *)
+    the connection threads still live, close the session (shutting its
+    domain pool down) and remove the socket file.  A connection's thread
+    forgets itself when the connection ends, so a long-lived daemon keeps
+    no trace of the connections it has finished serving. *)
+
+val live_connections : t -> int
+(** Connections currently open (their threads not yet finished).  Never
+    waits for a request in progress. *)
 
 val run : socket:string -> unit
 (** [create] + {!serve_forever}. *)

@@ -24,3 +24,11 @@ val copy : t -> t
 
 val count : t -> int
 (** Number of set bits. *)
+
+val unsafe_words : t -> int array
+(** The backing words, shared, not copied: bit [i] is bit [i land 15] of
+    word [i lsr 4].  For hot loops in other modules that must test bits
+    without a call per test (dune's dev profile compiles with [-opaque],
+    so {!get} is never inlined across modules); {!Fr_graph.Dijkstra}'s
+    drain reads its enable and restriction bits this way.  Treat the
+    array as read-only. *)

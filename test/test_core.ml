@@ -162,6 +162,56 @@ let prop_izel_never_worse_than_zel =
       let iz = G.Tree.cost g (C.Igmst.izel cache ~terminals) in
       iz <= z +. 1e-6)
 
+(* The quick scan's scoring step must rank exactly as running
+   [Mst.prim_dense] on every candidate would, bit for bit, whether or not
+   its skip rule drops the candidate first.  Small integer weights (some
+   scaled, so sums round) force ties in both the pick rule and the final
+   sort, and some pairs are unreachable. *)
+let prop_rank_candidates_matches_prim =
+  QCheck.Test.make ~name:"candidate scan = prim_dense on every candidate" ~count:400
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.make seed in
+      let n = 3 + Rng.int rng 14 in
+      let scale = [| 1.; 0.1; 0.3 |].(Rng.int rng 3) in
+      let m = Array.make_matrix n n 0. in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          let x =
+            if Rng.int rng 8 = 0 then infinity else scale *. float_of_int (1 + Rng.int rng 4)
+          in
+          m.(i).(j) <- x;
+          m.(j).(i) <- x
+        done
+      done;
+      let perm = Array.init n Fun.id in
+      Rng.shuffle rng perm;
+      let k = 1 + Rng.int rng (min 6 (n - 1)) in
+      let members = Array.sub perm 0 k in
+      let candidates = Array.to_list (Array.sub perm k (n - k)) in
+      let rows = Array.map (fun v -> m.(v)) members in
+      let got = C.Igmst.rank_candidates ~members ~rows ~candidates in
+      let mst ids =
+        snd (G.Mst.prim_dense ~n:(Array.length ids) ~weight:(fun i j -> m.(ids.(i)).(ids.(j))))
+      in
+      let base = mst members in
+      let want =
+        List.stable_sort
+          (fun (_, a) (_, b) -> Float.compare a b)
+          (List.filter_map
+             (fun t ->
+               let c = mst (Array.append members [| t |]) in
+               if c < base -. 1e-7 then Some (t, c) else None)
+             candidates)
+      in
+      let same (t1, c1) (t2, c2) =
+        Int.equal t1 t2 && Int64.equal (Int64.bits_of_float c1) (Int64.bits_of_float c2)
+      in
+      if not (List.equal same got want) then
+        QCheck.Test.fail_reportf "seed %d: scan ranked %d candidates, reference %d" seed
+          (List.length got) (List.length want);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Exact                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -534,6 +584,7 @@ let () =
           Alcotest.test_case "candidate restriction" `Quick test_igmst_candidate_restriction;
           QCheck_alcotest.to_alcotest prop_ikmb_never_worse_than_kmb;
           QCheck_alcotest.to_alcotest prop_izel_never_worse_than_zel;
+          QCheck_alcotest.to_alcotest prop_rank_candidates_matches_prim;
         ] );
       ( "exact",
         [

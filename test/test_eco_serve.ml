@@ -439,6 +439,46 @@ let test_server_survives_hangup () =
   Thread.join th;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
+(* A long-lived daemon must not grow with every connection it has served:
+   each connection's thread leaves the live set when it ends. *)
+let test_server_forgets_finished_connections () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fr_serve_conns_%d.sock" (Unix.getpid ()))
+  in
+  let server = S.Server.create ~socket:path in
+  let th = Thread.create S.Server.serve_forever server in
+  let request client cmd =
+    match S.Client.request client (S.Json.Obj [ ("cmd", S.Json.Str cmd) ]) with
+    | Ok resp -> expect_ok resp
+    | Error e -> Alcotest.failf "framing failure: %s" e
+  in
+  let stats client = request client "stats" in
+  for _ = 1 to 50 do
+    let client = S.Client.connect ~socket:path in
+    ignore (stats client);
+    S.Client.close client
+  done;
+  (* Each thread drops itself once it reads its peer's EOF; poll. *)
+  let rec settle tries =
+    let live = S.Server.live_connections server in
+    if live = 0 || tries = 0 then live
+    else begin
+      Thread.delay 0.01;
+      settle (tries - 1)
+    end
+  in
+  Alcotest.(check int) "no finished connection stays live" 0 (settle 1000);
+  let client = S.Client.connect ~socket:path in
+  let last = stats client in
+  (* A request counts after it is answered: the 50 before this one. *)
+  Alcotest.(check int) "a final stats still answers" 50 (field_int "requests" last);
+  Alcotest.(check int) "only the open connection is live" 1 (S.Server.live_connections server);
+  ignore (request client "shutdown");
+  S.Client.close client;
+  Thread.join th;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
 let () =
   Alcotest.run "fr_serve"
     [
@@ -466,5 +506,7 @@ let () =
         [
           Alcotest.test_case "socket roundtrip" `Quick test_server_roundtrip;
           Alcotest.test_case "survives a client that hangs up" `Quick test_server_survives_hangup;
+          Alcotest.test_case "forgets finished connections" `Quick
+            test_server_forgets_finished_connections;
         ] );
     ]

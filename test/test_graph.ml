@@ -271,9 +271,14 @@ let test_dijkstra_unreachable () =
 let test_dijkstra_restrict () =
   let g, _, _, _, _, _ = diamond () in
   (* Forbid node 1: route to 3 must go 0-2-3. *)
-  let r = G.Dijkstra.run ~restrict:(fun v -> v <> 1) g ~src:0 in
+  let keep = Fr_util.Bitset.create 4 in
+  Fr_util.Bitset.set keep 1 false;
+  let r = G.Dijkstra.run ~restrict:keep g ~src:0 in
   Alcotest.(check (float 1e-9)) "restricted d3" 3. (G.Dijkstra.dist r 3);
-  Alcotest.(check (list int)) "restricted path" [ 0; 2; 3 ] (G.Dijkstra.path_nodes r 3)
+  Alcotest.(check (list int)) "restricted path" [ 0; 2; 3 ] (G.Dijkstra.path_nodes r 3);
+  Alcotest.check_raises "one bit per node"
+    (Invalid_argument "Dijkstra.run: restriction size mismatch") (fun () ->
+      ignore (G.Dijkstra.run ~restrict:(Fr_util.Bitset.create 3) g ~src:0))
 
 let test_dijkstra_edge_ok () =
   let g, e01, _, _, _, _ = diamond () in
@@ -670,6 +675,217 @@ let prop_dijkstra_stop_rule =
           want;
       true)
 
+(* Every accessor that takes a node names itself when the node is out of
+   range, on a partial and on a complete result, and the failed call
+   settles nothing. *)
+let dijkstra_accessors =
+  [
+    ("dist", fun r v -> ignore (G.Dijkstra.dist r v));
+    ("reachable", fun r v -> ignore (G.Dijkstra.reachable r v));
+    ("path_edges", fun r v -> ignore (G.Dijkstra.path_edges r v));
+    ("path_nodes", fun r v -> ignore (G.Dijkstra.path_nodes r v));
+    ("is_settled", fun r v -> ignore (G.Dijkstra.is_settled r v));
+  ]
+
+let test_dijkstra_node_range (name, access) () =
+  let g, _, _, _, _, _ = diamond () in
+  let partial = G.Dijkstra.run ~targets:[ 1 ] g ~src:0 in
+  let complete = G.Dijkstra.run g ~src:0 in
+  List.iter
+    (fun (kind, r) ->
+      let before = G.Dijkstra.settled_count r in
+      List.iter
+        (fun v ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s node %d" kind v)
+            (Invalid_argument ("Dijkstra." ^ name ^ ": node out of range"))
+            (fun () -> access r v))
+        [ -1; 4; max_int ];
+      Alcotest.(check int) (kind ^ " settled nothing") before (G.Dijkstra.settled_count r))
+    [ ("partial", partial); ("complete", complete) ]
+
+(* The search's decrease-key frontier must settle nodes exactly as a
+   lazy-deletion search does: duplicates pushed onto a [Heap] on every
+   strict improvement, stale entries skipped on pop, the same (f, g, seq)
+   order, canonical parents and stop rule.  This is that search,
+   resumable. *)
+type lazy_search = {
+  lg : G.Gstate.t;
+  region : Fr_util.Bitset.t option;
+  h : (int -> float) option;
+  ldist : float array;
+  lparent : int array;
+  settled : bool array;
+  heap : G.Heap.t;
+  mutable evals : int;
+  mutable count : int;
+  mutable exhausted : bool;
+}
+
+let lazy_run ?region ?h g ~src =
+  let n = G.Gstate.num_nodes g in
+  let s =
+    {
+      lg = g;
+      region;
+      h;
+      ldist = Array.make n infinity;
+      lparent = Array.make n (-1);
+      settled = Array.make n false;
+      heap = G.Heap.create ();
+      evals = 0;
+      count = 0;
+      exhausted = false;
+    }
+  in
+  s.ldist.(src) <- 0.;
+  let f0 =
+    match h with
+    | None -> 0.
+    | Some h ->
+        s.evals <- 1;
+        h src
+  in
+  G.Heap.push s.heap f0 0. src;
+  s
+
+(* Settle until every listed node is settled ([None]: until exhausted). *)
+let lazy_lookup s targets =
+  let pending = Hashtbl.create 8 in
+  List.iter
+    (fun t -> if not s.settled.(t) then Hashtbl.replace pending t ())
+    (Option.value targets ~default:[]);
+  let go = ref ((not s.exhausted) && (Option.is_none targets || Hashtbl.length pending > 0)) in
+  while !go do
+    if G.Heap.is_empty s.heap then begin
+      s.exhausted <- true;
+      go := false
+    end
+    else begin
+      let u = G.Heap.pop s.heap in
+      if not s.settled.(u) then begin
+        s.settled.(u) <- true;
+        s.count <- s.count + 1;
+        let d = s.ldist.(u) in
+        G.Gstate.iter_adj s.lg u (fun e v w ->
+            let allowed =
+              match s.region with None -> true | Some b -> Fr_util.Bitset.get b v
+            in
+            if (not s.settled.(v)) && allowed then begin
+              let nd = d +. w in
+              if nd < s.ldist.(v) then begin
+                s.ldist.(v) <- nd;
+                s.lparent.(v) <- e;
+                let f =
+                  match s.h with
+                  | None -> nd
+                  | Some h ->
+                      s.evals <- s.evals + 1;
+                      nd +. h v
+                in
+                G.Heap.push s.heap f nd v
+              end
+              else if nd <= s.ldist.(v) && e < s.lparent.(v) then s.lparent.(v) <- e
+            end);
+        Hashtbl.remove pending u;
+        if Option.is_some targets && Hashtbl.length pending = 0 then go := false
+      end
+    end
+  done
+
+let prop_frontier_matches_lazy_reference =
+  QCheck.Test.make ~name:"frontier = lazy-deletion reference, ties included" ~count:300
+    QCheck.(pair (int_range 2 40) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let rng = Rng.make seed in
+      (* A random spanning tree plus extra edges, weights 1-3: full
+         (f, g) ties are common, so the seq tie-break decides pops. *)
+      let b = G.Wgraph.create n in
+      let weight () = float_of_int (1 + Rng.int rng 3) in
+      for v = 1 to n - 1 do
+        ignore (G.Wgraph.add_edge b (Rng.int rng v) v (weight ()))
+      done;
+      for _ = 1 to 2 * n do
+        let u = Rng.int rng n and v = Rng.int rng n in
+        if u <> v then ignore (G.Wgraph.add_edge b u v (weight ()))
+      done;
+      let g = G.Gstate.of_builder b in
+      let src = Rng.int rng n in
+      (* The exact distance to a landmark is a consistent heuristic. *)
+      let h =
+        if Rng.bool rng then None
+        else begin
+          let back = G.Dijkstra.run g ~src:(Rng.int rng n) in
+          Some (fun v -> G.Dijkstra.dist back v)
+        end
+      in
+      let region =
+        if Rng.bool rng then None
+        else begin
+          let keep = Fr_util.Bitset.create n in
+          for v = 0 to n - 1 do
+            if Rng.int rng 4 = 0 then Fr_util.Bitset.set keep v false
+          done;
+          Some keep
+        end
+      in
+      (if Rng.int rng 3 = 0 then
+         let x = Rng.int rng n in
+         if x <> src then G.Gstate.disable_node g x);
+      let pick () =
+        let l = List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng n) in
+        l @ if Rng.bool rng then l else []
+      in
+      let ref_s = lazy_run ?region ?h g ~src in
+      let first = if Rng.int rng 5 = 0 then None else Some (pick ()) in
+      let r =
+        G.Dijkstra.run ?restrict:region ?targets:first
+          ?future_cost:(Option.map G.Dijkstra.heuristic h)
+          g ~src
+      in
+      lazy_lookup ref_s first;
+      let check what =
+        if G.Dijkstra.settled_count r <> ref_s.count then
+          QCheck.Test.fail_reportf "%s: settled %d, reference %d" what
+            (G.Dijkstra.settled_count r) ref_s.count;
+        if G.Dijkstra.future_cost_evals r <> ref_s.evals then
+          QCheck.Test.fail_reportf "%s: %d h-evals, reference %d" what
+            (G.Dijkstra.future_cost_evals r) ref_s.evals;
+        if G.Dijkstra.complete r <> ref_s.exhausted then
+          QCheck.Test.fail_reportf "%s: exhaustion differs" what;
+        for v = 0 to n - 1 do
+          if G.Dijkstra.is_settled r v <> ref_s.settled.(v) then
+            QCheck.Test.fail_reportf "%s: node %d settled only on one side" what v;
+          if ref_s.settled.(v) then begin
+            if not (Float.equal r.G.Dijkstra.dist.(v) ref_s.ldist.(v)) then
+              QCheck.Test.fail_reportf "%s: dist at %d differs" what v;
+            if r.G.Dijkstra.parent_edge.(v) <> ref_s.lparent.(v) then
+              QCheck.Test.fail_reportf "%s: parent edge at %d differs" what v
+          end
+        done
+      in
+      check "run";
+      (* Resumed lookups: extends with duplicate targets, and accessors,
+         which settle on demand. *)
+      for step = 1 to 3 do
+        if Rng.bool rng then begin
+          let ts = pick () in
+          G.Dijkstra.extend r ~targets:ts;
+          lazy_lookup ref_s (Some ts);
+          check (Printf.sprintf "extend %d" step)
+        end
+        else begin
+          let v = Rng.int rng n in
+          ignore (G.Dijkstra.dist r v);
+          lazy_lookup ref_s (Some [ v ]);
+          check (Printf.sprintf "dist %d" step)
+        end
+      done;
+      G.Dijkstra.extend_all r;
+      lazy_lookup ref_s None;
+      check "extend_all";
+      true)
+
 let test_dijkstra_stale_resume_rejected () =
   let g, e01, _, _, _, _ = diamond () in
   let r = G.Dijkstra.run ~targets:[ 1 ] g ~src:0 in
@@ -968,7 +1184,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_targeted_equals_full;
           QCheck_alcotest.to_alcotest prop_astar_matches_plain;
           QCheck_alcotest.to_alcotest prop_dijkstra_stop_rule;
-        ] );
+          QCheck_alcotest.to_alcotest prop_frontier_matches_lazy_reference;
+        ]
+        @ List.map
+            (fun ((name, _) as accessor) ->
+              Alcotest.test_case (name ^ " rejects an out-of-range node") `Quick
+                (test_dijkstra_node_range accessor))
+            dijkstra_accessors );
       ( "mst",
         [
           Alcotest.test_case "prim triangle" `Quick test_prim_dense_triangle;

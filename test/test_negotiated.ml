@@ -121,7 +121,7 @@ let test_candidate_thinning_bounds () =
   List.iter
     (fun cap ->
       let cfg = { F.Router.default_config with max_candidates = cap } in
-      let kept = List.length (F.Router.candidates_for rrg cfg (fun _ -> true)) in
+      let kept = List.length (F.Router.candidates_for rrg cfg None) in
       if total <= cap then Alcotest.(check int) "no thinning needed" total kept
       else begin
         if kept > cap then Alcotest.failf "cap %d: kept %d > cap" cap kept;
