@@ -5,16 +5,13 @@
 
    One Bechamel kernel is registered per table/figure workload; the full
    table regeneration then follows, printing measured values next to the
-   published ones.
+   published ones.  The router's end-to-end benchmark, with pinned goldens
+   and per-layer counters, is perfbench/ (see perfbench/README.md).
 
    Environment:
      REPRO_QUICK=1   smaller workloads / subset of circuits (CI-friendly)
 
-   Run with: dune exec bench/main.exe
-   Smoke:    dune exec bench/main.exe -- --smoke
-             (targeted-Dijkstra A/B on one small circuit only; asserts the
-             routed trees are identical and the targeted mode settles fewer
-             nodes — wired into the test suite via a runtest alias) *)
+   Run with: dune exec bench/main.exe *)
 
 module G = Fr_graph
 module C = Fr_core
@@ -23,37 +20,6 @@ open Bechamel
 open Toolkit
 
 let quick = Sys.getenv_opt "REPRO_QUICK" <> None
-
-let smoke = Array.exists (( = ) "--smoke") Sys.argv
-
-(* Baseline search configuration for every non-A/B section: --no-astar
-   wins, then FR_SMOKE_ASTAR (0 disables), then the library default (A*
-   on).  The dedicated A/B section below sweeps both settings regardless. *)
-let astar_default =
-  if Array.exists (( = ) "--no-astar") Sys.argv then false
-  else match Sys.getenv_opt "FR_SMOKE_ASTAR" with Some ("0" | "false") -> false | _ -> true
-
-let config_with ?alg ?max_passes ?mode () =
-  F.Router.config_with ?alg ?max_passes ?mode ~astar:astar_default ()
-
-(* Worker-domain count for the parallel-router section: --domains N wins,
-   then FR_SMOKE_DOMAINS (how CI forces the 4-domain smoke), then 2 — the
-   cheapest count that still exercises the pool on every dev run. *)
-let domains =
-  let rec from_argv = function
-    | "--domains" :: v :: _ -> Some v
-    | _ :: rest -> from_argv rest
-    | [] -> None
-  in
-  let v =
-    match from_argv (Array.to_list Sys.argv) with
-    | Some v -> Some v
-    | None -> Sys.getenv_opt "FR_SMOKE_DOMAINS"
-  in
-  match Option.map int_of_string v with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> 2
-  | exception Failure _ -> failwith "bad --domains / FR_SMOKE_DOMAINS value"
 
 let section title =
   Printf.printf "\n%s\n%s\n\n%!" title (String.make (String.length title) '=')
@@ -94,7 +60,7 @@ let router_kernel alg () =
   let spec = Option.get (F.Circuits.find_spec "term1") in
   let circuit = F.Circuits.generate spec in
   let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:10) in
-  let config = config_with ~alg ~max_passes:3 () in
+  let config = F.Router.config_with ~alg ~max_passes:3 () in
   ignore (F.Router.route ~config rrg circuit)
 
 let fig10_kernel () =
@@ -147,1017 +113,6 @@ let run_bechamel name tests ~quota_s =
   Fr_util.Tab.print t
 
 (* ------------------------------------------------------------------ *)
-(* Targeted-Dijkstra A/B (settled nodes, full vs targeted)             *)
-(* ------------------------------------------------------------------ *)
-
-let route_instrumented ~config ~targeted ~channel_width spec =
-  let circuit = F.Circuits.generate spec in
-  let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width) in
-  let config = { config with F.Router.targeted_dijkstra = targeted } in
-  let t0 = Unix.gettimeofday () in
-  let r = F.Router.route ~config rrg circuit in
-  (r, Unix.gettimeofday () -. t0)
-
-(* IKMB's Δ-scan reads member-to-candidate distances for every candidate,
-   so target-bounding cannot shrink its searches much; the point-to-point
-   strategies (KMB's terminal pairs, the two-pin baseline's single sinks)
-   are where the searches stop early. *)
-let ab_strategies max_passes =
-  [
-    ("IKMB", config_with ~alg:C.Routing_alg.ikmb ~max_passes ());
-    ("KMB", config_with ~alg:C.Routing_alg.kmb ~max_passes ());
-    ( "2pin",
-      {
-        (config_with ~max_passes ()) with
-        F.Router.strategy = F.Router.Two_pin_decomposition;
-      } );
-  ]
-
-(* Routed trees as a canonical (net name, sorted edge list) association —
-   the bit-identity witness between the two modes. *)
-let canonical_trees stats =
-  List.map
-    (fun r ->
-      (r.F.Router.net.F.Netlist.net_name, List.sort compare r.F.Router.tree.G.Tree.edges))
-    stats.F.Router.routed
-  |> List.sort compare
-
-let settled_nodes_section ~specs ~max_passes ~channel_width () =
-  section "Targeted Dijkstra A/B (same trees, fewer settled nodes)";
-  let t =
-    Fr_util.Tab.create
-      ~title:
-        (Printf.sprintf "router work, full vs targeted (W=%d, max %d passes)" channel_width
-           max_passes)
-      ~header:
-        [ "circuit"; "settled full"; "settled targ"; "ratio"; "runs full"; "runs targ";
-          "full s"; "targ s"; "trees" ]
-  in
-  let all_identical = ref true and any_halved = ref false in
-  List.iter
-    (fun spec ->
-      List.iter
-        (fun (strat_name, config) ->
-          let name = spec.F.Circuits.circuit ^ "/" ^ strat_name in
-          let full, full_s = route_instrumented ~config ~targeted:false ~channel_width spec in
-          let targ, targ_s = route_instrumented ~config ~targeted:true ~channel_width spec in
-          match (full, targ) with
-          | Ok sf, Ok st ->
-              let identical = canonical_trees sf = canonical_trees st in
-              if not identical then all_identical := false;
-              let ratio =
-                float_of_int sf.F.Router.settled_nodes
-                /. float_of_int (max 1 st.F.Router.settled_nodes)
-              in
-              if ratio >= 2. then any_halved := true;
-              Fr_util.Tab.add_row t
-                [ name;
-                  string_of_int sf.F.Router.settled_nodes;
-                  string_of_int st.F.Router.settled_nodes;
-                  Printf.sprintf "%.1fx" ratio;
-                  string_of_int sf.F.Router.dijkstra_runs;
-                  string_of_int st.F.Router.dijkstra_runs;
-                  Printf.sprintf "%.2f" full_s;
-                  Printf.sprintf "%.2f" targ_s;
-                  (if identical then "identical" else "DIFFER") ]
-          | Error _, Error _ ->
-              Fr_util.Tab.add_row t
-                [ name; "-"; "-"; "-"; "-"; "-"; Printf.sprintf "%.2f" full_s;
-                  Printf.sprintf "%.2f" targ_s; "unroutable" ]
-          | _ ->
-              (* One mode routed and the other did not: a determinism bug. *)
-              all_identical := false;
-              Fr_util.Tab.add_row t
-                [ name; "-"; "-"; "-"; "-"; "-"; Printf.sprintf "%.2f" full_s;
-                  Printf.sprintf "%.2f" targ_s; "DIVERGED" ])
-        (ab_strategies max_passes))
-    specs;
-  Fr_util.Tab.print t;
-  (!all_identical, !any_halved)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel router (1 vs N domains: bit-identity + speedup)            *)
-(* ------------------------------------------------------------------ *)
-
-let route_domains ~config ~channel_width ~domains spec =
-  let circuit = F.Circuits.generate spec in
-  let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width) in
-  let t0 = Unix.gettimeofday () in
-  let r = F.Router.route ~config ~domains rrg circuit in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Everything the batched pipeline promises to keep invariant across
-   domain counts.  The Dijkstra work counters are deliberately absent:
-   per-domain caches shard lookups differently, so runs/settled may vary
-   even though every solve returns the same tree. *)
-let quality_fingerprint (s : F.Router.stats) =
-  ( s.F.Router.passes,
-    s.F.Router.total_wirelength,
-    s.F.Router.total_max_path,
-    s.F.Router.peak_occupancy,
-    s.F.Router.par_batches,
-    s.F.Router.par_conflicts )
-
-(* Wall time for the speedup column: best of [reps] back-to-back routes,
-   which filters scheduler noise without bechamel's full protocol. *)
-let best_time ~reps f =
-  let best = ref infinity and result = ref None in
-  for _ = 1 to reps do
-    let r, s = f () in
-    if s < !best then best := s;
-    result := Some r
-  done;
-  (Option.get !result, !best)
-
-let parallel_section ~specs ~max_passes ~channel_width ~domains ~reps () =
-  section (Printf.sprintf "Parallel router (1 vs %d domains, same trees)" domains);
-  (* Routing solves allocate heavily (per-search arrays, candidate lists),
-     and every minor collection is a stop-the-world sync across domains; a
-     larger minor heap cuts the sync rate and is the standard multicore
-     tuning.  Applied to both sides of the comparison, restored after. *)
-  let gc0 = Gc.get () in
-  Gc.set { gc0 with Gc.minor_heap_size = 8 * 1024 * 1024 };
-  let t =
-    Fr_util.Tab.create
-      ~title:
-        (Printf.sprintf "serial vs parallel routing wave (W=%d, max %d passes, IKMB)"
-           channel_width max_passes)
-      ~header:
-        [ "circuit"; "serial s"; "par s"; "speedup"; "batches"; "conflicts"; "trees" ]
-  in
-  let config = config_with ~alg:C.Routing_alg.ikmb ~max_passes () in
-  let all_identical = ref true and worst_speedup = ref infinity in
-  List.iter
-    (fun spec ->
-      let name = spec.F.Circuits.circuit in
-      let serial, serial_s =
-        best_time ~reps (fun () -> route_domains ~config ~channel_width ~domains:1 spec)
-      in
-      let par, par_s =
-        best_time ~reps (fun () -> route_domains ~config ~channel_width ~domains spec)
-      in
-      match (serial, par) with
-      | Ok ss, Ok sp ->
-          let identical =
-            canonical_trees ss = canonical_trees sp
-            && quality_fingerprint ss = quality_fingerprint sp
-          in
-          if not identical then all_identical := false;
-          let speedup = serial_s /. par_s in
-          if speedup < !worst_speedup then worst_speedup := speedup;
-          Fr_util.Tab.add_row t
-            [ name;
-              Printf.sprintf "%.3f" serial_s;
-              Printf.sprintf "%.3f" par_s;
-              Printf.sprintf "%.2fx" speedup;
-              string_of_int sp.F.Router.par_batches;
-              string_of_int sp.F.Router.par_conflicts;
-              (if identical then "identical" else "DIFFER") ]
-      | Error _, Error _ ->
-          Fr_util.Tab.add_row t
-            [ name; Printf.sprintf "%.3f" serial_s; Printf.sprintf "%.3f" par_s; "-"; "-";
-              "-"; "unroutable" ]
-      | _ ->
-          (* One domain count routed and the other did not: the pipeline's
-             determinism guarantee is broken. *)
-          all_identical := false;
-          Fr_util.Tab.add_row t
-            [ name; Printf.sprintf "%.3f" serial_s; Printf.sprintf "%.3f" par_s; "-"; "-";
-              "-"; "DIVERGED" ])
-    specs;
-  Gc.set gc0;
-  Fr_util.Tab.print t;
-  let cores = Domain.recommended_domain_count () in
-  if cores < domains then
-    Printf.printf
-      "(%d hardware core%s available for %d domains: wall-time speedup is not \
-       expected on this machine, only bit-identity)\n%!"
-      cores
-      (if cores = 1 then "" else "s")
-      domains;
-  (!all_identical, !worst_speedup, cores >= domains)
-
-(* ------------------------------------------------------------------ *)
-(* Negotiated congestion A/B (waves vs negotiated) + BENCH_pr6.json    *)
-(* ------------------------------------------------------------------ *)
-
-(* Negotiated convergence means the routed trees are pairwise
-   node-disjoint — the zero-overuse certificate, checked here from the
-   outside rather than trusted from the router. *)
-let trees_disjoint g stats =
-  let seen = Hashtbl.create 4096 in
-  List.for_all
-    (fun r ->
-      List.for_all
-        (fun v ->
-          if Hashtbl.mem seen v then false
-          else begin
-            Hashtbl.replace seen v ();
-            true
-          end)
-        (G.Tree.nodes g r.F.Router.tree))
-    stats.F.Router.routed
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* One mode's measurements at a fixed width, as both a table row and a
-   machine-readable JSON object. *)
-let mode_json ~stats ~wall_s extras =
-  let fields =
-    [
-      ("iterations", string_of_int stats.F.Router.passes);
-      ("wirelength", Printf.sprintf "%.1f" stats.F.Router.total_wirelength);
-      ("max_path", Printf.sprintf "%.1f" stats.F.Router.total_max_path);
-      ("settled_nodes", string_of_int stats.F.Router.settled_nodes);
-      ("wall_s", Printf.sprintf "%.3f" wall_s);
-    ]
-    @ extras
-  in
-  "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields) ^ "}"
-
-let write_bench_json ~path ~circuits_json =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"bench\": \"pr6_negotiated_ab\", \"domains\": %d, \"quick\": %b, \"circuits\": [%s]}\n"
-    domains quick
-    (String.concat ", " circuits_json);
-  close_out oc;
-  Printf.printf "(wrote %s)\n%!" path
-
-(* The A/B runs at each circuit's published (= batched-wave) minimum
-   width: negotiated converging there is exactly the "channel width <= the
-   waves router's" claim, without paying for a second bisection sweep on
-   every smoke.  [sweep] adds the real per-mode minimum-width search (full
-   bench only). *)
-let negotiated_section ~specs ~domains ~sweep () =
-  section "Negotiated congestion A/B (waves vs PathFinder pricing, same circuits)";
-  let t =
-    Fr_util.Tab.create ~title:"waves vs negotiated at the waves minimum width"
-      ~header:
-        [ "circuit"; "mode"; "W"; "iters"; "wirelength"; "max path"; "settled"; "wall s";
-          "checks" ]
-  in
-  let all_ok = ref true in
-  let circuits_json = ref [] in
-  List.iter
-    (fun spec ->
-      let name = spec.F.Circuits.circuit in
-      let width = Option.get spec.F.Circuits.published.F.Circuits.ours_ikmb in
-      let waves_cfg = config_with ~alg:C.Routing_alg.ikmb () in
-      let neg_cfg = config_with ~alg:C.Routing_alg.ikmb ~mode:F.Router.Negotiated () in
-      let route_mode config d =
-        let circuit = F.Circuits.generate spec in
-        let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:width) in
-        let t0 = Unix.gettimeofday () in
-        let r = F.Router.route ~config ~domains:d rrg circuit in
-        (rrg, r, Unix.gettimeofday () -. t0)
-      in
-      let _, waves_r, waves_s = route_mode waves_cfg 1 in
-      let neg_rrg, neg_r, neg_s = route_mode neg_cfg 1 in
-      let _, neg_par_r, _ = route_mode neg_cfg domains in
-      match (waves_r, neg_r, neg_par_r) with
-      | Ok ws, Ok ns, Ok nps ->
-          let disjoint = trees_disjoint neg_rrg.F.Rrg.graph ns in
-          let par_identical = canonical_trees ns = canonical_trees nps in
-          if not (disjoint && par_identical) then all_ok := false;
-          let sweep_result config =
-            if not sweep then None
-            else
-              F.Router.min_channel_width ~config
-                ~arch_of_width:(fun w -> F.Circuits.arch_for spec ~channel_width:w)
-                ~circuit:(F.Circuits.generate spec) ~start:width ()
-          in
-          let min_w_waves = sweep_result waves_cfg and min_w_neg = sweep_result neg_cfg in
-          let min_note label = function
-            | Some (w, _) -> Printf.sprintf "; min W %d (%s)" w label
-            | None -> ""
-          in
-          Fr_util.Tab.add_row t
-            [ name; "waves"; string_of_int width; string_of_int ws.F.Router.passes;
-              Printf.sprintf "%.0f" ws.F.Router.total_wirelength;
-              Printf.sprintf "%.0f" ws.F.Router.total_max_path;
-              string_of_int ws.F.Router.settled_nodes;
-              Printf.sprintf "%.3f" waves_s;
-              "baseline" ^ min_note "waves" min_w_waves ];
-          Fr_util.Tab.add_row t
-            [ name; "negotiated"; string_of_int width; string_of_int ns.F.Router.passes;
-              Printf.sprintf "%.0f" ns.F.Router.total_wirelength;
-              Printf.sprintf "%.0f" ns.F.Router.total_max_path;
-              string_of_int ns.F.Router.settled_nodes;
-              Printf.sprintf "%.3f" neg_s;
-              (if disjoint then "disjoint" else "OVERUSED")
-              ^ (if par_identical then Printf.sprintf "; domains 1=%d" domains
-                 else "; domains DIFFER")
-              ^ min_note "neg" min_w_neg ];
-          let sweep_json = function
-            | Some (w, _) -> [ ("min_width", string_of_int w) ]
-            | None -> []
-          in
-          circuits_json :=
-            Printf.sprintf
-              "{\"circuit\": \"%s\", \"width\": %d, \"waves\": %s, \"negotiated\": %s}"
-              (json_escape name) width
-              (mode_json ~stats:ws ~wall_s:waves_s (sweep_json min_w_waves))
-              (mode_json ~stats:ns ~wall_s:neg_s
-                 ([
-                    ("overuse_free", string_of_bool disjoint);
-                    ( Printf.sprintf "identical_domains_1_vs_%d" domains,
-                      string_of_bool par_identical );
-                  ]
-                 @ sweep_json min_w_neg))
-            :: !circuits_json
-      | _ ->
-          all_ok := false;
-          let show label = function
-            | Ok _ -> ()
-            | Error f ->
-                Fr_util.Tab.add_row t
-                  [ name; label; string_of_int width;
-                    string_of_int f.F.Router.passes_tried; "-"; "-"; "-"; "-"; "FAILED" ]
-          in
-          show "waves" waves_r;
-          show "negotiated" neg_r;
-          show "negotiated/par" neg_par_r)
-    specs;
-  Fr_util.Tab.print t;
-  write_bench_json ~path:"BENCH_pr6.json" ~circuits_json:(List.rev !circuits_json);
-  !all_ok
-
-(* ------------------------------------------------------------------ *)
-(* Goal-directed search A/B (A* on/off) + BENCH_pr7.json               *)
-(* ------------------------------------------------------------------ *)
-
-(* The two search configurations of one routing cell.  A* moves the
-   settled-node counts; the trees are bit-identical across both
-   (canonical-parent relaxation, see Fr_graph.Dijkstra). *)
-let pr7_variants base =
-  [ ("astar", { base with F.Router.astar = true }); ("off", { base with F.Router.astar = false }) ]
-
-(* Cell flags: [guaranteed] marks cells where every targeted query's
-   targets all have zero future cost (KMB's terminal pairs, the two-pin
-   baseline's single sinks), which carries the provable guarantee
-   settled(on) <= settled(off); [want2x] marks the pure point-to-point
-   cell where goal-direction is at its sharpest and the smoke demands a
-   >= 2x settled-node cut.  KMB's per-net heuristic is flattened by the
-   net's other terminals (the bound is a min over all of them), so it
-   reduces but less; IKMB's Δ-scan targets thousands of Steiner
-   candidates, so its searches must settle them all regardless of
-   goal-direction — both are measured for the record, not held to 2x. *)
-let pr7_cells ~max_passes ~neg_circuits name =
-  [
-    ("waves/IKMB", false, false, Some (config_with ~alg:C.Routing_alg.ikmb ~max_passes ()));
-    ("waves/KMB", true, false, Some (config_with ~alg:C.Routing_alg.kmb ~max_passes ()));
-    ( "waves/2pin",
-      true,
-      true,
-      Some
-        {
-          (config_with ~max_passes ()) with
-          F.Router.strategy = F.Router.Two_pin_decomposition;
-        } );
-    ( "negotiated/IKMB",
-      false,
-      false,
-      (* Negotiated convergence takes tens of pricing iterations per
-         variant, so the smoke bounds this cell to a subset of circuits;
-         the full bench sweeps it everywhere. *)
-      if List.mem name neg_circuits then
-        Some (config_with ~alg:C.Routing_alg.ikmb ~mode:F.Router.Negotiated ~max_passes ())
-      else None );
-  ]
-
-let astar_section ~specs ~max_passes ~channel_width ~neg_circuits () =
-  section "Goal-directed search A/B (A* on/off, same trees)";
-  let t =
-    Fr_util.Tab.create
-      ~title:(Printf.sprintf "A* A/B (W=%d, max %d passes)" channel_width max_passes)
-      ~header:[ "cell"; "settled A*"; "settled off"; "ratio"; "h-evals"; "A* s"; "off s"; "trees" ]
-  in
-  let all_identical = ref true and reduced = ref true in
-  let worst_2x_ratio = ref infinity in
-  let quality = ref [] and circuits_json = ref [] in
-  List.iter
-    (fun spec ->
-      let name = spec.F.Circuits.circuit in
-      let cells_json = ref [] and domains_ok = ref true in
-      List.iter
-        (fun (cell_name, guaranteed, want2x, base) ->
-          match base with
-          | None -> ()
-          | Some base ->
-          let row_name = name ^ "/" ^ cell_name in
-          let runs =
-            List.map
-              (fun (vname, cfg) ->
-                let circuit = F.Circuits.generate spec in
-                let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width) in
-                let t0 = Unix.gettimeofday () in
-                let r = F.Router.route ~config:cfg rrg circuit in
-                (vname, r, Unix.gettimeofday () -. t0))
-              (pr7_variants base)
-          in
-          match runs with
-          | [ (_, Ok ab, s_ab); (_, Ok ob, s_ob) ] ->
-              let identical = canonical_trees ab = canonical_trees ob in
-              if not identical then all_identical := false;
-              let on = ab.F.Router.settled_nodes and off = ob.F.Router.settled_nodes in
-              if guaranteed && on > off then reduced := false;
-              if want2x then begin
-                let r = float_of_int off /. float_of_int (max 1 on) in
-                if r < !worst_2x_ratio then worst_2x_ratio := r
-              end;
-              if cell_name = "waves/IKMB" then
-                quality :=
-                  (name, ab.F.Router.total_wirelength, ab.F.Router.total_max_path)
-                  :: !quality;
-              Fr_util.Tab.add_row t
-                [ row_name;
-                  string_of_int on;
-                  string_of_int off;
-                  Printf.sprintf "%.1fx" (float_of_int off /. float_of_int (max 1 on));
-                  string_of_int ab.F.Router.future_cost_evals;
-                  Printf.sprintf "%.2f" s_ab;
-                  Printf.sprintf "%.2f" s_ob;
-                  (if identical then "identical" else "DIFFER") ];
-              cells_json :=
-                Printf.sprintf "{\"cell\": \"%s\", \"trees_identical\": %b, \"variants\": {%s}}"
-                  (json_escape cell_name) identical
-                  (String.concat ", "
-                     (List.map2
-                        (fun (vname, _) (s, wall_s) ->
-                          Printf.sprintf "%S: %s" vname
-                            (mode_json ~stats:s ~wall_s
-                               [
-                                 ("dijkstra_runs", string_of_int s.F.Router.dijkstra_runs);
-                                 ( "future_cost_evals",
-                                   string_of_int s.F.Router.future_cost_evals );
-                               ]))
-                        (pr7_variants base)
-                        [ (ab, s_ab); (ob, s_ob) ]))
-                :: !cells_json
-          | _ ->
-              all_identical := false;
-              Fr_util.Tab.add_row t
-                [ row_name; "-"; "-"; "-"; "-"; "-"; "-"; "FAILED" ])
-        (pr7_cells ~max_passes ~neg_circuits name);
-      (* Cross-domain identity at the default search configuration (the
-         acceptance pin: --domains 1/2/4 route the same trees). *)
-      let dom_cfg = config_with ~alg:C.Routing_alg.ikmb ~max_passes () in
-      let dom_cfg = { dom_cfg with F.Router.astar = true } in
-      let dom_runs =
-        List.map
-          (fun d ->
-            match route_domains ~config:dom_cfg ~channel_width ~domains:d spec with
-            | Ok s, _ -> Some (canonical_trees s)
-            | Error _, _ -> None)
-          [ 1; 2; 4 ]
-      in
-      (match dom_runs with
-      | [ Some a; Some b; Some c ] -> if not (a = b && b = c) then domains_ok := false
-      | _ -> domains_ok := false);
-      if not !domains_ok then all_identical := false;
-      circuits_json :=
-        Printf.sprintf
-          "{\"circuit\": \"%s\", \"width\": %d, \"domains_identical_1_2_4\": %b, \
-           \"cells\": [%s]}"
-          (json_escape name) channel_width !domains_ok
-          (String.concat ", " (List.rev !cells_json))
-        :: !circuits_json)
-    specs;
-  Fr_util.Tab.print t;
-  let oc = open_out "BENCH_pr7.json" in
-  Printf.fprintf oc "{\"bench\": \"pr7_astar_ab\", \"quick\": %b, \"circuits\": [%s]}\n"
-    quick
-    (String.concat ", " (List.rev !circuits_json));
-  close_out oc;
-  Printf.printf "(wrote BENCH_pr7.json)\n%!";
-  (!all_identical, !reduced, !worst_2x_ratio, !quality)
-
-(* Journal-overlay accounting, at each circuit's published minimum channel
-   width so rip-up passes actually happen.  The restore work is the journal
-   entries undone; the old scheme scanned the full O(V+E) snapshot on every
-   restore regardless of how little the failed pass had touched. *)
-let journal_section ~max_passes () =
-  section "Gstate journal (pass restore cost vs full snapshot)";
-  let t =
-    Fr_util.Tab.create ~title:"undo-journal counters at minimum routable width"
-      ~header:
-        [ "circuit"; "W"; "passes"; "V+E"; "mutations"; "rollbacks"; "restored";
-          "old cost"; "ratio" ]
-  in
-  let all_cheaper = ref true in
-  List.iter
-    (fun spec ->
-      let width =
-        Option.get spec.F.Circuits.published.F.Circuits.ours_ikmb
-      in
-      let circuit = F.Circuits.generate spec in
-      let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:width) in
-      let g = rrg.F.Rrg.graph in
-      let snapshot_cost = G.Gstate.num_nodes g + G.Gstate.num_edges g in
-      match F.Router.route ~config:(config_with ~max_passes ()) rrg circuit with
-      | Ok s ->
-          (* total entries undone across all rollbacks vs the full-snapshot
-             scans the old restore would have performed *)
-          let restored = G.Gstate.rollback_entries g in
-          let old_cost = s.F.Router.rollbacks * snapshot_cost in
-          if restored >= old_cost then all_cheaper := false;
-          Fr_util.Tab.add_row t
-            [ spec.F.Circuits.circuit;
-              string_of_int width;
-              string_of_int s.F.Router.passes;
-              string_of_int snapshot_cost;
-              string_of_int s.F.Router.mutations;
-              string_of_int s.F.Router.rollbacks;
-              string_of_int restored;
-              string_of_int old_cost;
-              Printf.sprintf "%.2fx" (float_of_int restored /. float_of_int (max 1 old_cost)) ]
-      | Error _ ->
-          all_cheaper := false;
-          Fr_util.Tab.add_row t
-            [ spec.F.Circuits.circuit; string_of_int width; "-"; string_of_int snapshot_cost;
-              "-"; "-"; "-"; "-"; "unroutable" ])
-    [ Option.get (F.Circuits.find_spec "term1"); Option.get (F.Circuits.find_spec "apex7") ];
-  Fr_util.Tab.print t;
-  !all_cheaper
-
-(* ------------------------------------------------------------------ *)
-(* Incremental (ECO) re-routing + serve daemon -> BENCH_pr9.json       *)
-(* ------------------------------------------------------------------ *)
-
-let die msg =
-  prerr_endline msg;
-  exit 1
-
-let canonical_routed routed =
-  List.map
-    (fun r ->
-      (r.F.Router.net.F.Netlist.net_name, List.sort compare r.F.Router.tree.G.Tree.edges))
-    routed
-  |> List.sort compare
-
-(* What the ECO differential contract pins beyond the trees themselves.
-   The parallel-accounting counters (par_batches/par_conflicts) are
-   per-request in an ECO session — a kept prefix's batches never re-run —
-   so they are exactly what incrementality is allowed to change. *)
-let eco_quality (s : F.Router.stats) =
-  (s.F.Router.passes, s.F.Router.total_wirelength, s.F.Router.total_max_path,
-   s.F.Router.peak_occupancy)
-
-(* The scripted delta sequence: a removal, an addition, a terminal change
-   (retime), and a mixed request.  Edits target nets near the END of the
-   net order, where the waves schedule keeps an unchanged batch prefix —
-   the locality incremental re-routing exists to exploit; negotiated mode
-   reuses by terminal memo instead, so edit position is immaterial there. *)
-let eco_script (c : F.Netlist.circuit) =
-  let nets = Array.of_list c.F.Netlist.nets in
-  let n = Array.length nets in
-  if n < 4 then die "eco bench: circuit too small for the delta script";
-  let a = nets.(n - 1) and b = nets.(n - 2) and m = nets.(n - 3) in
-  let rotate (net : F.Netlist.net) =
-    match List.rev (F.Netlist.net_pins net) with
-    | last :: rest_rev ->
-        F.Router.Eco.Retime_net (net.F.Netlist.net_name, last, List.rev rest_rev)
-    | [] -> die "eco bench: net with no pins"
-  in
-  let fresh =
-    F.Netlist.make_net
-      ~name:(a.F.Netlist.net_name ^ "_eco")
-      ~source:a.F.Netlist.source ~sinks:a.F.Netlist.sinks
-  in
-  [
-    ("remove", [ F.Router.Eco.Remove_net a.F.Netlist.net_name ]);
-    ("add", [ F.Router.Eco.Add_net fresh ]);
-    ("retime", [ rotate b ]);
-    ( "mixed",
-      [
-        F.Router.Eco.Remove_net m.F.Netlist.net_name;
-        F.Router.Eco.Retime_net (b.F.Netlist.net_name, b.F.Netlist.source, b.F.Netlist.sinks);
-      ] );
-  ]
-
-let eco_section ~specs ~modes ~domain_counts ~max_passes () =
-  section "Incremental (ECO) re-routing (differential vs from-scratch)";
-  let t =
-    Fr_util.Tab.create
-      ~title:
-        (Printf.sprintf "ECO apply vs from-scratch route (W=14, domains %s)"
-           (String.concat "/" (List.map string_of_int domain_counts)))
-      ~header:
-        [ "circuit/mode/step"; "total"; "ripped"; "reused"; "eco settled"; "scratch settled";
-          "eco s"; "scratch s"; "trees" ]
-  in
-  let all_identical = ref true and all_partial = ref true in
-  let circuits_json = ref [] in
-  List.iter
-    (fun spec ->
-      List.iter
-        (fun mode ->
-          let mode_name =
-            match mode with F.Router.Waves -> "waves" | F.Router.Negotiated -> "negotiated"
-          in
-          let tag = spec.F.Circuits.circuit ^ "/" ^ mode_name in
-          let config = config_with ~alg:C.Routing_alg.ikmb ~max_passes ~mode () in
-          let mk_rrg () = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:14) in
-          let circuit0 = F.Circuits.generate spec in
-          let sessions =
-            List.map
-              (fun d ->
-                match F.Router.Eco.create ~config ~domains:d (mk_rrg ()) circuit0 with
-                | Ok (e, es) -> (d, e, es)
-                | Error _ -> die (Printf.sprintf "eco bench: %s did not route at W=14" tag))
-              domain_counts
-          in
-          let scratch circuit =
-            let rrg = mk_rrg () in
-            let t0 = Unix.gettimeofday () in
-            match F.Router.route ~config ~domains:1 rrg circuit with
-            | Ok s -> (s, Unix.gettimeofday () -. t0)
-            | Error _ ->
-                die (Printf.sprintf "eco bench: scratch %s did not route at W=14" tag)
-          in
-          let steps_json = ref [] in
-          (* One step's cross-check: every session (all domain counts) must
-             hold a routing bit-identical to the from-scratch route of its
-             current netlist, with the same quality fingerprint. *)
-          let check step_name (es0 : F.Router.Eco.eco_stats) ~eco_s =
-            let _, e0, _ = List.hd sessions in
-            let sc, sc_s = scratch (F.Router.Eco.circuit e0) in
-            let want = canonical_routed sc.F.Router.routed in
-            let identical =
-              List.for_all
-                (fun (_, e, _) -> canonical_routed (F.Router.Eco.routed e) = want)
-                sessions
-              && eco_quality es0.F.Router.Eco.stats = eco_quality sc
-            in
-            if not identical then all_identical := false;
-            let total = es0.F.Router.Eco.nets_total
-            and ripped = es0.F.Router.Eco.nets_ripped
-            and reused = es0.F.Router.Eco.nets_reused in
-            Fr_util.Tab.add_row t
-              [ tag ^ "/" ^ step_name;
-                string_of_int total;
-                string_of_int ripped;
-                string_of_int reused;
-                string_of_int es0.F.Router.Eco.stats.F.Router.settled_nodes;
-                string_of_int sc.F.Router.settled_nodes;
-                Printf.sprintf "%.3f" eco_s;
-                Printf.sprintf "%.3f" sc_s;
-                (if identical then "identical" else "DIFFER") ];
-            steps_json :=
-              Printf.sprintf
-                "{\"step\": \"%s\", \"nets_total\": %d, \"nets_ripped\": %d, \
-                 \"nets_reused\": %d, \"eco_settled\": %d, \"scratch_settled\": %d, \
-                 \"eco_s\": %.3f, \"scratch_s\": %.3f, \"identical\": %b}"
-                (json_escape step_name) total ripped reused
-                es0.F.Router.Eco.stats.F.Router.settled_nodes sc.F.Router.settled_nodes eco_s
-                sc_s identical
-              :: !steps_json;
-            (ripped, total)
-          in
-          let _, _, es_create = List.hd sessions in
-          ignore (check "create" es_create ~eco_s:0.0);
-          (* Apply the script; at least one step per session must rip
-             strictly fewer nets than the netlist holds — the entire point
-             of the incremental path. *)
-          let some_partial = ref false in
-          List.iter
-            (fun (step_name, deltas) ->
-              let applied =
-                List.map
-                  (fun (d, e, _) ->
-                    let t0 = Unix.gettimeofday () in
-                    match F.Router.Eco.apply e deltas with
-                    | Ok es -> (d, es, Unix.gettimeofday () -. t0)
-                    | Error _ ->
-                        die
-                          (Printf.sprintf "eco bench: %s/%s did not route at W=14" tag
-                             step_name))
-                  sessions
-              in
-              let _, es0, eco_s = List.hd applied in
-              (* Rip-up accounting is part of the deterministic schedule,
-                 so it must agree across domain counts. *)
-              List.iter
-                (fun (d, es, _) ->
-                  if
-                    es.F.Router.Eco.nets_ripped <> es0.F.Router.Eco.nets_ripped
-                    || es.F.Router.Eco.nets_reused <> es0.F.Router.Eco.nets_reused
-                  then
-                    die
-                      (Printf.sprintf
-                         "eco bench: %s/%s rip-up accounting differs between domains %d and %d"
-                         tag step_name (let d0, _, _ = List.hd sessions in d0) d))
-                applied;
-              let ripped, total = check step_name es0 ~eco_s in
-              if ripped < total then some_partial := true)
-            (eco_script circuit0);
-          if not !some_partial then all_partial := false;
-          List.iter (fun (_, e, _) -> F.Router.Eco.close e) sessions;
-          circuits_json :=
-            Printf.sprintf "{\"circuit\": \"%s\", \"mode\": \"%s\", \"steps\": [%s]}"
-              (json_escape spec.F.Circuits.circuit) mode_name
-              (String.concat ", " (List.rev !steps_json))
-            :: !circuits_json)
-        modes)
-    specs;
-  Fr_util.Tab.print t;
-  (!all_identical, !all_partial, List.rev !circuits_json)
-
-(* ---------------- serve daemon (socket) ---------------- *)
-
-module Serve = Fr_serve
-
-(* A small fixed circuit so thousands of socket round-trips stay cheap;
-   each bench client owns one net and toggles its terminal order, so the
-   interleaving of concurrent clients never changes the final netlist. *)
-let serve_circuit_text =
-  String.concat "\n"
-    [
-      "circuit eco_serve 6 6";
-      "net a 0,0,E,0 2,3,W,0";
-      "net b 1,1,N,0 3,4,S,0 0,4,S,1";
-      "net c 3,0,N,0 1,2,S,0";
-      "net d 5,5,W,0 4,1,E,0";
-      "";
-    ]
-
-let serve_request client obj =
-  match Serve.Client.request client obj with
-  | Ok resp -> resp
-  | Error e -> die (Printf.sprintf "serve bench: protocol failure: %s" e)
-
-let serve_expect_ok client obj =
-  let resp = serve_request client obj in
-  match Serve.Json.member "ok" resp with
-  | Some (Serve.Json.Bool true) -> resp
-  | _ -> die (Printf.sprintf "serve bench: request failed: %s" (Serve.Json.to_string resp))
-
-let serve_retime_req name pins ~rotated =
-  let pin_strs = List.map F.Netlist.pin_to_string pins in
-  let source, sinks =
-    match (pin_strs, List.rev pin_strs) with
-    | p0 :: rest, last :: rest_rev ->
-        if rotated then (last, List.rev rest_rev) else (p0, rest)
-    | _ -> die "serve bench: net with no pins"
-  in
-  Serve.Json.Obj
-    [
-      ("cmd", Serve.Json.Str "eco");
-      ( "deltas",
-        Serve.Json.Arr
-          [
-            Serve.Json.Obj
-              [
-                ("op", Serve.Json.Str "retime");
-                ("name", Serve.Json.Str name);
-                ("source", Serve.Json.Str source);
-                ("sinks", Serve.Json.Arr (List.map (fun s -> Serve.Json.Str s) sinks));
-              ];
-          ] );
-    ]
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else sorted.(min (n - 1) (int_of_float (float_of_int n *. p)))
-
-let serve_section ~queries ~clients () =
-  section "Serve daemon (concurrent ECO clients over a Unix socket)";
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fr_serve_bench_%d.sock" (Unix.getpid ()))
-  in
-  let server = Serve.Server.create ~socket in
-  let server_thread = Thread.create Serve.Server.serve_forever server in
-  let circuit =
-    match F.Netlist.of_string serve_circuit_text with
-    | Ok c -> c
-    | Error e -> die ("serve bench: bad fixture circuit: " ^ e)
-  in
-  let nets = Array.of_list circuit.F.Netlist.nets in
-  let main_client = Serve.Client.connect ~socket in
-  let route_req =
-    Serve.Json.Obj
-      [
-        ("cmd", Serve.Json.Str "route");
-        ("circuit", Serve.Json.Str serve_circuit_text);
-        ("width", Serve.Json.of_int 6);
-        ("mode", Serve.Json.Str "waves");
-      ]
-  in
-  let digest_of resp =
-    match Option.bind (Serve.Json.member "digest" resp) Serve.Json.str with
-    | Some d -> d
-    | None -> die "serve bench: response carries no digest"
-  in
-  let first = serve_expect_ok main_client route_req in
-  let digest0 = digest_of first in
-  (* Each client: its own connection, its own net, an even number of
-     toggles (so every client ends on the original terminal order). *)
-  let per_client = max 2 (queries / clients / 2 * 2) in
-  let latencies = Array.make (clients * per_client) 0. in
-  let t0 = Unix.gettimeofday () in
-  let worker k =
-    let c = Serve.Client.connect ~socket in
-    let net = nets.(k mod Array.length nets) in
-    let name = net.F.Netlist.net_name and pins = F.Netlist.net_pins net in
-    for j = 0 to per_client - 1 do
-      let req = serve_retime_req name pins ~rotated:(j mod 2 = 0) in
-      let q0 = Unix.gettimeofday () in
-      ignore (serve_expect_ok c req);
-      latencies.((k * per_client) + j) <- Unix.gettimeofday () -. q0
-    done;
-    Serve.Client.close c
-  in
-  let threads = List.init clients (fun k -> Thread.create worker k) in
-  List.iter Thread.join threads;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let total = clients * per_client in
-  (* Every client ended on its net's original orientation, so the session
-     must be back at the initial netlist: its digest must equal both the
-     initial route's and a fresh from-scratch session's — the ECO-vs-
-     scratch identity, checked end to end through the socket. *)
-  let stats_resp = serve_expect_ok main_client (Serve.Json.Obj [ ("cmd", Serve.Json.Str "stats") ]) in
-  let digest_after = digest_of stats_resp in
-  let rescratch = serve_expect_ok main_client route_req in
-  let digest_scratch = digest_of rescratch in
-  let identity = digest_after = digest0 && digest_after = digest_scratch in
-  ignore (serve_expect_ok main_client (Serve.Json.Obj [ ("cmd", Serve.Json.Str "shutdown") ]));
-  Serve.Client.close main_client;
-  Thread.join server_thread;
-  let socket_gone = not (Sys.file_exists socket) in
-  Array.sort compare latencies;
-  let ms p = percentile latencies p *. 1000. in
-  let throughput = float_of_int total /. wall_s in
-  Printf.printf
-    "%d ECO queries over %d concurrent clients in %.2fs: %.0f req/s, latency p50 %.2fms \
-     p90 %.2fms p99 %.2fms; eco-vs-scratch digests %s; socket %s\n%!"
-    total clients wall_s throughput (ms 0.50) (ms 0.90) (ms 0.99)
-    (if identity then "identical" else "DIFFER")
-    (if socket_gone then "removed" else "LEFT BEHIND");
-  let json =
-    Printf.sprintf
-      "{\"queries\": %d, \"clients\": %d, \"wall_s\": %.3f, \"throughput_rps\": %.1f, \
-       \"p50_ms\": %.3f, \"p90_ms\": %.3f, \"p99_ms\": %.3f, \
-       \"eco_vs_scratch_identical\": %b, \"clean_shutdown\": %b}"
-      total clients wall_s throughput (ms 0.50) (ms 0.90) (ms 0.99) identity socket_gone
-  in
-  (identity && socket_gone, json)
-
-let write_pr9_json ~eco_json ~serve_json =
-  let oc = open_out "BENCH_pr9.json" in
-  Printf.fprintf oc
-    "{\"bench\": \"pr9_eco_serve\", \"domains\": %d, \"quick\": %b, \"eco\": [%s], \
-     \"serve\": %s}\n"
-    domains quick (String.concat ", " eco_json) serve_json;
-  close_out oc;
-  Printf.printf "(wrote BENCH_pr9.json)\n%!"
-
-let smoke_main () =
-  let specs =
-    List.map (fun c -> Option.get (F.Circuits.find_spec c)) [ "term1"; "apex7" ]
-  in
-  let identical, halved =
-    settled_nodes_section ~specs ~max_passes:3 ~channel_width:14 ()
-  in
-  if not identical then begin
-    prerr_endline "SMOKE FAIL: targeted and full routes differ (or did not route)";
-    exit 1
-  end;
-  if not halved then begin
-    prerr_endline "SMOKE FAIL: targeted mode settled less than 2x fewer nodes";
-    exit 1
-  end;
-  let par_identical, speedup, enough_cores =
-    parallel_section ~specs ~max_passes:3 ~channel_width:14 ~domains ~reps:2 ()
-  in
-  if not par_identical then begin
-    prerr_endline
-      (Printf.sprintf
-         "SMOKE FAIL: %d-domain route differs from the serial route (trees or stats)"
-         domains);
-    exit 1
-  end;
-  (* Identity is a hard guarantee; wall-time gain depends on the hardware
-     the smoke happens to run on, so a short machine demotes the speedup
-     expectation to a warning instead of flaking. *)
-  if enough_cores && speedup < 1.5 then
-    Printf.printf "smoke WARNING: %d-domain speedup only %.2fx (expected >= 1.5x)\n%!"
-      domains speedup;
-  let journal_cheaper = journal_section ~max_passes:20 () in
-  if not journal_cheaper then begin
-    prerr_endline "SMOKE FAIL: journal restore cost not below full-snapshot scans";
-    exit 1
-  end;
-  let neg_ok = negotiated_section ~specs ~domains ~sweep:false () in
-  if not neg_ok then begin
-    prerr_endline
-      "SMOKE FAIL: negotiated mode broke a guarantee (convergence at the waves width, \
-       tree disjointness, or cross-domain identity)";
-    exit 1
-  end;
-  let astar_identical, astar_reduced, point_to_point_ratio, quality =
-    astar_section ~specs ~max_passes:3 ~channel_width:14 ~neg_circuits:[ "term1" ] ()
-  in
-  if not astar_identical then begin
-    prerr_endline
-      "SMOKE FAIL: A* A/B broke bit-identity (across astar on/off or domains 1/2/4)";
-    exit 1
-  end;
-  if not astar_reduced then begin
-    prerr_endline
-      "SMOKE FAIL: goal-direction settled MORE nodes on a guaranteed (point-to-point) cell";
-    exit 1
-  end;
-  if point_to_point_ratio < 2. then begin
-    Printf.eprintf
-      "SMOKE FAIL: goal-direction only cut settled nodes %.2fx on the point-to-point cells \
-       (expected >= 2x)\n"
-      point_to_point_ratio;
-    exit 1
-  end;
-  (* Routing-quality pin at the W=14 smoke cell (IKMB, Waves): the
-     canonical-parent relaxation landed with goal-direction makes these a
-     pure graph property, so any drift is a real behavior change. *)
-  let golden = [ ("term1", (767., 649.)); ("apex7", (1083., 925.)) ] in
-  List.iter
-    (fun (name, wl, mp) ->
-      match List.assoc_opt name golden with
-      | Some (gwl, gmp) when gwl = wl && gmp = mp -> ()
-      | Some (gwl, gmp) ->
-          Printf.eprintf
-            "SMOKE FAIL: %s quality drifted: wirelength %.0f (pinned %.0f), max path %.0f \
-             (pinned %.0f)\n"
-            name wl gwl mp gmp;
-          exit 1
-      | None -> ())
-    quality;
-  (* ECO differential: the scripted delta sequences on term1 and apex7,
-     both modes, domains 1/2/4, each step bit-identical to from-scratch.
-     REPRO_QUICK keeps apex7 to waves mode to bound CI time; the full
-     smoke runs the whole matrix. *)
-  let eco_cases =
-    List.concat_map
-      (fun spec ->
-        let modes =
-          if quick && spec.F.Circuits.circuit = "apex7" then [ F.Router.Waves ]
-          else [ F.Router.Waves; F.Router.Negotiated ]
-        in
-        [ (spec, modes) ])
-      specs
-  in
-  let eco_results =
-    List.map
-      (fun (spec, modes) ->
-        eco_section ~specs:[ spec ] ~modes ~domain_counts:[ 1; 2; 4 ] ~max_passes:8 ())
-      eco_cases
-  in
-  let eco_identical = List.for_all (fun (i, _, _) -> i) eco_results in
-  let eco_partial = List.for_all (fun (_, p, _) -> p) eco_results in
-  let eco_json = List.concat_map (fun (_, _, j) -> j) eco_results in
-  if not eco_identical then begin
-    prerr_endline
-      "SMOKE FAIL: an ECO apply diverged from the from-scratch route of the edited netlist";
-    exit 1
-  end;
-  if not eco_partial then begin
-    prerr_endline
-      "SMOKE FAIL: no ECO step ripped up strictly fewer nets than the netlist holds \
-       (incremental path never engaged)";
-    exit 1
-  end;
-  let serve_ok, serve_json =
-    serve_section ~queries:(if quick then 200 else 2000) ~clients:4 ()
-  in
-  if not serve_ok then begin
-    prerr_endline
-      "SMOKE FAIL: serve daemon broke eco-vs-scratch digest identity or left its socket \
-       behind";
-    exit 1
-  end;
-  write_pr9_json ~eco_json ~serve_json;
-  Printf.printf
-    "smoke OK: trees identical (targeted A/B, %d-domain parallel at %.2fx wall ratio, A* \
-     on/off, domains 1/2/4), targeted settles >= 2x fewer nodes, \
-     goal-direction cuts point-to-point settling %.1fx (>= 2x) with pinned routing \
-     quality, journal restore work below full-snapshot scans, negotiated mode converges \
-     overuse-free at the waves widths, ECO applies bit-identical to from-scratch with \
-     partial rip-up, serve daemon round-trips concurrent ECO clients\n%!"
-    domains speedup point_to_point_ratio
-
-(* ------------------------------------------------------------------ *)
 (* Full table / figure regeneration                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1179,10 +134,6 @@ let subset_4000 () =
   else F.Circuits.specs_4000
 
 let () =
-  if smoke then begin
-    smoke_main ();
-    exit 0
-  end;
   Printf.printf "Reproduction benches for Alexander-Robins, DAC 1995%s\n%!"
     (if quick then " [REPRO_QUICK]" else "");
 
@@ -1192,48 +143,9 @@ let () =
   section "Per-table/figure workload kernels";
   run_bechamel "workloads" workload_tests ~quota_s:(if quick then 0.5 else 1.0);
 
-  let ab_specs =
-    List.filter
-      (fun s ->
-        List.mem s.F.Circuits.circuit (if quick then [ "term1" ] else [ "term1"; "9symml"; "apex7" ]))
-      F.Circuits.specs_4000
-  in
-  ignore
-    (wall (fun () ->
-         settled_nodes_section ~specs:ab_specs ~max_passes:(if quick then 3 else 8)
-           ~channel_width:14 ()));
-
-  ignore
-    (wall (fun () ->
-         parallel_section ~specs:ab_specs ~max_passes:(if quick then 3 else 8)
-           ~channel_width:14 ~domains ~reps:(if quick then 2 else 3) ()));
-
-  let neg_specs =
-    List.map (fun c -> Option.get (F.Circuits.find_spec c)) [ "term1"; "apex7" ]
-  in
-  ignore (wall (fun () -> negotiated_section ~specs:neg_specs ~domains ~sweep:(not quick) ()));
-
-  ignore
-    (wall (fun () ->
-         astar_section ~specs:neg_specs ~max_passes:(if quick then 3 else 8) ~channel_width:14
-           ~neg_circuits:[ "term1"; "apex7" ] ()));
-
-  (let eco_identical, eco_partial, eco_json =
-     wall (fun () ->
-         eco_section ~specs:neg_specs
-           ~modes:[ F.Router.Waves; F.Router.Negotiated ]
-           ~domain_counts:[ 1; domains ] ~max_passes:8 ())
-   in
-   let serve_ok, serve_json =
-     wall (fun () -> serve_section ~queries:(if quick then 500 else 4000) ~clients:4 ())
-   in
-   if not (eco_identical && eco_partial && serve_ok) then
-     prerr_endline "WARNING: ECO/serve section failed a guarantee (see above)";
-   write_pr9_json ~eco_json ~serve_json);
-
   let nets_per_config = if quick then 10 else 50 in
   let max_passes = if quick then 8 else 20 in
-  let config = config_with ~max_passes () in
+  let config = F.Router.config_with ~max_passes () in
 
   section "Table 1 (grid congestion study)";
   wall (fun () ->

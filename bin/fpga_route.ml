@@ -33,15 +33,40 @@ let spec_conv =
   let print fmt (s : F.Circuits.spec) = Format.pp_print_string fmt s.F.Circuits.circuit in
   Arg.conv (parse, print)
 
-(* Widths, pass caps, domain counts and start widths below 1 are usage
-   errors, reported with the usage line before any routing starts. *)
-let positive_int =
+(* An integer outside [lo, hi] is a usage error, reported with the usage
+   line before any work starts. *)
+let int_within ?(hi = max_int) lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when n >= lo && n <= hi -> Ok n
+    | Some _ | None ->
+        let range =
+          if hi = max_int then Printf.sprintf ">= %d" lo else Printf.sprintf "in [%d, %d]" lo hi
+        in
+        Error (`Msg (Printf.sprintf "expected an integer %s, got %S" range s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+(* Widths, pass caps, domain counts and start widths. *)
+let positive_int = int_within 1
+
+(* One of the named [choices], spelled out in full: [Arg.enum] also takes
+   any unambiguous prefix, which would read "300" as "3000". *)
+let exact_enum choices =
+  let parse s =
+    match List.assoc_opt s choices with
+    | Some v -> Ok v
+    | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value %S, expected one of %s" s
+               (String.concat ", " (List.map fst choices))))
+  in
+  let print fmt v = Format.pp_print_string fmt (fst (List.find (fun (_, x) -> x = v) choices)) in
+  Arg.conv (parse, print)
+
+(* The names of a registry, as the values of an [exact_enum]. *)
+let names registry = exact_enum (List.map (fun (name, _) -> (name, name)) registry)
 
 let alg_arg =
   Arg.(value & opt alg_conv C.Routing_alg.ikmb & info [ "a"; "alg" ] ~docv:"ALG" ~doc:"Routing algorithm.")
@@ -68,14 +93,6 @@ let mode_arg =
            iteration against shared resources priced by overuse). Both modes are \
            bit-identical across $(b,--domains).")
 
-let no_astar_arg =
-  Arg.(
-    value & flag
-    & info [ "no-astar" ]
-        ~doc:
-          "Disable goal-directed (A-star) search and run plain Dijkstra. Routed trees are \
-           bit-identical either way; only the number of settled nodes changes.")
-
 let spec_arg = Arg.(required & pos 0 (some spec_conv) None & info [] ~docv:"CIRCUIT")
 
 (* ---------------- route ---------------- *)
@@ -83,10 +100,10 @@ let spec_arg = Arg.(required & pos 0 (some spec_conv) None & info [] ~docv:"CIRC
 let width_arg =
   Arg.(value & opt positive_int 10 & info [ "w"; "width" ] ~docv:"W" ~doc:"Channel width.")
 
-let run_route spec width alg passes mode domains no_astar render =
+let run_route spec width alg passes mode domains render =
   let circuit = F.Circuits.generate spec in
   let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:width) in
-  let config = F.Router.config_with ~alg ~max_passes:passes ~mode ~astar:(not no_astar) () in
+  let config = F.Router.config_with ~alg ~max_passes:passes ~mode () in
   match F.Router.route ~config ~domains rrg circuit with
   | Ok stats ->
       print_endline (F.Render.summary rrg stats);
@@ -104,13 +121,13 @@ let route_cmd =
     (Cmd.info "route" ~doc:"Route a benchmark circuit at a fixed channel width")
     Term.(
       const run_route $ spec_arg $ width_arg $ alg_arg $ passes_arg $ mode_arg $ domains_arg
-      $ no_astar_arg $ render)
+      $ render)
 
 (* ---------------- width ---------------- *)
 
-let run_width spec alg passes mode domains no_astar start =
+let run_width spec alg passes mode domains start =
   let circuit = F.Circuits.generate spec in
-  let config = F.Router.config_with ~alg ~max_passes:passes ~mode ~astar:(not no_astar) () in
+  let config = F.Router.config_with ~alg ~max_passes:passes ~mode () in
   let arch_of_width w = F.Circuits.arch_for spec ~channel_width:w in
   let start =
     match start with
@@ -142,33 +159,39 @@ let width_cmd =
   Cmd.v
     (Cmd.info "width" ~doc:"Find a circuit's minimum routable channel width")
     Term.(
-      const run_width $ spec_arg $ alg_arg $ passes_arg $ mode_arg $ domains_arg $ no_astar_arg
-      $ start)
+      const run_width $ spec_arg $ alg_arg $ passes_arg $ mode_arg $ domains_arg $ start)
 
 (* ---------------- table ---------------- *)
 
+(* Each table by its command-line name, built for the quick or full
+   workload; the names are the only values [table] accepts. *)
+let tables =
+  let module R = Fr_exp.Router_tables in
+  let passes quick = if quick then 8 else 20 in
+  let config quick = F.Router.config_with ~max_passes:(passes quick) () in
+  [
+    ("1", fun quick -> Fr_exp.Table1.(to_table (run ~nets_per_config:(if quick then 10 else 50) ())));
+    ("2", fun quick -> R.table2_to_table (R.table2 ~config:(config quick) ()));
+    ("3", fun quick -> R.table3_to_table (R.table3 ~config:(config quick) ()));
+    ("4", fun quick -> R.table4_to_table (R.table4 ~max_passes:(passes quick) ()));
+    ( "5",
+      fun quick ->
+        let max_passes = passes quick in
+        R.table5_to_table (R.table5 ~max_passes (R.table4 ~max_passes ())) );
+    ("baseline", fun quick -> R.baseline_to_table (R.baseline ~max_passes:(passes quick) ()));
+  ]
+
 let run_table which quick =
-  let nets_per_config = if quick then 10 else 50 in
-  let max_passes = if quick then 8 else 20 in
-  let config = F.Router.config_with ~max_passes () in
-  (match which with
-  | "1" -> Fr_util.Tab.print (Fr_exp.Table1.to_table (Fr_exp.Table1.run ~nets_per_config ()))
-  | "2" -> Fr_util.Tab.print (Fr_exp.Router_tables.table2_to_table (Fr_exp.Router_tables.table2 ~config ()))
-  | "3" -> Fr_util.Tab.print (Fr_exp.Router_tables.table3_to_table (Fr_exp.Router_tables.table3 ~config ()))
-  | "4" ->
-      Fr_util.Tab.print
-        (Fr_exp.Router_tables.table4_to_table (Fr_exp.Router_tables.table4 ~max_passes ()))
-  | "5" ->
-      let t4 = Fr_exp.Router_tables.table4 ~max_passes () in
-      Fr_util.Tab.print (Fr_exp.Router_tables.table5_to_table (Fr_exp.Router_tables.table5 ~max_passes t4))
-  | "baseline" ->
-      Fr_util.Tab.print
-        (Fr_exp.Router_tables.baseline_to_table (Fr_exp.Router_tables.baseline ~max_passes ()))
-  | other -> Printf.printf "unknown table %s (expected 1-5 or baseline)\n" other);
+  Fr_util.Tab.print ((List.assoc which tables) quick);
   0
 
 let table_cmd =
-  let which = Arg.(required & pos 0 (some string) None & info [] ~docv:"TABLE") in
+  let which =
+    Arg.(
+      required
+      & pos 0 (some (names tables)) None
+      & info [] ~docv:"TABLE" ~doc:"$(b,1)-$(b,5) or $(b,baseline).")
+  in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Smaller workloads, fewer passes.") in
   Cmd.v
     (Cmd.info "table" ~doc:"Regenerate one of the paper's tables (1-5, baseline)")
@@ -176,24 +199,30 @@ let table_cmd =
 
 (* ---------------- figure ---------------- *)
 
+let figures =
+  Fr_exp.Figures.
+    [
+      ("3", fun () -> fig3 ());
+      ("4", fig4);
+      ("6", fig6);
+      ("10", fun () -> fig10 ());
+      ("11", fun () -> fig11 ());
+      ("13", fig13);
+      ("14", fun () -> fig14 ());
+      ("16", fun () -> fig16 ());
+    ]
+
 let run_figure which =
-  let text =
-    match which with
-    | "3" -> Fr_exp.Figures.fig3 ()
-    | "4" -> Fr_exp.Figures.fig4 ()
-    | "6" -> Fr_exp.Figures.fig6 ()
-    | "10" -> Fr_exp.Figures.fig10 ()
-    | "11" -> Fr_exp.Figures.fig11 ()
-    | "13" -> Fr_exp.Figures.fig13 ()
-    | "14" -> Fr_exp.Figures.fig14 ()
-    | "16" -> Fr_exp.Figures.fig16 ()
-    | other -> Printf.sprintf "unknown figure %s (expected 3,4,6,10,11,13,14,16)" other
-  in
-  print_endline text;
+  print_endline ((List.assoc which figures) ());
   0
 
 let figure_cmd =
-  let which = Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE") in
+  let which =
+    Arg.(
+      required
+      & pos 0 (some (names figures)) None
+      & info [] ~docv:"FIGURE" ~doc:"One of 3, 4, 6, 10, 11, 13, 14, 16.")
+  in
   Cmd.v
     (Cmd.info "figure" ~doc:"Regenerate one of the paper's figures")
     Term.(const run_figure $ which)
@@ -209,7 +238,7 @@ let export_cmd =
     (Cmd.info "export" ~doc:"Print a benchmark circuit in the textual netlist format")
     Term.(const run_export $ spec_arg)
 
-let run_route_file file width series alg passes mode domains no_astar render =
+let run_route_file file width series alg passes mode domains render =
   let read_all path =
     let ic = open_in path in
     let n = in_channel_length ic in
@@ -224,17 +253,14 @@ let run_route_file file width series alg passes mode domains no_astar render =
   | Ok circuit -> (
       let arch =
         match series with
-        | "3000" ->
-            F.Arch.xc3000 ~rows:circuit.F.Netlist.rows ~cols:circuit.F.Netlist.cols
-              ~channel_width:width
-        | _ ->
-            F.Arch.xc4000 ~rows:circuit.F.Netlist.rows ~cols:circuit.F.Netlist.cols
-              ~channel_width:width
+        | F.Arch.Series_3000 -> F.Arch.xc3000
+        | F.Arch.Series_4000 -> F.Arch.xc4000
       in
-      let rrg = F.Rrg.build arch in
-      let config =
-        F.Router.config_with ~alg ~max_passes:passes ~mode ~astar:(not no_astar) ()
+      let rrg =
+        F.Rrg.build
+          (arch ~rows:circuit.F.Netlist.rows ~cols:circuit.F.Netlist.cols ~channel_width:width)
       in
+      let config = F.Router.config_with ~alg ~max_passes:passes ~mode () in
       match F.Router.route ~config ~domains rrg circuit with
       | Ok stats ->
           print_endline (F.Render.summary rrg stats);
@@ -249,14 +275,18 @@ let run_route_file file width series alg passes mode domains no_astar render =
 let route_file_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST_FILE") in
   let series =
-    Arg.(value & opt string "4000" & info [ "series" ] ~docv:"S" ~doc:"3000 or 4000.")
+    Arg.(
+      value
+      & opt (exact_enum [ ("3000", F.Arch.Series_3000); ("4000", F.Arch.Series_4000) ])
+          F.Arch.Series_4000
+      & info [ "series" ] ~docv:"S" ~doc:"Architecture series: $(b,3000) or $(b,4000).")
   in
   let render = Arg.(value & flag & info [ "render" ] ~doc:"Print the occupancy map.") in
   Cmd.v
     (Cmd.info "route-file" ~doc:"Route a circuit from a textual netlist file")
     Term.(
       const run_route_file $ file $ width_arg $ series $ alg_arg $ passes_arg $ mode_arg
-      $ domains_arg $ no_astar_arg $ render)
+      $ domains_arg $ render)
 
 (* ---------------- circuits ---------------- *)
 
@@ -316,10 +346,18 @@ let run_net size congestion seed =
   Fr_util.Tab.print t;
   0
 
+(* The net is sampled from the nodes of the default 20x20 congestion grid. *)
+let net_grid_nodes = 20 * 20
+
 let net_cmd =
-  let size = Arg.(value & opt int 5 & info [ "pins" ] ~docv:"K" ~doc:"Number of pins.") in
+  let size =
+    Arg.(
+      value
+      & opt (int_within ~hi:net_grid_nodes 1) 5
+      & info [ "pins" ] ~docv:"K" ~doc:"Number of pins, between 1 and 400 (the grid's nodes).")
+  in
   let congestion =
-    Arg.(value & opt int 10 & info [ "congestion" ] ~docv:"K" ~doc:"Pre-routed nets.")
+    Arg.(value & opt (int_within 0) 10 & info [ "congestion" ] ~docv:"K" ~doc:"Pre-routed nets.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.") in
   Cmd.v

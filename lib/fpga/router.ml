@@ -13,47 +13,51 @@ type config = {
   strategy : strategy;
   mode : mode;
   critical_strategy : (Netlist.net -> bool) option;
-  critical_alg : C.Routing_alg.t;
   max_passes : int;
-  congestion_increment : float;
-  bbox_margin : float;
-  max_candidates : int;
-  targeted_dijkstra : bool;
-  astar : bool;
-  par_batch : int;
-  neg_max_iterations : int;
-  neg_stall_limit : int;
-  neg_present_factor : float;
-  neg_present_growth : float;
-  neg_history_factor : float;
 }
 
 let default_config =
-  {
-    strategy = Tree_alg C.Routing_alg.ikmb;
-    mode = Waves;
-    critical_strategy = None;
-    critical_alg = C.Routing_alg.idom;
-    max_passes = 20;
-    congestion_increment = 3.0;
-    bbox_margin = 3.;
-    max_candidates = 2500;
-    targeted_dijkstra = true;
-    astar = true;
-    par_batch = 8;
-    neg_max_iterations = 64;
-    neg_stall_limit = 12;
-    neg_present_factor = 0.5;
-    neg_present_growth = 1.3;
-    neg_history_factor = 0.4;
-  }
+  { strategy = Tree_alg C.Routing_alg.ikmb; mode = Waves; critical_strategy = None; max_passes = 20 }
 
-let config_with ?alg ?max_passes ?mode ?astar () =
+let config_with ?alg ?max_passes ?mode () =
   let cfg = default_config in
   let cfg = match alg with Some a -> { cfg with strategy = Tree_alg a } | None -> cfg in
   let cfg = match mode with Some m -> { cfg with mode = m } | None -> cfg in
-  let cfg = match astar with Some a -> { cfg with astar = a } | None -> cfg in
   match max_passes with Some p -> { cfg with max_passes = p } | None -> cfg
+
+(* ------------------------------------------------------------------ *)
+(* Fixed routing parameters                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* §2's construction for critical nets: shortest source-sink paths first,
+   then the least wire that keeps them. *)
+let critical_alg = C.Routing_alg.idom
+
+(* Weight added, scaled by 1/W, to the edges near a consumed wire's
+   channel segment.  Strong pressure spreads nets across channels, which
+   measurably lowers the achievable channel widths. *)
+let congestion_increment = 3.0
+
+(* Steiner-candidate scans and restricted searches stay inside the net's
+   bounding box widened by this many blocks; a net that fails there is
+   retried on the whole graph. *)
+let bbox_margin = 3.
+
+(* Cap on the Steiner candidates one net's construction scans; wider scans
+   are thinned by a uniform stride. *)
+let max_candidates = 2500
+
+(* Cap on the nets of one speculative waves batch (see "Wave batching"
+   below); 1 would disable batching, every net solving against the live
+   state serially. *)
+let par_batch = 8
+
+(* Negotiated mode declares failure after this many pricing iterations,
+   or after this many consecutive iterations without a new best total
+   overuse.  Prices use {!Fr_graph.Cost_model.default_params}. *)
+let neg_max_iterations = 64
+
+let neg_stall_limit = 12
 
 type routed_net = {
   net : Netlist.net;
@@ -118,13 +122,12 @@ let move_to_front failed order =
    the restriction every search of the footprint's cache tests, and the
    filter [candidates_for] applies.  Built once per footprint from the
    precomputed geometry, so the searches test one bit per scanned edge. *)
-let bbox_region rrg cfg net =
+let bbox_region rrg net =
   let c0, r0, c1, r1 = Netlist.bounding_box net in
-  let m = cfg.bbox_margin in
-  let x0 = float_of_int c0 -. m
-  and x1 = float_of_int (c1 + 1) +. m
-  and y0 = float_of_int r0 -. m
-  and y1 = float_of_int (r1 + 1) +. m in
+  let x0 = float_of_int c0 -. bbox_margin
+  and x1 = float_of_int (c1 + 1) +. bbox_margin
+  and y0 = float_of_int r0 -. bbox_margin
+  and y1 = float_of_int (r1 + 1) +. bbox_margin in
   let node_x = rrg.Rrg.node_x and node_y = rrg.Rrg.node_y in
   let n = G.Gstate.num_nodes rrg.Rrg.graph in
   let region = Fr_util.Bitset.create ~value:false n in
@@ -148,13 +151,11 @@ type cache_key =
 type cache_pool = {
   caches : (cache_key, G.Dist_cache.t) Hashtbl.t;
   pool_graph : G.Gstate.t;
-  targeted : bool;
 }
 
-let make_pool cfg g =
-  { caches = Hashtbl.create 32; pool_graph = g; targeted = cfg.targeted_dijkstra }
+let make_pool g = { caches = Hashtbl.create 32; pool_graph = g }
 
-let pool_cache pool rrg cfg net ~restricted =
+let pool_cache pool rrg net ~restricted =
   let key =
     if restricted then begin
       let c0, r0, c1, r1 = Netlist.bounding_box net in
@@ -165,8 +166,8 @@ let pool_cache pool rrg cfg net ~restricted =
   match Hashtbl.find_opt pool.caches key with
   | Some cache -> cache
   | None ->
-      let restrict = if restricted then Some (bbox_region rrg cfg net) else None in
-      let cache = G.Dist_cache.create ?restrict ~targeted:pool.targeted pool.pool_graph in
+      let restrict = if restricted then Some (bbox_region rrg net) else None in
+      let cache = G.Dist_cache.create ?restrict pool.pool_graph in
       Hashtbl.add pool.caches key cache;
       cache
 
@@ -185,8 +186,8 @@ let pool_h_evals pool =
 (* ------------------------------------------------------------------ *)
 
 (* Candidate Steiner nodes: wire nodes inside the region (the bounding
-   box), thinned to the configured cap. *)
-let candidates_for rrg cfg region =
+   box), thinned to at most [cap]. *)
+let candidates_for rrg ~cap region =
   let acc = ref [] in
   let count = ref 0 in
   for v = Rrg.num_wires rrg - 1 downto 0 do
@@ -198,32 +199,29 @@ let candidates_for rrg cfg region =
       incr count
     end
   done;
-  if !count <= cfg.max_candidates then !acc
+  if !count <= cap then !acc
   else begin
     (* ceil(count/cap): the smallest stride whose kept count
        (ceil(count/stride)) still fits the budget.  The previous
        [1 + count/cap] overshoots the stride by one and keeps up to ~2x
        fewer candidates than the cap allows. *)
-    let stride = (!count + cfg.max_candidates - 1) / cfg.max_candidates in
+    let stride = (!count + cap - 1) / cap in
     List.filteri (fun i _ -> i mod stride = 0) !acc
   end
 
 (* One heuristic per net, over all its terminals: a lower bound to the
    nearest of a superset is still a lower bound to any queried subset, so
    every targeted query the construction makes through this cache shares
-   it (and the per-net identity keys the cache entries, see Dist_cache).
-   Cleared when A* is off so the solve runs plain. *)
-let set_net_heuristic cache rrg cfg (cnet : C.Net.t) =
+   it (and the per-net identity keys the cache entries, see Dist_cache). *)
+let set_net_heuristic cache rrg (cnet : C.Net.t) =
   G.Dist_cache.set_future_cost cache
-    (if cfg.astar then
-       Some (Rrg.future_cost rrg ~targets:(cnet.C.Net.source :: cnet.C.Net.sinks))
-     else None)
+    (Some (Rrg.future_cost rrg ~targets:(cnet.C.Net.source :: cnet.C.Net.sinks)))
 
-let solve_tree_alg pool alg rrg cfg net ~restricted =
+let solve_tree_alg pool alg rrg net ~restricted =
   let cnet = Netlist.rrg_net rrg net in
-  let cache = pool_cache pool rrg cfg net ~restricted in
-  set_net_heuristic cache rrg cfg cnet;
-  let candidates = candidates_for rrg cfg (G.Dist_cache.restriction cache) in
+  let cache = pool_cache pool rrg net ~restricted in
+  set_net_heuristic cache rrg cnet;
+  let candidates = candidates_for rrg ~cap:max_candidates (G.Dist_cache.restriction cache) in
   alg.C.Routing_alg.solve ~candidates cache ~net:cnet
 
 (* The CGE/SEGA/GBP-style baseline: each source-sink connection is routed
@@ -231,11 +229,11 @@ let solve_tree_alg pool alg rrg cfg net ~restricted =
    single-target query, so in targeted mode the search stops at its sink;
    claiming a connection's wires bumps the graph version, which makes the
    shared cache recompute for the next sink exactly as a fresh run would. *)
-let solve_two_pin pool rrg cfg net ~restricted =
+let solve_two_pin pool rrg net ~restricted =
   let g = rrg.Rrg.graph in
   let cnet = Netlist.rrg_net rrg net in
   let src = cnet.C.Net.source in
-  let cache = pool_cache pool rrg cfg net ~restricted in
+  let cache = pool_cache pool rrg net ~restricted in
   (* The wires claimed per connection are released wholesale by rolling the
      journal back to this mark — no per-node bookkeeping. *)
   let cp = G.Gstate.checkpoint g in
@@ -244,8 +242,7 @@ let solve_two_pin pool rrg cfg net ~restricted =
        search, the sharpest case for goal-direction.  Claiming the
        previous connection's wires bumped the graph version, so no
        frontier survives between sinks anyway. *)
-    G.Dist_cache.set_future_cost cache
-      (if cfg.astar then Some (Rrg.future_cost rrg ~targets:[ sink ]) else None);
+    G.Dist_cache.set_future_cost cache (Some (Rrg.future_cost rrg ~targets:[ sink ]));
     let r = G.Dist_cache.result_for cache ~src ~targets:[ sink ] in
     if not (G.Dijkstra.reachable r sink) then begin
       G.Gstate.rollback g cp;
@@ -265,15 +262,15 @@ let solve_two_pin pool rrg cfg net ~restricted =
 
 let solve_net pool cfg rrg net ~restricted =
   let critical = match cfg.critical_strategy with Some p -> p net | None -> false in
-  if critical then solve_tree_alg pool cfg.critical_alg rrg cfg net ~restricted
+  if critical then solve_tree_alg pool critical_alg rrg net ~restricted
   else
     match cfg.strategy with
-    | Tree_alg alg -> solve_tree_alg pool alg rrg cfg net ~restricted
-    | Two_pin_decomposition -> solve_two_pin pool rrg cfg net ~restricted
+    | Tree_alg alg -> solve_tree_alg pool alg rrg net ~restricted
+    | Two_pin_decomposition -> solve_two_pin pool rrg net ~restricted
 
 (* Commit a routed net: consume its resources and add congestion pressure
    around the channel segments it used. *)
-let commit cfg rrg net tree =
+let commit rrg net tree =
   let g = rrg.Rrg.graph in
   let w = rrg.Rrg.arch.Arch.channel_width in
   let used_nodes = G.Tree.nodes g tree in
@@ -289,7 +286,7 @@ let commit cfg rrg net tree =
     (Netlist.net_pins net);
   (* Congestion: edges incident to the remaining free wires of each touched
      segment become more expensive, proportional to the new occupancy. *)
-  let inc = cfg.congestion_increment /. float_of_int w in
+  let inc = congestion_increment /. float_of_int w in
   List.iter
     (fun seg ->
       List.iter
@@ -402,7 +399,7 @@ let partition_wave cfg order =
         let box = Netlist.bounding_box net in
         let fits b =
           (not b.serial)
-          && b.size < cfg.par_batch
+          && b.size < par_batch
           && List.for_all (fun (_, b2) -> boxes_disjoint box b2) b.members
         in
         match List.find_opt fits (List.rev !rev_batches) with
@@ -494,7 +491,7 @@ let run_batches ~par ~par_batches ~par_conflicts ?record caches cfg rrg batches 
       base_max_path base_w g tree ~net_src:cnet.C.Net.source ~sinks:cnet.C.Net.sinks
     in
     let wires_used = Rrg.wirelength rrg tree in
-    commit cfg rrg net tree;
+    commit rrg net tree;
     (* The commit just mutated weights/enables: every domain's entries
        are stale. *)
     invalidate_all caches par;
@@ -618,14 +615,6 @@ let negotiated_iteration ~par ~par_waves caches cfg rrg nets =
     nets;
   results
 
-let cost_model_params cfg =
-  {
-    G.Cost_model.present_factor = cfg.neg_present_factor;
-    present_growth = cfg.neg_present_growth;
-    history_factor = cfg.neg_history_factor;
-    capacity = 1;
-  }
-
 let peak_occupancy rrg =
   List.fold_left (fun acc seg -> Int.max acc (Rrg.segment_occupancy rrg seg)) 0 (Rrg.segments rrg)
 
@@ -633,7 +622,7 @@ let peak_occupancy rrg =
 (* Shared route-call plumbing                                          *)
 (* ------------------------------------------------------------------ *)
 
-let check_route_args ~fname cfg rrg circuit domains =
+let check_route_args ~fname rrg circuit domains =
   (match Netlist.validate circuit with
   | Ok () -> ()
   | Error msg -> invalid_arg (fname ^ ": " ^ msg));
@@ -641,10 +630,9 @@ let check_route_args ~fname cfg rrg circuit domains =
     circuit.Netlist.rows <> rrg.Rrg.arch.Arch.rows
     || circuit.Netlist.cols <> rrg.Rrg.arch.Arch.cols
   then invalid_arg (fname ^ ": circuit does not fit architecture");
-  if domains < 1 then invalid_arg (fname ^ ": domains must be >= 1");
-  if cfg.par_batch < 1 then invalid_arg (fname ^ ": par_batch must be >= 1")
+  if domains < 1 then invalid_arg (fname ^ ": domains must be >= 1")
 
-let make_par cfg domains rrg =
+let make_par domains rrg =
   if domains = 1 then None
   else begin
     let wrrg = Rrg.read_only_view rrg in
@@ -652,7 +640,7 @@ let make_par cfg domains rrg =
       {
         wpool = Fr_util.Pool.create ~domains ();
         wrrg;
-        dcaches = Array.init domains (fun _ -> make_pool cfg wrrg.Rrg.graph);
+        dcaches = Array.init domains (fun _ -> make_pool wrrg.Rrg.graph);
       }
   end
 
@@ -732,7 +720,7 @@ let mk_stats ~caches ~par ~domains ~par_batches ~par_conflicts ~base rrg routed 
 let negotiate_run ~par ~par_waves ?reuse ?(note_solved = fun _ -> ()) caches cfg rrg cp base_w
     nets =
   let g = rrg.Rrg.graph in
-  let cm = G.Cost_model.create ~params:(cost_model_params cfg) g in
+  let cm = G.Cost_model.create g in
   let n_nets = Array.length nets in
   let trees = Array.make n_nets G.Tree.empty in
   let iter1 = Array.make n_nets G.Tree.empty in
@@ -791,7 +779,7 @@ let negotiate_run ~par ~par_waves ?reuse ?(note_solved = fun _ -> ()) caches cfg
                      ~sinks:cnet.C.Net.sinks
                  in
                  let wires_used = Rrg.wirelength rrg tree in
-                 commit cfg rrg net tree;
+                 commit rrg net tree;
                  { net; tree; wires_used; max_path })
                trees)
         in
@@ -806,7 +794,7 @@ let negotiate_run ~par ~par_waves ?reuse ?(note_solved = fun _ -> ()) caches cfg
           if List.exists (Hashtbl.mem over) (G.Tree.nodes g trees.(i)) then
             conflicted := i :: !conflicted
         done;
-        if n >= cfg.neg_max_iterations || stalled >= cfg.neg_stall_limit then begin
+        if n >= neg_max_iterations || stalled >= neg_stall_limit then begin
           (* Price escalation stopped helping: report the nets still
              fighting over an overused resource and restore the entry
              state. *)
@@ -837,7 +825,7 @@ let negotiate_run ~par ~par_waves ?reuse ?(note_solved = fun _ -> ()) caches cfg
   iterate 1 ~active:(Array.init n_nets (fun i -> i)) ~best:max_int ~stalled:0
 
 let route ?(config = default_config) ?(domains = 1) rrg circuit =
-  check_route_args ~fname:"Router.route" config rrg circuit domains;
+  check_route_args ~fname:"Router.route" rrg circuit domains;
   let g = rrg.Rrg.graph in
   (* Per-call stats hygiene: the peak journal depth is a high-water mark
      on the state, and the state may outlive this call. *)
@@ -847,10 +835,10 @@ let route ?(config = default_config) ?(domains = 1) rrg circuit =
   (* Each pass rips up the previous one by rolling the journal back to this
      mark — O(entries the pass wrote), not O(V+E). *)
   let cp = G.Gstate.checkpoint g in
-  let caches = make_pool config g in
+  let caches = make_pool g in
   (* The worker pool outlives every pass: spawning domains costs more than
      routing a batch, so it is paid once per [route] call. *)
-  let par = make_par config domains rrg in
+  let par = make_par domains rrg in
   let finally () = match par with Some ctx -> Fr_util.Pool.shutdown ctx.wpool | None -> () in
   Fun.protect ~finally @@ fun () ->
   let base = snapshot_counters caches par g in
@@ -1093,10 +1081,10 @@ module Eco = struct
           List.map
             (fun br ->
               let cp = G.Gstate.checkpoint g in
-              List.iter (fun r -> commit t.e_cfg t.e_rrg r.net r.tree) br.br_routed;
+              List.iter (fun r -> commit t.e_rrg r.net r.tree) br.br_routed;
               { br with br_cp = cp })
             t.e_batches
-    | Negotiated -> List.iter (fun r -> commit t.e_cfg t.e_rrg r.net r.tree) t.e_routed);
+    | Negotiated -> List.iter (fun r -> commit t.e_rrg r.net r.tree) t.e_routed);
     invalidate_all t.e_caches t.e_par
 
   let run_mode t circuit ~ripped ~reused =
@@ -1121,7 +1109,7 @@ module Eco = struct
     | Error (f, _, _) -> Error f
 
   let create ?(config = default_config) ?(domains = 1) rrg circuit =
-    check_route_args ~fname:"Router.Eco.create" config rrg circuit domains;
+    check_route_args ~fname:"Router.Eco.create" rrg circuit domains;
     let g = rrg.Rrg.graph in
     G.Gstate.reset_peak_journal_depth g;
     let t =
@@ -1131,8 +1119,8 @@ module Eco = struct
         e_domains = domains;
         e_base_w = Array.init (G.Gstate.num_edges g) (G.Gstate.weight g);
         e_cp0 = G.Gstate.checkpoint g;
-        e_caches = make_pool config g;
-        e_par = make_par config domains rrg;
+        e_caches = make_pool g;
+        e_par = make_par domains rrg;
         e_circuit = circuit;
         e_batches = [];
         e_routed = [];

@@ -10,13 +10,17 @@
     passes (the paper's feasibility threshold of 20), after which the
     circuit is declared unroutable at that channel width.
 
-    Steiner-candidate scans are pruned to the net's bounding box plus
-    [bbox_margin] blocks; if a net fails under pruning it is retried on the
-    full graph before being counted as failed.
+    Steiner-candidate scans are pruned to the net's bounding box plus 3
+    blocks and thinned to at most 2500 candidates; if a net fails under
+    pruning it is retried on the full graph before being counted as failed.
+    Every search is target-bounded and goal-directed by the admissible
+    Manhattan future-cost bound ({!Rrg.future_cost}); because relaxation
+    canonicalizes equal-distance parents (see {!Fr_graph.Dijkstra}), the
+    trees are those a full, plain search would give.
 
     {b Batched waves and parallelism.}  Each pass partitions its wave,
     first-fit in wave order, into batches of nets with pairwise-disjoint
-    terminal bounding boxes (at most [par_batch] nets per batch).  A
+    terminal bounding boxes (at most 8 nets per batch).  A
     batch's nets are solved speculatively against the state frozen at the
     batch's start, then committed serially in wave order; a speculative
     tree that lost a wire to an earlier commit of its own batch is
@@ -38,9 +42,12 @@
     escalate (present pressure geometrically, history by a sub-gradient
     step on the overuse) until the cheapest trees are mutually disjoint,
     at which point the trees are committed in canonical net order at base
-    weights.  Solves are pure functions of each iteration's frozen priced
-    graph and the pricing reads only iteration-start state, so negotiated
-    results are also bit-identical across [domains]. *)
+    weights.  Prices follow {!Fr_graph.Cost_model.default_params}; the
+    negotiation gives up after 64 iterations, or after 12 in a row without
+    a new best total overuse.  Solves are pure functions of each
+    iteration's frozen priced graph and the pricing reads only
+    iteration-start state, so negotiated results are also bit-identical
+    across [domains]. *)
 
 type strategy =
   | Tree_alg of Fr_core.Routing_alg.t
@@ -55,60 +62,20 @@ type mode =
   | Negotiated  (** PathFinder-style negotiated congestion *)
 
 type config = {
-  strategy : strategy;
-  mode : mode;
+  strategy : strategy;  (** default [Tree_alg IKMB] *)
+  mode : mode;  (** default [Waves] *)
   critical_strategy : (Netlist.net -> bool) option;
       (** §2's net classification: nets satisfying the predicate are
-          "critical" and routed with [critical_alg] (shortest paths first),
-          the rest with [strategy].  [None] (default) routes everything
-          with [strategy]. *)
-  critical_alg : Fr_core.Routing_alg.t;  (** default IDOM *)
-  max_passes : int;  (** default 20 *)
-  congestion_increment : float;
-      (** weight added (scaled by 1/W) to edges near a consumed wire's
-          channel segment; default 3.0 — strong pressure spreads nets
-          across channels and measurably lowers achievable widths *)
-  bbox_margin : float;  (** candidate/search pruning margin in blocks; default 3. *)
-  max_candidates : int;  (** cap on Steiner-candidate scans; default 2500 *)
-  targeted_dijkstra : bool;
-      (** run target-bounded, resumable Dijkstra searches (default [true]);
-          [false] forces every search to settle its whole (restricted)
-          graph — the pre-targeting behavior, kept for A/B benchmarking.
-          Routed trees are identical either way; only the work differs. *)
-  astar : bool;
-      (** goal-direct every targeted search with the admissible Manhattan
-          future-cost bound ({!Rrg.future_cost}) — one heuristic per net
-          over all its terminals, or per sink in two-pin decomposition
-          (default [true]).  Because relaxation canonicalizes
-          equal-distance parents (see {!Fr_graph.Dijkstra}), routed trees
-          are bit-identical with or without it; only the number of settled
-          nodes changes. *)
-  par_batch : int;
-      (** cap on nets per speculative batch (default 8); [1] disables
-          batching — every net solves against the live state serially *)
-  neg_max_iterations : int;
-      (** negotiated mode: iteration cap before declaring failure
-          (default 64) *)
-  neg_stall_limit : int;
-      (** negotiated mode: give up after this many consecutive iterations
-          without a new best total overuse (default 12) *)
-  neg_present_factor : float;
-      (** {!Fr_graph.Cost_model.params.present_factor} (default 0.5) *)
-  neg_present_growth : float;
-      (** {!Fr_graph.Cost_model.params.present_growth} (default 1.3) *)
-  neg_history_factor : float;
-      (** {!Fr_graph.Cost_model.params.history_factor} (default 0.4) *)
+          "critical" and routed with IDOM (shortest paths first), the rest
+          with [strategy].  [None] (default) routes everything with
+          [strategy]. *)
+  max_passes : int;
+      (** rip-up pass cap (default 20, the paper's feasibility threshold) *)
 }
 
 val default_config : config
 
-val config_with :
-  ?alg:Fr_core.Routing_alg.t ->
-  ?max_passes:int ->
-  ?mode:mode ->
-  ?astar:bool ->
-  unit ->
-  config
+val config_with : ?alg:Fr_core.Routing_alg.t -> ?max_passes:int -> ?mode:mode -> unit -> config
 
 type routed_net = {
   net : Netlist.net;
@@ -117,13 +84,13 @@ type routed_net = {
   max_path : float;  (** max source–sink pathlength (base weights) *)
 }
 
-val candidates_for : Rrg.t -> config -> Fr_util.Bitset.t option -> int list
+val candidates_for : Rrg.t -> cap:int -> Fr_util.Bitset.t option -> int list
 (** Candidate Steiner nodes for one net: enabled wire nodes set in the
     region (the net's bounding box, one bit per node; [None] for the whole
-    graph), thinned by a uniform stride to at most [max_candidates].
-    Exposed so tests can pin the thinning bounds: when the scan finds
-    [count > max_candidates] nodes, the kept count is at most
-    [max_candidates] and more than [max_candidates / 2]. *)
+    graph), thinned by a uniform stride to at most [cap] (the router passes
+    2500).  Exposed so tests can pin the thinning bounds: when the scan
+    finds [count > cap] nodes, the kept count is at most [cap] and more
+    than [cap / 2]. *)
 
 type stats = {
   passes : int;
@@ -135,8 +102,8 @@ type stats = {
   dijkstra_runs : int;
       (** Dijkstra searches started across all passes (shared-cache misses) *)
   settled_nodes : int;
-      (** total nodes settled by those searches — the work metric targeted
-          mode reduces *)
+      (** total nodes settled by those searches — the search layer's work
+          metric *)
   mutations : int;
       (** effective graph mutations (journal entries written) across all
           passes *)
@@ -156,8 +123,7 @@ type stats = {
       (** speculative trees invalidated by a batch-mate's commit and
           re-solved serially *)
   future_cost_evals : int;
-      (** heuristic evaluations performed by goal-directed searches
-          (0 when [astar = false]) *)
+      (** heuristic evaluations performed by the goal-directed searches *)
 }
 
 type failure = {

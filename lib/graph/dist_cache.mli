@@ -59,8 +59,8 @@ val create :
     cache and its results share the bitset, so it must stay unchanged for
     the cache's lifetime; callers must ensure all nodes they query are
     set.  [targeted] (default [true]) enables target-bounded partial runs;
-    [false] forces every run to settle the whole graph (the pre-targeting
-    behavior, kept for A/B benchmarking).  [capacity] (default 1024) bounds
+    [false] forces every run to settle the whole graph, the reference
+    tests hold targeted caches to.  [capacity] (default 1024) bounds
     the number of cached sources; the least recently used is evicted.
     @raise Invalid_argument if [capacity < 1]. *)
 
@@ -125,8 +125,8 @@ val evictions : t -> int
 
 val settled_nodes : t -> int
 (** Total nodes settled by every search this cache ever ran, including
-    entries since evicted or invalidated — the work metric the bench
-    compares between targeted and full modes. *)
+    entries since evicted or invalidated — the search layer's work
+    metric. *)
 
 val future_cost_evals : t -> int
 (** Total heuristic evaluations across every search this cache ever ran

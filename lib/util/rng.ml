@@ -27,7 +27,10 @@ let choose t a =
   a.(Random.State.int t (Array.length a))
 
 let sample_distinct t k n =
-  assert (k <= n);
+  (* A negative [k] would count the rejection loop below down past 0
+     forever. *)
+  if k < 0 || k > n then
+    invalid_arg (Printf.sprintf "Rng.sample_distinct: need 0 <= k <= n, got k=%d n=%d" k n);
   (* For small k relative to n, rejection sampling; otherwise shuffle a
      prefix of the identity permutation. *)
   if 4 * k <= n then begin

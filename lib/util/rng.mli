@@ -30,7 +30,8 @@ val choose : t -> 'a array -> 'a
 
 val sample_distinct : t -> int -> int -> int list
 (** [sample_distinct t k n] is [k] distinct integers drawn uniformly from
-    [\[0, n)].  Requires [k <= n]. *)
+    [\[0, n)].
+    @raise Invalid_argument unless [0 <= k <= n]. *)
 
 val split : t -> int -> t
 (** [split t i] derives the [i]-th child generator, for giving each worker

@@ -185,44 +185,136 @@ let eco_create ?config ?domains circuit ~w =
 
 let eco_digest eco = S.Protocol.routing_digest (F.Router.Eco.routed eco)
 
+(* Play an edit script on one session per domain count.  After every step
+   each session must hold the from-scratch route of its edited netlist,
+   with the scratch route's quality; the rip-up accounting covers the
+   netlist and, being part of the deterministic schedule, agrees across
+   domain counts.  Returns whether some step ripped fewer nets than the
+   netlist holds. *)
+let play_script ~config ~domains (circuit : F.Netlist.circuit) ~w script =
+  let tag d s =
+    Printf.sprintf "%s/%s/d%d: %s" circuit.F.Netlist.circuit_name
+      (S.Protocol.mode_name config.F.Router.mode) d s
+  in
+  let quality (s : F.Router.stats) =
+    (s.F.Router.passes, s.F.Router.total_wirelength, s.F.Router.total_max_path,
+     s.F.Router.peak_occupancy)
+  in
+  let check step applied =
+    let _, eco1, es1 = List.hd applied in
+    let edited = F.Router.Eco.circuit eco1 in
+    let scratch =
+      match F.Router.route ~config (F.Rrg.build (arch_of edited w)) edited with
+      | Ok s -> s
+      | Error _ -> Alcotest.failf "%s: scratch route failed" step
+    in
+    List.iter
+      (fun (d, eco, es) ->
+        let open F.Router.Eco in
+        Alcotest.(check string) (tag d (step ^ " = scratch"))
+          (S.Protocol.routing_digest scratch.F.Router.routed) (eco_digest eco);
+        if quality es.stats <> quality scratch then
+          Alcotest.fail (tag d (step ^ " quality differs from scratch"));
+        Alcotest.(check int) (tag d (step ^ " rip accounting")) es.nets_total
+          (es.nets_ripped + es.nets_reused);
+        Alcotest.(check (pair int int))
+          (tag d (step ^ " rip accounting = first session"))
+          (es1.nets_ripped, es1.nets_reused) (es.nets_ripped, es.nets_reused))
+      applied;
+    es1.F.Router.Eco.nets_ripped < es1.F.Router.Eco.nets_total
+  in
+  let sessions =
+    List.map
+      (fun d ->
+        let eco, es = eco_create ~config ~domains:d circuit ~w in
+        (d, eco, es))
+      domains
+  in
+  ignore (check "create" sessions);
+  let partial =
+    List.fold_left
+      (fun partial (step, deltas) ->
+        let applied =
+          List.map
+            (fun (d, eco, _) ->
+              match F.Router.Eco.apply eco deltas with
+              | Ok es -> (d, eco, es)
+              | Error _ -> Alcotest.fail (tag d (step ^ " apply failed")))
+            sessions
+        in
+        check step applied || partial)
+      false script
+  in
+  List.iter (fun (_, eco, _) -> F.Router.Eco.close eco) sessions;
+  partial
+
+(* Every delta kind on the tiny circuit, in both modes, serial and on 2
+   domains. *)
 let test_eco_differential_deltas () =
-  List.iter
-    (fun mode ->
-      let name s = S.Protocol.mode_name mode ^ "/" ^ s in
-      let config = F.Router.config_with ~mode () in
-      let circuit = tiny_circuit () in
-      let eco, es0 = eco_create ~config circuit ~w:6 in
-      Alcotest.(check string) (name "create = scratch") (scratch_digest ~config circuit ~w:6)
-        (S.Protocol.routing_digest es0.F.Router.Eco.stats.F.Router.routed);
-      let check_step step deltas =
-        match F.Router.Eco.apply eco deltas with
-        | Error _ -> Alcotest.failf "%s: eco apply failed" (name step)
-        | Ok es ->
-            let edited = F.Router.Eco.circuit eco in
-            Alcotest.(check string)
-              (name step ^ " = scratch")
-              (scratch_digest ~config edited ~w:6) (eco_digest eco);
-            Alcotest.(check int)
-              (name step ^ " rip accounting")
-              es.F.Router.Eco.nets_total
-              (es.F.Router.Eco.nets_ripped + es.F.Router.Eco.nets_reused)
-      in
-      check_step "remove" [ F.Router.Eco.Remove_net "c" ];
-      check_step "add"
+  let script =
+    [
+      ("remove", [ F.Router.Eco.Remove_net "c" ]);
+      ( "add",
         [
           F.Router.Eco.Add_net
             (F.Netlist.make_net ~name:"d" ~source:(pin 2 0 F.Rrg.South 0)
                ~sinks:[ pin 2 1 F.Rrg.South 0 ]);
-        ];
-      check_step "retime"
-        [ F.Router.Eco.Retime_net ("b", pin 1 4 F.Rrg.South 0, [ pin 1 1 F.Rrg.South 0 ]) ];
-      check_step "mixed"
+        ] );
+      ("retime", [ F.Router.Eco.Retime_net ("b", pin 1 4 F.Rrg.South 0, [ pin 1 1 F.Rrg.South 0 ]) ]);
+      ( "mixed",
         [
           F.Router.Eco.Remove_net "d";
           F.Router.Eco.Retime_net ("b", pin 1 1 F.Rrg.South 0, [ pin 1 4 F.Rrg.South 0 ]);
-        ];
-      F.Router.Eco.close eco)
+        ] );
+    ]
+  in
+  List.iter
+    (fun mode ->
+      let config = F.Router.config_with ~mode () in
+      ignore (play_script ~config ~domains:[ 1; 2 ] (tiny_circuit ()) ~w:6 script))
     [ F.Router.Waves; F.Router.Negotiated ]
+
+(* The last element first: a net's terminals with its last sink as the new
+   source. *)
+let last_first l =
+  match List.rev l with
+  | last :: rest_rev -> last :: List.rev rest_rev
+  | [] -> []
+
+(* term1 at W=14 in waves mode on domains 1/2/4: a removal, an addition, a
+   terminal change (retime) and a mixed request, all on nets near the end
+   of the net order, where the waves schedule keeps an unchanged batch
+   prefix — the locality the incremental path exists to exploit, so some
+   step must rip fewer nets than the netlist holds. *)
+let test_eco_term1_script () =
+  let circuit = F.Circuits.generate (Option.get (F.Circuits.find_spec "term1")) in
+  let nets = Array.of_list circuit.F.Netlist.nets in
+  let n = Array.length nets in
+  let a = nets.(n - 1) and b = nets.(n - 2) and m = nets.(n - 3) in
+  let rotated =
+    match last_first (F.Netlist.net_pins b) with
+    | source :: sinks -> F.Router.Eco.Retime_net (b.F.Netlist.net_name, source, sinks)
+    | [] -> Alcotest.fail "net with no pins"
+  in
+  let fresh =
+    F.Netlist.make_net ~name:(a.F.Netlist.net_name ^ "_eco") ~source:a.F.Netlist.source
+      ~sinks:a.F.Netlist.sinks
+  in
+  let script =
+    [
+      ("remove", [ F.Router.Eco.Remove_net a.F.Netlist.net_name ]);
+      ("add", [ F.Router.Eco.Add_net fresh ]);
+      ("retime", [ rotated ]);
+      ( "mixed",
+        [
+          F.Router.Eco.Remove_net m.F.Netlist.net_name;
+          F.Router.Eco.Retime_net (b.F.Netlist.net_name, b.F.Netlist.source, b.F.Netlist.sinks);
+        ] );
+    ]
+  in
+  let config = F.Router.config_with ~max_passes:8 () in
+  Alcotest.(check bool) "some step ripped fewer nets than the total" true
+    (play_script ~config ~domains:[ 1; 2; 4 ] circuit ~w:14 script)
 
 let test_eco_invalid_deltas_leave_session () =
   let circuit = tiny_circuit () in
@@ -479,6 +571,82 @@ let test_server_forgets_finished_connections () =
   Thread.join th;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
+(* Four clients, each on its own connection, toggle their own net's
+   terminal order an even number of times, so however the requests
+   interleave the session ends on the netlist it started from: its digest
+   must equal both the first route's and a fresh route's. *)
+let test_server_concurrent_eco_clients () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fr_serve_clients_%d.sock" (Unix.getpid ()))
+  in
+  let server = S.Server.create ~socket:path in
+  let th = Thread.create S.Server.serve_forever server in
+  let request client j =
+    match S.Client.request client j with
+    | Ok resp -> expect_ok resp
+    | Error e -> Alcotest.failf "framing failure: %s" e
+  in
+  let circuit_text =
+    "circuit eco_serve 6 6\nnet a 0,0,E,0 2,3,W,0\nnet b 1,1,N,0 3,4,S,0 0,4,S,1\n\
+     net c 3,0,N,0 1,2,S,0\nnet d 5,5,W,0 4,1,E,0\n"
+  in
+  let route =
+    S.Json.Obj
+      [
+        ("cmd", S.Json.Str "route");
+        ("circuit", S.Json.Str circuit_text);
+        ("width", S.Json.of_int 6);
+      ]
+  in
+  let main = S.Client.connect ~socket:path in
+  let d0 = field_str "digest" (request main route) in
+  let retime (net : F.Netlist.net) ~rotated =
+    let pins = List.map (fun p -> S.Json.Str (F.Netlist.pin_to_string p)) (F.Netlist.net_pins net) in
+    let pins = if rotated then last_first pins else pins in
+    S.Json.Obj
+      [
+        ("cmd", S.Json.Str "eco");
+        ( "deltas",
+          S.Json.Arr
+            [
+              S.Json.Obj
+                [
+                  ("op", S.Json.Str "retime");
+                  ("name", S.Json.Str net.F.Netlist.net_name);
+                  ("source", List.hd pins);
+                  ("sinks", S.Json.Arr (List.tl pins));
+                ];
+            ] );
+      ]
+  in
+  let nets =
+    match F.Netlist.of_string circuit_text with
+    | Ok c -> Array.of_list c.F.Netlist.nets
+    | Error e -> Alcotest.failf "bad fixture: %s" e
+  in
+  (* A check that fails on a client thread would die with the thread, so
+     each client records its own failure for the main thread to report. *)
+  let failed = Array.make (Array.length nets) None in
+  let client k () =
+    try
+      let c = S.Client.connect ~socket:path in
+      for j = 0 to 19 do
+        ignore (request c (retime nets.(k) ~rotated:(j mod 2 = 0)))
+      done;
+      S.Client.close c
+    with e -> failed.(k) <- Some (Printexc.to_string e)
+  in
+  List.iter Thread.join (List.init (Array.length nets) (fun k -> Thread.create (client k) ()));
+  Array.iter (Option.iter (Alcotest.failf "a client failed: %s")) failed;
+  let after = field_str "digest" (request main (S.Json.Obj [ ("cmd", S.Json.Str "stats") ])) in
+  Alcotest.(check string) "back at the first route" d0 after;
+  Alcotest.(check string) "= a fresh route" (field_str "digest" (request main route)) after;
+  ignore (request main (S.Json.Obj [ ("cmd", S.Json.Str "shutdown") ]));
+  S.Client.close main;
+  Thread.join th;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
 let () =
   Alcotest.run "fr_serve"
     [
@@ -499,6 +667,7 @@ let () =
       ( "eco",
         [
           Alcotest.test_case "differential deltas" `Quick test_eco_differential_deltas;
+          Alcotest.test_case "term1 script, domains 1/2/4" `Slow test_eco_term1_script;
           Alcotest.test_case "invalid deltas rejected" `Quick test_eco_invalid_deltas_leave_session;
           Alcotest.test_case "failed apply restores" `Quick test_eco_failed_apply_restores_session;
         ] );
@@ -508,5 +677,7 @@ let () =
           Alcotest.test_case "survives a client that hangs up" `Quick test_server_survives_hangup;
           Alcotest.test_case "forgets finished connections" `Quick
             test_server_forgets_finished_connections;
+          Alcotest.test_case "concurrent ECO clients reach a fixpoint" `Quick
+            test_server_concurrent_eco_clients;
         ] );
     ]

@@ -428,30 +428,6 @@ let test_max_path_unspanned_sink_raises () =
     (Invalid_argument "Router.max_path_of_tree: sink 3 not spanned by tree") (fun () ->
       ignore (F.Router.max_path_of_tree ~weight g tree ~net_src:0 ~sinks:[ 2; 3 ]))
 
-let test_router_targeted_matches_full () =
-  let circuit = tiny_circuit () in
-  let run targeted =
-    let rrg = F.Rrg.build (small_arch ()) in
-    let config = { F.Router.default_config with F.Router.targeted_dijkstra = targeted } in
-    match F.Router.route ~config rrg circuit with
-    | Error _ -> Alcotest.fail "tiny circuit should route"
-    | Ok stats -> stats
-  in
-  let full = run false and targ = run true in
-  let trees stats =
-    List.map
-      (fun r -> (r.F.Router.net.F.Netlist.net_name, List.sort compare r.F.Router.tree.G.Tree.edges))
-      stats.F.Router.routed
-  in
-  Alcotest.(check bool) "same trees" true (trees full = trees targ);
-  Alcotest.(check (float 1e-9))
-    "same wirelength" full.F.Router.total_wirelength targ.F.Router.total_wirelength;
-  Alcotest.(check int) "same passes" full.F.Router.passes targ.F.Router.passes;
-  Alcotest.(check bool) "ran searches" true (targ.F.Router.dijkstra_runs > 0);
-  Alcotest.(check bool) "settled counted" true (targ.F.Router.settled_nodes > 0);
-  Alcotest.(check bool) "targeted settles no more" true
-    (targ.F.Router.settled_nodes <= full.F.Router.settled_nodes)
-
 let test_router_min_channel_width () =
   let circuit = tiny_circuit () in
   let arch_of_width w = F.Arch.xc4000 ~rows:4 ~cols:5 ~channel_width:w in
@@ -754,36 +730,6 @@ let prop_rrg_geometry_matches_kind =
       | exception Invalid_argument _ -> ());
       true)
 
-(* Goal-direction must not change routed trees — only the settled-node
-   work.  The full-size A/B (term1/apex7 at published widths, both modes,
-   with a hard >= 2x settling bound on the point-to-point cells) runs in
-   the bench smoke; this pins the invariant at unit-test scale. *)
-let test_router_astar_identity () =
-  let circuit = tiny_circuit () in
-  let run astar =
-    let rrg = F.Rrg.build (small_arch ()) in
-    let config = F.Router.config_with ~astar () in
-    match F.Router.route ~config rrg circuit with
-    | Error _ -> Alcotest.fail "tiny circuit should route"
-    | Ok stats -> stats
-  in
-  let on = run true in
-  let off = run false in
-  let trees stats =
-    List.map
-      (fun r -> (r.F.Router.net.F.Netlist.net_name, List.sort compare r.F.Router.tree.G.Tree.edges))
-      stats.F.Router.routed
-  in
-  Alcotest.(check bool) "A* on = off" true (trees on = trees off);
-  Alcotest.(check (float 1e-9))
-    "same wirelength" off.F.Router.total_wirelength on.F.Router.total_wirelength;
-  Alcotest.(check (float 1e-9))
-    "same max path" off.F.Router.total_max_path on.F.Router.total_max_path;
-  Alcotest.(check bool) "A* evaluated heuristics" true (on.F.Router.future_cost_evals > 0);
-  Alcotest.(check int) "off evaluates none" 0 off.F.Router.future_cost_evals;
-  Alcotest.(check bool) "A* settles no more" true
-    (on.F.Router.settled_nodes <= off.F.Router.settled_nodes)
-
 let test_router_benchmark_integration () =
   (* Full integration: route the whole synthetic term1 at a generous width. *)
   let spec = Option.get (F.Circuits.find_spec "term1") in
@@ -868,7 +814,6 @@ let () =
           Alcotest.test_case "trees span nets" `Quick test_router_trees_span_their_nets;
           Alcotest.test_case "infeasible width" `Quick test_router_infeasible_width;
           Alcotest.test_case "unspanned sink raises" `Quick test_max_path_unspanned_sink_raises;
-          Alcotest.test_case "targeted = full" `Quick test_router_targeted_matches_full;
           Alcotest.test_case "min channel width" `Quick test_router_min_channel_width;
           Alcotest.test_case "min width respects cap" `Quick test_router_min_width_respects_cap;
           Alcotest.test_case "stats are per-call" `Quick test_router_stats_per_call;
@@ -880,7 +825,6 @@ let () =
           Alcotest.test_case "jog penalty" `Quick test_rrg_jog_penalty;
           QCheck_alcotest.to_alcotest prop_rrg_future_cost_sound;
           QCheck_alcotest.to_alcotest prop_rrg_geometry_matches_kind;
-          Alcotest.test_case "A* identity" `Quick test_router_astar_identity;
           Alcotest.test_case "term1 integration" `Slow test_router_benchmark_integration;
         ] );
       ( "render",

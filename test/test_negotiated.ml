@@ -120,8 +120,7 @@ let test_candidate_thinning_bounds () =
   let total = F.Rrg.num_wires rrg in
   List.iter
     (fun cap ->
-      let cfg = { F.Router.default_config with max_candidates = cap } in
-      let kept = List.length (F.Router.candidates_for rrg cfg None) in
+      let kept = List.length (F.Router.candidates_for rrg ~cap None) in
       if total <= cap then Alcotest.(check int) "no thinning needed" total kept
       else begin
         if kept > cap then Alcotest.failf "cap %d: kept %d > cap" cap kept;
@@ -152,28 +151,24 @@ let test_max_path_deep_tree () =
 (* Negotiated routing: convergence, validity, determinism             *)
 (* ------------------------------------------------------------------ *)
 
-let spec = Option.get (F.Circuits.find_spec "term1")
-
-let route_negotiated ~domains ~width =
+let route_negotiated name ~domains ~width =
+  let spec = Option.get (F.Circuits.find_spec name) in
   let config = F.Router.config_with ~mode:F.Router.Negotiated () in
   let circuit = F.Circuits.generate spec in
   let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:width) in
   match F.Router.route ~config ~domains rrg circuit with
-  | Ok stats -> (rrg, stats)
+  | Ok stats -> (circuit, rrg, stats)
   | Error f ->
-      Alcotest.failf "term1 failed to converge at W=%d with %d domains (%d iterations)" width
+      Alcotest.failf "%s failed to converge at W=%d with %d domains (%d iterations)" name width
         domains f.F.Router.passes_tried
 
-(* The domains-1 route is shared by the validity and determinism cases —
-   one solve, two properties. *)
-let base_route = lazy (route_negotiated ~domains:1 ~width:10)
-
-let test_convergence_and_validity () =
-  let rrg, stats = Lazy.force base_route in
+(* Convergence is checked from the outside rather than trusted from the
+   router: every net routed, every tree a valid spanning tree of its
+   terminals, and no node in two trees (zero overuse). *)
+let check_converged (circuit : F.Netlist.circuit) rrg stats =
   let g = rrg.F.Rrg.graph in
-  Alcotest.(check int) "all nets routed" (List.length (F.Circuits.generate spec).F.Netlist.nets)
+  Alcotest.(check int) "all nets routed" (List.length circuit.F.Netlist.nets)
     (List.length stats.F.Router.routed);
-  (* Every tree is a valid spanning tree of its net's terminals. *)
   List.iter
     (fun r ->
       let cnet = F.Netlist.rrg_net rrg r.F.Router.net in
@@ -186,7 +181,6 @@ let test_convergence_and_validity () =
         true
         (G.Tree.is_tree g r.F.Router.tree))
     stats.F.Router.routed;
-  (* Zero overuse at convergence: no node belongs to two routed trees. *)
   let owner = Hashtbl.create 4096 in
   List.iter
     (fun r ->
@@ -207,20 +201,39 @@ let canonical_trees stats =
     stats.F.Router.routed
   |> List.sort compare
 
+(* term1 at W=8, the waves router's minimum width: the negotiated route
+   converges there.  Its iteration count and quality are the benchmark's
+   negotiated-route golden, so any change to the trees shows here. *)
+let term1_w8 = lazy (route_negotiated "term1" ~domains:1 ~width:8)
+
+let check_term1_golden ~domains stats =
+  let what s = Printf.sprintf "%s (domains=%d)" s domains in
+  Alcotest.(check int) (what "iterations") 40 stats.F.Router.passes;
+  Alcotest.(check (float 0.)) (what "wirelength") 829. stats.F.Router.total_wirelength;
+  Alcotest.(check (float 0.)) (what "max path") 723. stats.F.Router.total_max_path
+
+let test_convergence_and_validity () =
+  let circuit, rrg, stats = Lazy.force term1_w8 in
+  check_converged circuit rrg stats;
+  check_term1_golden ~domains:1 stats
+
 let test_domain_determinism () =
-  let _, s1 = Lazy.force base_route in
+  let _, _, s1 = Lazy.force term1_w8 in
   let trees1 = canonical_trees s1 in
   List.iter
     (fun domains ->
-      let _, s = route_negotiated ~domains ~width:10 in
-      Alcotest.(check int)
-        (Printf.sprintf "iterations match (domains=%d)" domains)
-        s1.F.Router.passes s.F.Router.passes;
+      let _, _, s = route_negotiated "term1" ~domains ~width:8 in
+      check_term1_golden ~domains s;
       Alcotest.(check bool)
         (Printf.sprintf "trees bit-identical (domains=%d)" domains)
         true
         (trees1 = canonical_trees s))
     [ 2; 4 ]
+
+(* apex7 at its published waves width W=10, on the domain pool. *)
+let test_apex7_converges () =
+  let circuit, rrg, stats = route_negotiated "apex7" ~domains:2 ~width:10 in
+  check_converged circuit rrg stats
 
 let () =
   Alcotest.run "negotiated"
@@ -242,5 +255,6 @@ let () =
         [
           Alcotest.test_case "convergence and validity" `Slow test_convergence_and_validity;
           Alcotest.test_case "domains 1/2/4 identical" `Slow test_domain_determinism;
+          Alcotest.test_case "apex7 converges at W=10" `Slow test_apex7_converges;
         ] );
     ]

@@ -55,7 +55,20 @@ let test_rng_sample_distinct () =
   List.iter (fun x -> Alcotest.(check bool) "in range" true (x >= 0 && x < 100)) s;
   (* Dense case takes the shuffle path. *)
   let s2 = Rng.sample_distinct rng 9 10 in
-  Alcotest.(check int) "dense distinct" 9 (List.length (List.sort_uniq compare s2))
+  Alcotest.(check int) "dense distinct" 9 (List.length (List.sort_uniq compare s2));
+  Alcotest.(check (list int)) "k = 0" [] (Rng.sample_distinct rng 0 5);
+  Alcotest.(check int) "k = n" 5 (List.length (List.sort_uniq compare (Rng.sample_distinct rng 5 5)));
+  (* A k outside [0, n] is a range error naming the entry point; a
+     negative one would otherwise spin the rejection loop forever. *)
+  List.iter
+    (fun (k, n) ->
+      match Rng.sample_distinct rng k n with
+      | _ -> Alcotest.failf "accepted k=%d n=%d" k n
+      | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            "names its entry point" "Rng.sample_distinct:"
+            (String.sub msg 0 (String.length "Rng.sample_distinct:")))
+    [ (-3, 100); (-1, 0); (11, 10); (1, 0) ]
 
 let test_rng_int_in () =
   let rng = Rng.make 3 in
