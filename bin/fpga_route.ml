@@ -100,9 +100,10 @@ let spec_arg = Arg.(required & pos 0 (some spec_conv) None & info [] ~docv:"CIRC
 let width_arg =
   Arg.(value & opt positive_int 10 & info [ "w"; "width" ] ~docv:"W" ~doc:"Channel width.")
 
-let run_route spec width alg passes mode domains render =
-  let circuit = F.Circuits.generate spec in
-  let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:width) in
+(* Route the circuit on the RRG and report: the summary line (and the
+   occupancy map with [render]) and exit 0, or the failure and exit 1.
+   Shared by [route] and [route-file]. *)
+let route_and_report rrg circuit alg passes mode domains render =
   let config = F.Router.config_with ~alg ~max_passes:passes ~mode () in
   match F.Router.route ~config ~domains rrg circuit with
   | Ok stats ->
@@ -110,10 +111,15 @@ let run_route spec width alg passes mode domains render =
       if render then print_endline (F.Render.occupancy_map rrg);
       0
   | Error f ->
-      Printf.printf "unroutable at W=%d: %d nets still failing after %d passes\n" width
+      Printf.printf "unroutable at W=%d: %d nets still failing after %d passes\n"
+        rrg.F.Rrg.arch.F.Arch.channel_width
         (List.length f.F.Router.failed_nets)
         f.F.Router.passes_tried;
       1
+
+let run_route spec width alg passes mode domains render =
+  let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:width) in
+  route_and_report rrg (F.Circuits.generate spec) alg passes mode domains render
 
 let route_cmd =
   let render = Arg.(value & flag & info [ "render" ] ~doc:"Print the occupancy map.") in
@@ -250,7 +256,7 @@ let run_route_file file width series alg passes mode domains render =
   | Error msg ->
       Printf.printf "cannot parse %s: %s\n" file msg;
       2
-  | Ok circuit -> (
+  | Ok circuit ->
       let arch =
         match series with
         | F.Arch.Series_3000 -> F.Arch.xc3000
@@ -260,17 +266,7 @@ let run_route_file file width series alg passes mode domains render =
         F.Rrg.build
           (arch ~rows:circuit.F.Netlist.rows ~cols:circuit.F.Netlist.cols ~channel_width:width)
       in
-      let config = F.Router.config_with ~alg ~max_passes:passes ~mode () in
-      match F.Router.route ~config ~domains rrg circuit with
-      | Ok stats ->
-          print_endline (F.Render.summary rrg stats);
-          if render then print_endline (F.Render.occupancy_map rrg);
-          0
-      | Error f ->
-          Printf.printf "unroutable at W=%d: %d nets failing after %d passes\n" width
-            (List.length f.F.Router.failed_nets)
-            f.F.Router.passes_tried;
-          1)
+      route_and_report rrg circuit alg passes mode domains render
 
 let route_file_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST_FILE") in

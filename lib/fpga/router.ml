@@ -52,6 +52,11 @@ let max_candidates = 2500
    state serially. *)
 let par_batch = 8
 
+(* Early cutoff of the waves pass loop: if the number of failing nets has
+   not improved for this many consecutive passes, the width is hopeless —
+   declaring failure early saves most of the downward-infeasible probes. *)
+let waves_stall_limit = 6
+
 (* Negotiated mode declares failure after this many pricing iterations,
    or after this many consecutive iterations without a new best total
    overuse.  Prices use {!Fr_graph.Cost_model.default_params}. *)
@@ -342,8 +347,17 @@ let max_path_of_tree ~weight g tree ~net_src ~sinks =
           invalid_arg (Printf.sprintf "Router.max_path_of_tree: sink %d not spanned by tree" s))
     0. sinks
 
-let base_max_path base_w g tree ~net_src ~sinks =
-  max_path_of_tree ~weight:(Array.get base_w) g tree ~net_src ~sinks
+(* Land a solved net, in both modes: measure it at the base weights (so
+   pathlength is in pre-congestion units), then commit it. *)
+let land_net rrg base_w net tree =
+  let cnet = Netlist.rrg_net rrg net in
+  let max_path =
+    max_path_of_tree ~weight:(Array.get base_w) rrg.Rrg.graph tree ~net_src:cnet.C.Net.source
+      ~sinks:cnet.C.Net.sinks
+  in
+  let wires_used = Rrg.wirelength rrg tree in
+  commit rrg net tree;
+  { net; tree; wires_used; max_path }
 
 (* ------------------------------------------------------------------ *)
 (* Wave batching                                                       *)
@@ -416,20 +430,8 @@ let partition_wave cfg order =
       b)
     !rev_batches
 
-(* A speculative tree survives its batch-mates' commits iff every resource
-   it uses is still enabled; weight changes never invalidate it (they only
-   mean a fresh solve might have chosen differently). *)
-let tree_usable g tree =
-  List.for_all
-    (fun e ->
-      G.Gstate.edge_enabled g e
-      &&
-      let u, v = G.Gstate.endpoints g e in
-      G.Gstate.node_enabled g u && G.Gstate.node_enabled g v)
-    tree.G.Tree.edges
-
 (* ------------------------------------------------------------------ *)
-(* Passes                                                              *)
+(* The solve fan-out                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Worker-domain context: the pool plus, per worker, an RRG view and
@@ -460,167 +462,46 @@ let attempt caches cfg rrg net =
   in
   match go true with Some t -> Some t | None -> go false
 
-(* The two speculative-solve worker bodies, as named module-level functions
-   partial-applied at their Pool.map sites.  Everything a worker touches is
-   an explicit parameter: frdomcheck checks these as worker roots, and the
-   allowlist carries the ownership argument for the per-worker dcaches
+(* The speculative-solve worker body, a named module-level function
+   partial-applied at the Pool.map site.  Everything a worker touches is
+   an explicit parameter: frdomcheck checks this as the worker root, and
+   the allowlist carries the ownership argument for the per-worker dcaches
    (ctx.dcaches.(worker) is indexed by the worker's own id, so the writes
    the analysis sees on [ctx] never cross domains). *)
-let solve_batch_job ctx cfg members ~worker i =
-  attempt ctx.dcaches.(worker) cfg ctx.wrrg (fst members.(i))
+let solve_job ctx cfg nets ~worker i = attempt ctx.dcaches.(worker) cfg ctx.wrrg nets.(i)
   [@@frdomcheck.worker]
 
-let solve_negotiated_job ctx cfg nets par_idx ~worker k =
-  attempt ctx.dcaches.(worker) cfg ctx.wrrg nets.(par_idx.(k))
-  [@@frdomcheck.worker]
-
-(* Run an already-partitioned batch sequence: speculative fan-out per
-   batch, then ordered landing.  [record], when given, observes every
-   landed batch — the journal mark taken before any of its commits and
-   the nets it committed, in commit order.  That pair is the ECO layer's
-   replay ledger: rolling the journal back to a batch's mark and re-running
-   the schedule suffix from that batch reproduces exactly what a full pass
-   over the same schedule would have done from there. *)
-let run_batches ~par ~par_batches ~par_conflicts ?record caches cfg rrg batches base_w =
-  let g = rrg.Rrg.graph in
-  let routed = ref [] and failed = ref [] in
-  let routed_count = ref 0 in
-  let commit_tree net tree =
-    let cnet = Netlist.rrg_net rrg net in
-    let max_path =
-      base_max_path base_w g tree ~net_src:cnet.C.Net.source ~sinks:cnet.C.Net.sinks
-    in
-    let wires_used = Rrg.wirelength rrg tree in
-    commit rrg net tree;
-    (* The commit just mutated weights/enables: every domain's entries
-       are stale. *)
-    invalidate_all caches par;
-    routed := { net; tree; wires_used; max_path } :: !routed;
-    incr routed_count
+(* Solve [nets] against the current state, results in input order — one
+   waves batch or one negotiated iteration.  The nets that solve as pure
+   reads of the frozen state fan out over the pool when there are two or
+   more, and each such fan-out counts in [par_batches] whatever the domain
+   count; the serial-only two-pin nets, which claim wires through the live
+   journal while solving (and roll back when done), then solve in order on
+   the main domain. *)
+let solve_all ~par ~par_batches caches cfg rrg nets =
+  let results = Array.make (Array.length nets) None in
+  let solve_here i = results.(i) <- attempt caches cfg rrg nets.(i) in
+  let serial, frozen =
+    List.partition (fun i -> serial_only cfg nets.(i)) (List.init (Array.length nets) Fun.id)
   in
-  let land_result net = function
-    | None ->
-        (* Failed against the frozen state on the *full* graph.  Commits
-           only disable resources within a pass, so the live state offers
-           a subset of the frozen one — no point re-solving. *)
-        failed := net.Netlist.net_name :: !failed
-    | Some tree ->
-        if tree_usable g tree then commit_tree net tree
-        else begin
-          (* A batch-mate committed first and took one of this tree's
-             wires: re-solve against the live state, serially. *)
-          incr par_conflicts;
-          match attempt caches cfg rrg net with
-          | Some tree -> commit_tree net tree
-          | None -> failed := net.Netlist.net_name :: !failed
-        end
-  in
-  let run_batch b =
-    if b.serial then
-      List.iter (fun (net, _) -> land_result net (attempt caches cfg rrg net)) b.members
-    else begin
-      let members = Array.of_list b.members in
-      let count = Array.length members in
-      if count >= 2 then incr par_batches;
-      let solved =
-        match par with
-        | Some ctx when count >= 2 ->
-            Fr_util.Pool.map ctx.wpool ~count (solve_batch_job ctx cfg members)
-        | _ -> Array.map (fun (net, _) -> attempt caches cfg rrg net) members
-      in
-      Array.iteri (fun i r -> land_result (fst members.(i)) r) solved
-    end
-  in
-  List.iter
-    (fun b ->
-      match record with
-      | None -> run_batch b
-      | Some f ->
-          let cp_b = G.Gstate.checkpoint g in
-          let count0 = !routed_count in
-          run_batch b;
-          (* The batch's own commits, restored to commit order from the
-             head of the (reversed) accumulator. *)
-          let added = ref [] and rest = ref !routed in
-          for _ = count0 + 1 to !routed_count do
-            match !rest with
-            | r :: tl ->
-                added := r :: !added;
-                rest := tl
-            | [] -> ()
-          done;
-          f ~cp:cp_b b !added)
-    batches;
-  (List.rev !routed, List.rev !failed)
-
-let route_one_pass ~par ~par_batches ~par_conflicts ?record caches cfg rrg order base_w =
-  run_batches ~par ~par_batches ~par_conflicts ?record caches cfg rrg (partition_wave cfg order)
-    base_w
-
-(* Early cutoff shared by [route] and the ECO layer: if the number of
-   failing nets has not improved for this many consecutive passes, the
-   width is hopeless — declaring failure early saves most of the
-   downward-infeasible probes. *)
-let waves_stall_limit = 6
-
-(* The rip-up pass loop (waves mode), shared by [route] and the ECO layer.
-   [run ~pass order] routes one pass and returns its (routed, failed);
-   the caller owns all state discipline (which checkpoint to roll back to,
-   whether to truncate the journal afterwards) inside [run].  Both callers
-   feed the exact same loop, which is the ECO identity argument for
-   multi-pass circuits: once pass 1's outcome matches, every subsequent
-   pass is literally the same code on the same inputs. *)
-let rec waves_loop ~run cfg order n ~best ~stalled =
-  let routed, failed = run ~pass:n order in
-  if failed = [] then Ok (routed, n)
-  else begin
-    let count = List.length failed in
-    let best, stalled = if count < best then (count, 0) else (best, stalled + 1) in
-    if n >= cfg.max_passes || stalled >= waves_stall_limit then
-      Error { failed_nets = failed; passes_tried = n }
-    else waves_loop ~run cfg (move_to_front failed order) (n + 1) ~best ~stalled
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Negotiated congestion (PathFinder / Lagrangian pricing)             *)
-(* ------------------------------------------------------------------ *)
-
-(* One negotiated iteration: every net solves independently against the
-   epoch's frozen priced graph — resources are shared and over-subscribable,
-   so there is no disjointness partition and the fan-out spans the whole
-   netlist in a single wave.  Tree-algorithm solves are pure reads of the
-   frozen state, hence domain-count-independent; two-pin nets claim wires
-   through the live journal while solving (and roll back to the epoch state
-   when done), so they run serially after the wave and still see exactly
-   the epoch state. *)
-let negotiated_iteration ~par ~par_waves caches cfg rrg nets =
-  let n = Array.length nets in
-  let results = Array.make n None in
-  let par_idx = ref [] in
-  for i = n - 1 downto 0 do
-    if not (serial_only cfg nets.(i)) then par_idx := i :: !par_idx
-  done;
-  let par_idx = Array.of_list !par_idx in
-  let count = Array.length par_idx in
+  let frozen = Array.of_list frozen in
+  let count = Array.length frozen in
+  if count >= 2 then incr par_batches;
   (match par with
   | Some ctx when count >= 2 ->
-      incr par_waves;
-      let solved =
-        Fr_util.Pool.map ctx.wpool ~count (solve_negotiated_job ctx cfg nets par_idx)
-      in
-      Array.iteri (fun k r -> results.(par_idx.(k)) <- r) solved
-  | _ -> Array.iter (fun i -> results.(i) <- attempt caches cfg rrg nets.(i)) par_idx);
-  Array.iteri
-    (fun i net -> if serial_only cfg net then results.(i) <- attempt caches cfg rrg net)
-    nets;
+      let jobs = Array.map (Array.get nets) frozen in
+      let solved = Fr_util.Pool.map ctx.wpool ~count (solve_job ctx cfg jobs) in
+      Array.iteri (fun k r -> results.(frozen.(k)) <- r) solved
+  | _ -> Array.iter solve_here frozen);
+  List.iter solve_here serial;
   results
+
+(* ------------------------------------------------------------------ *)
+(* Session plumbing                                                    *)
+(* ------------------------------------------------------------------ *)
 
 let peak_occupancy rrg =
   List.fold_left (fun acc seg -> Int.max acc (Rrg.segment_occupancy rrg seg)) 0 (Rrg.segments rrg)
-
-(* ------------------------------------------------------------------ *)
-(* Shared route-call plumbing                                          *)
-(* ------------------------------------------------------------------ *)
 
 let check_route_args ~fname rrg circuit domains =
   (match Netlist.validate circuit with
@@ -644,229 +525,488 @@ let make_par domains rrg =
       }
   end
 
-(* Work counters summed over the serial cache pool and every worker
-   domain's pools, snapshotted at call entry so a long-lived state (the
-   ECO layer, the serve daemon) reports per-call deltas rather than
-   lifetime totals. *)
-type counters = {
-  c_runs : int;
-  c_settled : int;
-  c_h_evals : int;
-  c_mut : int;
-  c_rb : int;
-}
+(* ------------------------------------------------------------------ *)
+(* The routing session: the router's one engine                        *)
+(* ------------------------------------------------------------------ *)
 
-let snapshot_counters caches par g =
-  let sum f =
-    f caches
-    + match par with
-      | None -> 0
-      | Some ctx -> Array.fold_left (fun a p -> a + f p) 0 ctx.dcaches
-  in
-  {
-    c_runs = sum pool_runs;
-    c_settled = sum pool_settled;
-    c_h_evals = sum pool_h_evals;
-    c_mut = G.Gstate.mutations g;
-    c_rb = G.Gstate.rollbacks g;
+(* Every route runs in a session over one RRG.  A session keeps the
+   journal live above its base checkpoint, so a netlist delta only needs a
+   targeted rollback and a re-route of the affected suffix.  A scratch
+   [route] is a session opened, routed once and closed, so the ECO
+   identity (an apply equals a scratch route of the edited netlist) holds
+   by construction for everything but the kept prefix or memo. *)
+module Eco = struct
+  type delta =
+    | Add_net of Netlist.net
+    | Remove_net of string
+    | Retime_net of string * Netlist.pin_ref * Netlist.pin_ref list
+
+  (* One landed batch of the maintained pass schedule: the journal mark
+     taken before its first commit (rolling back to it erases this batch
+     and everything after it), the member nets (the schedule key; the
+     session's config fixes which of them are serial-only) and the commits
+     it produced, in commit order. *)
+  type batch_rec = {
+    br_cp : G.Gstate.checkpoint;
+    br_nets : Netlist.net list;
+    br_routed : routed_net list;
   }
 
-let mk_stats ~caches ~par ~domains ~par_batches ~par_conflicts ~base rrg routed n =
-  let g = rrg.Rrg.graph in
-  let now = snapshot_counters caches par g in
-  {
-    passes = n;
-    routed;
-    total_wirelength = List.fold_left (fun a r -> a +. r.wires_used) 0. routed;
-    total_max_path = List.fold_left (fun a r -> a +. r.max_path) 0. routed;
-    peak_occupancy = peak_occupancy rrg;
-    dijkstra_runs = now.c_runs - base.c_runs;
-    settled_nodes = now.c_settled - base.c_settled;
-    mutations = now.c_mut - base.c_mut;
-    rollbacks = now.c_rb - base.c_rb;
-    journal_depth = G.Gstate.peak_journal_depth g;
-    domains;
-    par_batches = !par_batches;
-    par_conflicts = !par_conflicts;
-    future_cost_evals = now.c_h_evals - base.c_h_evals;
+  type t = {
+    e_rrg : Rrg.t;
+    e_cfg : config;
+    e_domains : int;
+    e_base_w : float array;
+    e_cp0 : G.Gstate.checkpoint;
+    e_caches : cache_pool;
+    e_par : par_ctx option;
+    mutable e_circuit : Netlist.circuit;
+    mutable e_batches : batch_rec list;
+    mutable e_routed : routed_net list;
+    mutable e_memo : (string, G.Tree.t) Hashtbl.t;
+    mutable e_last : stats option;
+    mutable e_closed : bool;
   }
 
-(* Negotiated congestion: nets route against shared, over-subscribable
-   resources priced by the cost model.  Overuse is legal mid-flight; the
-   price escalation (present pressure growing geometrically, history
-   rising by a sub-gradient step on each resource's overuse) drives it
-   to zero.  The first iteration routes the whole netlist at base
-   prices; afterwards every net touching an overused resource is ripped
-   out of the usage counts and re-solved — one parallel fan-out over
-   ALL conflicted nets, no disjointness partition — against the graph
-   priced from the remaining (kept) usage plus history, which is the
-   rip-up discipline of the sub-gradient router (arXiv 1803.03885).
-   Each iteration's solves are pure functions of the epoch's frozen
-   priced graph, the conflicted set is a pure function of the previous
-   iteration, and nets are committed in canonical order only after
-   convergence — so results are bit-identical across [~domains].
+  type eco_stats = {
+    stats : stats;
+    nets_total : int;
+    nets_ripped : int;
+    nets_reused : int;
+  }
 
-   Shared by [route] and the ECO layer.  On [Ok (routed, iters, iter1)]
-   the graph holds the final trees committed at base prices with the
-   journal still live above [cp] — the caller decides whether to truncate
-   ([route]) or keep the entries undoable (ECO).  On [Error] the graph is
-   rolled back to [cp].  [iter1] is the iteration-1 tree of every net: a
-   pure function of the base-priced state, which is what makes it a sound
-   cross-call memo.  [reuse] may serve a net's iteration-1 solve from such
-   a memo — soundness requires it return exactly the tree a fresh solve
-   would (solves are deterministic, so a memo keyed on the net's terminals
-   qualifies).  [note_solved] observes every net actually (re)solved, on
-   every iteration. *)
-let negotiate_run ~par ~par_waves ?reuse ?(note_solved = fun _ -> ()) caches cfg rrg cp base_w
-    nets =
-  let g = rrg.Rrg.graph in
-  let cm = G.Cost_model.create g in
-  let n_nets = Array.length nets in
-  let trees = Array.make n_nets G.Tree.empty in
-  let iter1 = Array.make n_nets G.Tree.empty in
-  let rec iterate n ~active ~best ~stalled =
-    let active =
-      if n = 1 then
-        Array.of_list
-          (List.filter
-             (fun i ->
-               match reuse with
-               | None -> true
-               | Some f -> (
-                   match f nets.(i) with
-                   | Some tree ->
-                       trees.(i) <- tree;
-                       false
-                   | None -> true))
-             (Array.to_list active))
-      else active
+  (* Work counters summed over the serial cache pool and every worker
+     domain's pools, snapshotted at each request's entry so the session
+     reports per-request deltas rather than lifetime totals. *)
+  type counters = {
+    c_runs : int;
+    c_settled : int;
+    c_h_evals : int;
+    c_mut : int;
+    c_rb : int;
+  }
+
+  let snapshot_counters t =
+    let g = t.e_rrg.Rrg.graph in
+    let sum f =
+      f t.e_caches
+      + match t.e_par with
+        | None -> 0
+        | Some ctx -> Array.fold_left (fun a p -> a + f p) 0 ctx.dcaches
     in
-    Array.iter (fun i -> note_solved nets.(i)) active;
-    let active_nets = Array.map (fun i -> nets.(i)) active in
-    let results = negotiated_iteration ~par ~par_waves caches cfg rrg active_nets in
-    let missing = ref [] in
-    Array.iteri
-      (fun k r ->
-        match r with
-        | Some t -> trees.(active.(k)) <- t
-        | None -> missing := nets.(active.(k)).Netlist.net_name :: !missing)
-      results;
-    if n = 1 then Array.blit trees 0 iter1 0 n_nets;
-    if !missing <> [] then begin
-      (* Some net is unroutable even with every resource shared: no
-         price schedule can fix that.  Restore the entry state. *)
-      G.Gstate.rollback g cp;
-      Error { failed_nets = List.rev !missing; passes_tried = n }
-    end
-    else begin
-      G.Cost_model.begin_iteration cm;
-      Array.iter (fun t -> G.Cost_model.use_nodes cm (G.Tree.nodes g t)) trees;
-      let overuse = G.Cost_model.overuse cm in
-      if overuse = 0 then begin
-        (* Converged: the trees are mutually disjoint.  Roll the prices
-           back to the base weights, then land the trees exactly as the
-           waves mode does — measured and congestion-priced in
-           pre-negotiation units, in canonical net order. *)
-        G.Gstate.rollback g cp;
-        let routed =
-          Array.to_list
-            (Array.mapi
-               (fun i tree ->
-                 let net = nets.(i) in
-                 let cnet = Netlist.rrg_net rrg net in
-                 let max_path =
-                   base_max_path base_w g tree ~net_src:cnet.C.Net.source
-                     ~sinks:cnet.C.Net.sinks
-                 in
-                 let wires_used = Rrg.wirelength rrg tree in
-                 commit rrg net tree;
-                 { net; tree; wires_used; max_path })
-               trees)
+    {
+      c_runs = sum pool_runs;
+      c_settled = sum pool_settled;
+      c_h_evals = sum pool_h_evals;
+      c_mut = G.Gstate.mutations g;
+      c_rb = G.Gstate.rollbacks g;
+    }
+
+  let mk_stats t ~base ~par_batches ~par_conflicts routed n =
+    let g = t.e_rrg.Rrg.graph in
+    let now = snapshot_counters t in
+    {
+      passes = n;
+      routed;
+      total_wirelength = List.fold_left (fun a r -> a +. r.wires_used) 0. routed;
+      total_max_path = List.fold_left (fun a r -> a +. r.max_path) 0. routed;
+      peak_occupancy = peak_occupancy t.e_rrg;
+      dijkstra_runs = now.c_runs - base.c_runs;
+      settled_nodes = now.c_settled - base.c_settled;
+      mutations = now.c_mut - base.c_mut;
+      rollbacks = now.c_rb - base.c_rb;
+      journal_depth = G.Gstate.peak_journal_depth g;
+      domains = t.e_domains;
+      par_batches = !par_batches;
+      par_conflicts = !par_conflicts;
+      future_cost_evals = now.c_h_evals - base.c_h_evals;
+    }
+
+  let terminal_key net =
+    String.concat "|" (List.map Netlist.pin_to_string (Netlist.net_pins net))
+
+  let batch_matches br (b : batch) =
+    Int.equal (List.length br.br_nets) b.size
+    && List.for_all2 (fun n (m, _) -> Netlist.same_net n m) br.br_nets b.members
+
+  (* The graph's state at opening is the session base: the weights every
+     committed tree is measured at, and the checkpoint every full re-route
+     rolls back to.  The worker pool outlives every pass and request:
+     spawning domains costs more than routing a batch. *)
+  let open_session ~fname ?(config = default_config) ?(domains = 1) rrg circuit =
+    check_route_args ~fname rrg circuit domains;
+    let g = rrg.Rrg.graph in
+    {
+      e_rrg = rrg;
+      e_cfg = config;
+      e_domains = domains;
+      e_base_w = Array.init (G.Gstate.num_edges g) (G.Gstate.weight g);
+      e_cp0 = G.Gstate.checkpoint g;
+      e_caches = make_pool g;
+      e_par = make_par domains rrg;
+      e_circuit = circuit;
+      e_batches = [];
+      e_routed = [];
+      e_memo = Hashtbl.create 64;
+      e_last = None;
+      e_closed = false;
+    }
+
+  (* Run a batch sequence on the live state: per batch, one solve fan-out,
+     then landing in wave order.  Returns the landed batches' ledger and
+     the failed nets.  Rolling the journal back to a batch's mark and
+     re-running the schedule suffix from that batch reproduces exactly what
+     a full pass over the same schedule would have done from there. *)
+  let run_batches t ~par_batches ~par_conflicts batches =
+    let rrg = t.e_rrg and cfg = t.e_cfg and caches = t.e_caches and par = t.e_par in
+    let g = rrg.Rrg.graph in
+    let failed = ref [] in
+    let run_batch b =
+      let cp = G.Gstate.checkpoint g in
+      let landed = ref [] in
+      let land_tree net tree =
+        landed := land_net rrg t.e_base_w net tree :: !landed;
+        (* The commit just mutated weights/enables: every domain's entries
+           are stale. *)
+        invalidate_all caches par
+      in
+      let land_result net = function
+        | None ->
+            (* Failed against the frozen state on the *full* graph.  Commits
+               only disable resources within a pass, so the live state
+               offers a subset of the frozen one — no point re-solving. *)
+            failed := net.Netlist.net_name :: !failed
+        | Some tree ->
+            (* A speculative tree survives its batch-mates' commits iff
+               every resource it uses is still enabled; weight changes never
+               invalidate it (they only mean a fresh solve might have chosen
+               differently). *)
+            if G.Tree.uses_only_enabled g tree then land_tree net tree
+            else begin
+              (* A batch-mate committed first and took one of this tree's
+                 wires: re-solve against the live state, serially. *)
+              incr par_conflicts;
+              match attempt caches cfg rrg net with
+              | Some tree -> land_tree net tree
+              | None -> failed := net.Netlist.net_name :: !failed
+            end
+      in
+      let nets = Array.of_list (List.map fst b.members) in
+      Array.iteri
+        (fun i r -> land_result nets.(i) r)
+        (solve_all ~par ~par_batches caches cfg rrg nets);
+      { br_cp = cp; br_nets = Array.to_list nets; br_routed = List.rev !landed }
+    in
+    let ledger = List.rev (List.fold_left (fun acc b -> run_batch b :: acc) [] batches) in
+    (ledger, List.rev !failed)
+
+  (* Waves mode: rip-up passes with move-to-front ordering.  Pass 1 keeps
+     what the ledger proves still valid and re-runs the rest; every later
+     pass is a full re-route from the session base, the same code on the
+     same inputs whatever pass 1 kept. *)
+  let waves_route t circuit ~ripped ~reused ~par_batches ~par_conflicts =
+    let g = t.e_rrg.Rrg.graph in
+    let rip net = Hashtbl.replace ripped net.Netlist.net_name () in
+    let pass n order =
+      let schedule = partition_wave t.e_cfg order in
+      if n = 1 then begin
+        (* The landed state after any batch is a pure function of the
+           schedule prefix up to it (speculative solves read the frozen
+           batch-start state, conflict re-solves and commits read the live
+           one — all deterministic), so the longest prefix of the new
+           schedule that matches the ledger is already, verbatim, in the
+           graph.  Everything from the first mismatched batch on is rolled
+           back in one targeted journal rollback and re-run live; a fresh
+           session has no ledger and rolls nothing back. *)
+        let rec split acc stored sched =
+          match (stored, sched) with
+          | br :: stored', b :: sched' when batch_matches br b ->
+              split (br :: acc) stored' sched'
+          | _ -> (List.rev acc, stored, sched)
         in
-        Ok (routed, n, iter1)
+        let pre, stale, suffix = split [] t.e_batches schedule in
+        (match stale with br :: _ -> G.Gstate.rollback g br.br_cp | [] -> ());
+        List.iter
+          (fun br -> List.iter (fun n -> Hashtbl.replace reused n.Netlist.net_name ()) br.br_nets)
+          pre;
+        List.iter (fun b -> List.iter (fun (n, _) -> rip n) b.members) suffix;
+        let landed, failed = run_batches t ~par_batches ~par_conflicts suffix in
+        (pre @ landed, failed)
       end
       else begin
-        let best, stalled = if overuse < best then (overuse, 0) else (best, stalled + 1) in
-        let over = Hashtbl.create 64 in
-        List.iter (fun v -> Hashtbl.replace over v ()) (G.Cost_model.overused_nodes cm);
-        let conflicted = ref [] in
-        for i = n_nets - 1 downto 0 do
-          if List.exists (Hashtbl.mem over) (G.Tree.nodes g trees.(i)) then
-            conflicted := i :: !conflicted
-        done;
-        if n >= neg_max_iterations || stalled >= neg_stall_limit then begin
-          (* Price escalation stopped helping: report the nets still
-             fighting over an overused resource and restore the entry
-             state. *)
-          G.Gstate.rollback g cp;
-          Error
-            {
-              failed_nets = List.map (fun i -> nets.(i).Netlist.net_name) !conflicted;
-              passes_tried = n;
-            }
+        Hashtbl.reset reused;
+        List.iter rip circuit.Netlist.nets;
+        (* Each later pass rips the previous one up by rolling the journal
+           back to the base — O(entries the pass wrote), not O(V+E). *)
+        G.Gstate.rollback g t.e_cp0;
+        run_batches t ~par_batches ~par_conflicts schedule
+      end
+    in
+    let rec loop n order ~best ~stalled =
+      let ledger, failed = pass n order in
+      if failed = [] then begin
+        t.e_batches <- ledger;
+        Ok (List.concat_map (fun br -> br.br_routed) ledger, n)
+      end
+      else begin
+        let count = List.length failed in
+        let best, stalled = if count < best then (count, 0) else (best, stalled + 1) in
+        if n >= t.e_cfg.max_passes || stalled >= waves_stall_limit then
+          Error { failed_nets = failed; passes_tried = n }
+        else loop (n + 1) (move_to_front failed order) ~best ~stalled
+      end
+    in
+    loop 1 (initial_order circuit.Netlist.nets) ~best:max_int ~stalled:0
+
+  (* Negotiated congestion: nets route against shared, over-subscribable
+     resources priced by the cost model.  Overuse is legal mid-flight; the
+     price escalation (present pressure growing geometrically, history
+     rising by a sub-gradient step on each resource's overuse) drives it
+     to zero.  The first iteration routes the whole netlist at base
+     prices; afterwards every net touching an overused resource is ripped
+     out of the usage counts and re-solved — one fan-out over ALL
+     conflicted nets, no disjointness partition — against the graph priced
+     from the remaining (kept) usage plus history, which is the rip-up
+     discipline of the sub-gradient router (arXiv 1803.03885).  Each
+     iteration's solves are pure functions of the epoch's frozen priced
+     graph, the conflicted set is a pure function of the previous
+     iteration, and nets are committed in canonical order only after
+     convergence — so results are bit-identical across [~domains].
+
+     Pricing has no batch structure to keep a prefix of: the maintained
+     trees are torn down and the netlist negotiated from the base state.
+     Iteration-1 solves are pure functions of that state, so they are
+     served from the previous request's memo (keyed by terminals, so a
+     memoized tree is exactly what a fresh solve would return); any net
+     the loop solves is counted as ripped.  On [Error] the graph is rolled
+     back to the base. *)
+  let negotiated_route t circuit ~ripped ~reused ~par_batches =
+    let rrg = t.e_rrg in
+    let g = rrg.Rrg.graph in
+    G.Gstate.rollback g t.e_cp0;
+    let nets = Array.of_list (initial_order circuit.Netlist.nets) in
+    let cm = G.Cost_model.create g in
+    let n_nets = Array.length nets in
+    let trees = Array.make n_nets G.Tree.empty in
+    let iter1 = Array.make n_nets G.Tree.empty in
+    let rec iterate n ~active ~best ~stalled =
+      Array.iter
+        (fun i ->
+          Hashtbl.remove reused nets.(i).Netlist.net_name;
+          Hashtbl.replace ripped nets.(i).Netlist.net_name ())
+        active;
+      let results =
+        solve_all ~par:t.e_par ~par_batches t.e_caches t.e_cfg rrg
+          (Array.map (Array.get nets) active)
+      in
+      let missing = ref [] in
+      Array.iteri
+        (fun k r ->
+          match r with
+          | Some tree -> trees.(active.(k)) <- tree
+          | None -> missing := nets.(active.(k)).Netlist.net_name :: !missing)
+        results;
+      if n = 1 then Array.blit trees 0 iter1 0 n_nets;
+      if !missing <> [] then begin
+        (* Some net is unroutable even with every resource shared: no
+           price schedule can fix that.  Restore the entry state. *)
+        G.Gstate.rollback g t.e_cp0;
+        Error { failed_nets = List.rev !missing; passes_tried = n }
+      end
+      else begin
+        G.Cost_model.begin_iteration cm;
+        Array.iter (fun tree -> G.Cost_model.use_nodes cm (G.Tree.nodes g tree)) trees;
+        let overuse = G.Cost_model.overuse cm in
+        if overuse = 0 then begin
+          (* Converged: the trees are mutually disjoint.  Roll the prices
+             back to the base weights, then land the trees as the waves
+             mode does, in canonical net order. *)
+          G.Gstate.rollback g t.e_cp0;
+          let routed =
+            Array.to_list (Array.mapi (fun i tree -> land_net rrg t.e_base_w nets.(i) tree) trees)
+          in
+          let memo = Hashtbl.create (2 * n_nets) in
+          Array.iteri (fun i net -> Hashtbl.replace memo (terminal_key net) iter1.(i)) nets;
+          t.e_memo <- memo;
+          Ok (routed, n)
         end
         else begin
-          (* History escalates on the full usage (the overuse actually
-             observed); then the conflicted nets are ripped out so the
-             present term prices only the kept nets' occupancy. *)
-          G.Cost_model.escalate cm;
-          List.iter
-            (fun i -> G.Cost_model.release_nodes cm (G.Tree.nodes g trees.(i)))
-            !conflicted;
-          G.Cost_model.apply cm;
-          (* The apply bumped the graph version: every domain's entries
-             are stale, as in the waves mode. *)
-          invalidate_all caches par;
-          iterate (n + 1) ~active:(Array.of_list !conflicted) ~best ~stalled
+          let best, stalled = if overuse < best then (overuse, 0) else (best, stalled + 1) in
+          let over = Hashtbl.create 64 in
+          List.iter (fun v -> Hashtbl.replace over v ()) (G.Cost_model.overused_nodes cm);
+          let conflicted = ref [] in
+          for i = n_nets - 1 downto 0 do
+            if List.exists (Hashtbl.mem over) (G.Tree.nodes g trees.(i)) then
+              conflicted := i :: !conflicted
+          done;
+          if n >= neg_max_iterations || stalled >= neg_stall_limit then begin
+            (* Price escalation stopped helping: report the nets still
+               fighting over an overused resource and restore the entry
+               state. *)
+            G.Gstate.rollback g t.e_cp0;
+            Error
+              {
+                failed_nets = List.map (fun i -> nets.(i).Netlist.net_name) !conflicted;
+                passes_tried = n;
+              }
+          end
+          else begin
+            (* History escalates on the full usage (the overuse actually
+               observed); then the conflicted nets are ripped out so the
+               present term prices only the kept nets' occupancy. *)
+            G.Cost_model.escalate cm;
+            List.iter
+              (fun i -> G.Cost_model.release_nodes cm (G.Tree.nodes g trees.(i)))
+              !conflicted;
+            G.Cost_model.apply cm;
+            (* The apply bumped the graph version: every domain's entries
+               are stale, as in the waves mode. *)
+            invalidate_all t.e_caches t.e_par;
+            iterate (n + 1) ~active:(Array.of_list !conflicted) ~best ~stalled
+          end
         end
       end
-    end
-  in
-  iterate 1 ~active:(Array.init n_nets (fun i -> i)) ~best:max_int ~stalled:0
+    in
+    let first = ref [] in
+    for i = n_nets - 1 downto 0 do
+      match Hashtbl.find_opt t.e_memo (terminal_key nets.(i)) with
+      | Some tree ->
+          trees.(i) <- tree;
+          Hashtbl.replace reused nets.(i).Netlist.net_name ()
+      | None -> first := i :: !first
+    done;
+    iterate 1 ~active:(Array.of_list !first) ~best:max_int ~stalled:0
 
-let route ?(config = default_config) ?(domains = 1) rrg circuit =
-  check_route_args ~fname:"Router.route" rrg circuit domains;
-  let g = rrg.Rrg.graph in
-  (* Per-call stats hygiene: the peak journal depth is a high-water mark
-     on the state, and the state may outlive this call. *)
-  G.Gstate.reset_peak_journal_depth g;
-  (* Entry weights, for measuring committed trees in pre-congestion units. *)
-  let base_w = Array.init (G.Gstate.num_edges g) (G.Gstate.weight g) in
-  (* Each pass rips up the previous one by rolling the journal back to this
-     mark — O(entries the pass wrote), not O(V+E). *)
-  let cp = G.Gstate.checkpoint g in
-  let caches = make_pool g in
-  (* The worker pool outlives every pass: spawning domains costs more than
-     routing a batch, so it is paid once per [route] call. *)
-  let par = make_par domains rrg in
-  let finally () = match par with Some ctx -> Fr_util.Pool.shutdown ctx.wpool | None -> () in
-  Fun.protect ~finally @@ fun () ->
-  let base = snapshot_counters caches par g in
-  let par_batches = ref 0 and par_conflicts = ref 0 in
-  let stats routed n =
-    mk_stats ~caches ~par ~domains ~par_batches ~par_conflicts ~base rrg routed n
-  in
-  match config.mode with
-  | Waves ->
-      let run ~pass:_ order =
-        G.Gstate.rollback g cp;
-        route_one_pass ~par ~par_batches ~par_conflicts caches config rrg order base_w
-      in
-      let r =
-        waves_loop ~run config (initial_order circuit.Netlist.nets) 1 ~best:max_int ~stalled:0
-      in
-      (* Keep the final pass's state (useful for rendering) whether it
-         succeeded or stalled: accept its mutations instead of undoing
-         them. *)
-      G.Gstate.commit g cp;
-      Result.map (fun (routed, n) -> stats routed n) r
-  | Negotiated -> (
-      let nets = Array.of_list (initial_order circuit.Netlist.nets) in
-      match negotiate_run ~par ~par_waves:par_batches caches config rrg cp base_w nets with
-      | Ok (routed, n, _iter1) ->
-          G.Gstate.commit g cp;
-          Ok (stats routed n)
-      | Error f -> Error f)
+  (* Route [circuit] in the session, keeping what the ledger or the memo
+     proves still valid.  On [Ok] the session maintains the new routing;
+     on [Error] it keeps the old one, while the graph holds the failed
+     attempt's end state (waves: its final pass; negotiated: the base). *)
+  let reroute t circuit =
+    let g = t.e_rrg.Rrg.graph in
+    (* Per-call stats hygiene: the peak journal depth is a high-water mark
+       on the state, and the state outlives this call. *)
+    G.Gstate.reset_peak_journal_depth g;
+    let base = snapshot_counters t in
+    let ripped = Hashtbl.create 64 and reused = Hashtbl.create 64 in
+    let par_batches = ref 0 and par_conflicts = ref 0 in
+    let res =
+      match t.e_cfg.mode with
+      | Waves -> waves_route t circuit ~ripped ~reused ~par_batches ~par_conflicts
+      | Negotiated -> negotiated_route t circuit ~ripped ~reused ~par_batches
+    in
+    Result.map
+      (fun (routed, n) ->
+        let stats = mk_stats t ~base ~par_batches ~par_conflicts routed n in
+        t.e_circuit <- circuit;
+        t.e_routed <- routed;
+        t.e_last <- Some stats;
+        {
+          stats;
+          nets_total = List.length circuit.Netlist.nets;
+          nets_ripped = Hashtbl.length ripped;
+          nets_reused = Hashtbl.length reused;
+        })
+      res
+
+  (* Re-establish the maintained routing after a failed [apply]: tear the
+     failed attempt down and replay the stored trees.  Committing a known
+     tree is deterministic given the commit order, so this reproduces the
+     exact pre-request state (with fresh journal marks for the ledger). *)
+  let restore t =
+    let g = t.e_rrg.Rrg.graph in
+    G.Gstate.rollback g t.e_cp0;
+    (match t.e_cfg.mode with
+    | Waves ->
+        t.e_batches <-
+          List.map
+            (fun br ->
+              let cp = G.Gstate.checkpoint g in
+              List.iter (fun r -> commit t.e_rrg r.net r.tree) br.br_routed;
+              { br with br_cp = cp })
+            t.e_batches
+    | Negotiated -> List.iter (fun r -> commit t.e_rrg r.net r.tree) t.e_routed);
+    invalidate_all t.e_caches t.e_par
+
+  let close t =
+    if not t.e_closed then begin
+      t.e_closed <- true;
+      match t.e_par with Some ctx -> Fr_util.Pool.shutdown ctx.wpool | None -> ()
+    end
+
+  let create ?config ?domains rrg circuit =
+    let t = open_session ~fname:"Router.Eco.create" ?config ?domains rrg circuit in
+    match reroute t circuit with
+    | Ok es -> Ok (t, es)
+    | Error f ->
+        (* A session never outlives a failed initial route: leave the graph
+           as it entered and tear the pool down. *)
+        G.Gstate.rollback rrg.Rrg.graph t.e_cp0;
+        close t;
+        Error f
+
+  let delta_name = function
+    | Add_net n -> n.Netlist.net_name
+    | Remove_net name | Retime_net (name, _, _) -> name
+
+  let edit_circuit circuit d =
+    let name = delta_name d in
+    let mem =
+      List.exists (fun n -> String.equal n.Netlist.net_name name) circuit.Netlist.nets
+    in
+    match d with
+    | Add_net n ->
+        if mem then invalid_arg ("Router.Eco.apply: net already present: " ^ name);
+        { circuit with Netlist.nets = circuit.Netlist.nets @ [ n ] }
+    | Remove_net _ ->
+        if not mem then invalid_arg ("Router.Eco.apply: no such net: " ^ name);
+        {
+          circuit with
+          Netlist.nets =
+            List.filter
+              (fun n -> not (String.equal n.Netlist.net_name name))
+              circuit.Netlist.nets;
+        }
+    | Retime_net (_, source, sinks) ->
+        if not mem then invalid_arg ("Router.Eco.apply: no such net: " ^ name);
+        let replacement = Netlist.make_net ~name ~source ~sinks in
+        {
+          circuit with
+          Netlist.nets =
+            List.map
+              (fun n -> if String.equal n.Netlist.net_name name then replacement else n)
+              circuit.Netlist.nets;
+        }
+
+  let apply t deltas =
+    if t.e_closed then invalid_arg "Router.Eco.apply: session closed";
+    let circuit = List.fold_left edit_circuit t.e_circuit deltas in
+    (match Netlist.validate circuit with
+    | Ok () -> ()
+    | Error msg -> invalid_arg ("Router.Eco.apply: " ^ msg));
+    let res = reroute t circuit in
+    (* An edited netlist that does not route leaves the pre-request routing
+       in place, so the session stays usable. *)
+    if Result.is_error res then restore t;
+    res
+
+  let circuit t = t.e_circuit
+
+  let routed t = t.e_routed
+
+  let last_stats t = t.e_last
+end
+
+(* A scratch route: open a session, route once, close it.  The graph keeps
+   the state the route ends in — waves: the final pass, even a failed one
+   (useful for rendering); negotiated: the committed trees, or the entry
+   state after a failure — and the journal is committed at the session
+   base, so nothing this call wrote stays undoable. *)
+let route ?config ?domains rrg circuit =
+  let t = Eco.open_session ~fname:"Router.route" ?config ?domains rrg circuit in
+  Fun.protect ~finally:(fun () -> Eco.close t) @@ fun () ->
+  let r = Eco.reroute t circuit in
+  G.Gstate.commit rrg.Rrg.graph t.Eco.e_cp0;
+  Result.map (fun es -> es.Eco.stats) r
 
 let min_channel_width ?(config = default_config) ?(domains = 1) ~arch_of_width ~circuit
     ~start ?max_width () =
@@ -910,297 +1050,3 @@ let min_channel_width ?(config = default_config) ?(domains = 1) ~arch_of_width ~
     | Some stats -> bisect 0 first stats
     | None -> if first >= max_width then None else gallop_up first 1
   end
-
-(* ------------------------------------------------------------------ *)
-(* Incremental (ECO) re-routing                                        *)
-(* ------------------------------------------------------------------ *)
-
-module Eco = struct
-  type delta =
-    | Add_net of Netlist.net
-    | Remove_net of string
-    | Retime_net of string * Netlist.pin_ref * Netlist.pin_ref list
-
-  (* One landed batch of the maintained pass-1 schedule: the journal mark
-     taken before its first commit (rolling back to it erases this batch
-     and everything after it), the member nets (the schedule key) and the
-     commits it produced. *)
-  type batch_rec = {
-    br_cp : G.Gstate.checkpoint;
-    br_serial : bool;
-    br_nets : Netlist.net list;
-    br_routed : routed_net list;
-  }
-
-  type t = {
-    e_rrg : Rrg.t;
-    e_cfg : config;
-    e_domains : int;
-    e_base_w : float array;
-    e_cp0 : G.Gstate.checkpoint;
-    e_caches : cache_pool;
-    e_par : par_ctx option;
-    mutable e_circuit : Netlist.circuit;
-    mutable e_batches : batch_rec list;
-    mutable e_routed : routed_net list;
-    mutable e_memo : (string, G.Tree.t) Hashtbl.t;
-    mutable e_last : stats option;
-    mutable e_closed : bool;
-  }
-
-  type eco_stats = {
-    stats : stats;
-    nets_total : int;
-    nets_ripped : int;
-    nets_reused : int;
-  }
-
-  let terminal_key net =
-    String.concat "|" (List.map Netlist.pin_to_string (Netlist.net_pins net))
-
-  let batch_matches br (b : batch) =
-    Bool.equal br.br_serial b.serial
-    && Int.equal (List.length br.br_nets) b.size
-    && List.for_all2 (fun n (m, _) -> Netlist.same_net n m) br.br_nets b.members
-
-  (* Waves-mode (re-)route of [circuit] against the maintained ledger. *)
-  let waves_route t circuit ~ripped ~reused =
-    let g = t.e_rrg.Rrg.graph in
-    let par_batches = ref 0 and par_conflicts = ref 0 in
-    let final = ref [] and kept = ref [] in
-    let record ~cp b routed_b =
-      final :=
-        {
-          br_cp = cp;
-          br_serial = b.serial;
-          br_nets = List.map fst b.members;
-          br_routed = routed_b;
-        }
-        :: !final
-    in
-    let rip net = Hashtbl.replace ripped net.Netlist.net_name () in
-    let run ~pass order =
-      final := [];
-      if pass = 1 then begin
-        (* Pass 1 starts exactly where a scratch route's pass 1 would.  The
-           landed state after any batch is a pure function of the schedule
-           prefix up to it (speculative solves read the frozen batch-start
-           state, conflict re-solves and commits read the live one — all
-           deterministic), so the longest prefix of the new schedule that
-           matches the maintained ledger is already, verbatim, in the
-           graph.  Everything from the first mismatched batch on is rolled
-           back in one targeted journal rollback and re-run live. *)
-        let rec split acc stored sched =
-          match (stored, sched) with
-          | br :: stored', b :: sched' when batch_matches br b ->
-              split (br :: acc) stored' sched'
-          | _ -> (List.rev acc, stored, sched)
-        in
-        let pre, stale, suffix = split [] t.e_batches (partition_wave t.e_cfg order) in
-        (match stale with
-        | br :: _ -> G.Gstate.rollback g br.br_cp
-        | [] -> ());
-        kept := pre;
-        List.iter
-          (fun br ->
-            List.iter (fun n -> Hashtbl.replace reused n.Netlist.net_name ()) br.br_nets)
-          pre;
-        List.iter (fun b -> List.iter (fun (n, _) -> rip n) b.members) suffix;
-        let routed_suffix, failed =
-          run_batches ~par:t.e_par ~par_batches ~par_conflicts ~record t.e_caches t.e_cfg
-            t.e_rrg suffix t.e_base_w
-        in
-        (List.concat_map (fun br -> br.br_routed) pre @ routed_suffix, failed)
-      end
-      else begin
-        (* A later pass is a full re-route: scratch and ECO run the same
-           loop from here on, so the differential stays exact even when
-           the edit pushes the circuit into multi-pass territory. *)
-        kept := [];
-        Hashtbl.reset reused;
-        List.iter rip circuit.Netlist.nets;
-        G.Gstate.rollback g t.e_cp0;
-        route_one_pass ~par:t.e_par ~par_batches ~par_conflicts ~record t.e_caches t.e_cfg
-          t.e_rrg order t.e_base_w
-      end
-    in
-    match
-      waves_loop ~run t.e_cfg (initial_order circuit.Netlist.nets) 1 ~best:max_int ~stalled:0
-    with
-    | Ok (routed, n) ->
-        t.e_batches <- !kept @ List.rev !final;
-        t.e_routed <- routed;
-        t.e_circuit <- circuit;
-        Ok (routed, n, par_batches, par_conflicts)
-    | Error f -> Error (f, par_batches, par_conflicts)
-
-  (* Negotiated pricing has no batch structure to keep a prefix of: the
-     maintained trees are torn down and the netlist re-negotiated from the
-     base state, with iteration-1 solves — pure functions of that state —
-     served from the previous session's memo.  Any net the pricing loop
-     touches after iteration 1 is honestly counted as ripped. *)
-  let negotiated_route t circuit ~ripped ~reused =
-    let g = t.e_rrg.Rrg.graph in
-    let par_batches = ref 0 and par_conflicts = ref 0 in
-    G.Gstate.rollback g t.e_cp0;
-    let reuse net =
-      match Hashtbl.find_opt t.e_memo (terminal_key net) with
-      | Some tree ->
-          Hashtbl.replace reused net.Netlist.net_name ();
-          Some tree
-      | None -> None
-    in
-    let note_solved net =
-      Hashtbl.remove reused net.Netlist.net_name;
-      Hashtbl.replace ripped net.Netlist.net_name ()
-    in
-    let nets = Array.of_list (initial_order circuit.Netlist.nets) in
-    match
-      negotiate_run ~par:t.e_par ~par_waves:par_batches ~reuse ~note_solved t.e_caches
-        t.e_cfg t.e_rrg t.e_cp0 t.e_base_w nets
-    with
-    | Ok (routed, n, iter1) ->
-        let memo = Hashtbl.create (2 * Array.length nets) in
-        Array.iteri (fun i net -> Hashtbl.replace memo (terminal_key net) iter1.(i)) nets;
-        t.e_memo <- memo;
-        t.e_routed <- routed;
-        t.e_circuit <- circuit;
-        Ok (routed, n, par_batches, par_conflicts)
-    | Error f -> Error (f, par_batches, par_conflicts)
-
-  (* Re-establish the maintained routing after a failed [apply]: tear the
-     failed attempt down and replay the stored trees.  Committing a known
-     tree is deterministic given the commit order, so this reproduces the
-     exact pre-request state (with fresh journal marks for the ledger). *)
-  let restore t =
-    let g = t.e_rrg.Rrg.graph in
-    G.Gstate.rollback g t.e_cp0;
-    (match t.e_cfg.mode with
-    | Waves ->
-        t.e_batches <-
-          List.map
-            (fun br ->
-              let cp = G.Gstate.checkpoint g in
-              List.iter (fun r -> commit t.e_rrg r.net r.tree) br.br_routed;
-              { br with br_cp = cp })
-            t.e_batches
-    | Negotiated -> List.iter (fun r -> commit t.e_rrg r.net r.tree) t.e_routed);
-    invalidate_all t.e_caches t.e_par
-
-  let run_mode t circuit ~ripped ~reused =
-    match t.e_cfg.mode with
-    | Waves -> waves_route t circuit ~ripped ~reused
-    | Negotiated -> negotiated_route t circuit ~ripped ~reused
-
-  let finish t ~base ~ripped ~reused circuit = function
-    | Ok (routed, n, par_batches, par_conflicts) ->
-        let stats =
-          mk_stats ~caches:t.e_caches ~par:t.e_par ~domains:t.e_domains ~par_batches
-            ~par_conflicts ~base t.e_rrg routed n
-        in
-        t.e_last <- Some stats;
-        Ok
-          {
-            stats;
-            nets_total = List.length circuit.Netlist.nets;
-            nets_ripped = Hashtbl.length ripped;
-            nets_reused = Hashtbl.length reused;
-          }
-    | Error (f, _, _) -> Error f
-
-  let create ?(config = default_config) ?(domains = 1) rrg circuit =
-    check_route_args ~fname:"Router.Eco.create" rrg circuit domains;
-    let g = rrg.Rrg.graph in
-    G.Gstate.reset_peak_journal_depth g;
-    let t =
-      {
-        e_rrg = rrg;
-        e_cfg = config;
-        e_domains = domains;
-        e_base_w = Array.init (G.Gstate.num_edges g) (G.Gstate.weight g);
-        e_cp0 = G.Gstate.checkpoint g;
-        e_caches = make_pool g;
-        e_par = make_par domains rrg;
-        e_circuit = circuit;
-        e_batches = [];
-        e_routed = [];
-        e_memo = Hashtbl.create 64;
-        e_last = None;
-        e_closed = false;
-      }
-    in
-    let base = snapshot_counters t.e_caches t.e_par g in
-    let ripped = Hashtbl.create 64 and reused = Hashtbl.create 16 in
-    match finish t ~base ~ripped ~reused circuit (run_mode t circuit ~ripped ~reused) with
-    | Ok es -> Ok (t, es)
-    | Error f ->
-        (* A session never outlives a failed initial route: leave the graph
-           as it entered and tear the pool down. *)
-        G.Gstate.rollback g t.e_cp0;
-        (match t.e_par with Some ctx -> Fr_util.Pool.shutdown ctx.wpool | None -> ());
-        Error f
-
-  let delta_name = function
-    | Add_net n -> n.Netlist.net_name
-    | Remove_net name | Retime_net (name, _, _) -> name
-
-  let edit_circuit circuit d =
-    let name = delta_name d in
-    let mem =
-      List.exists (fun n -> String.equal n.Netlist.net_name name) circuit.Netlist.nets
-    in
-    match d with
-    | Add_net n ->
-        if mem then invalid_arg ("Router.Eco.apply: net already present: " ^ name);
-        { circuit with Netlist.nets = circuit.Netlist.nets @ [ n ] }
-    | Remove_net _ ->
-        if not mem then invalid_arg ("Router.Eco.apply: no such net: " ^ name);
-        {
-          circuit with
-          Netlist.nets =
-            List.filter
-              (fun n -> not (String.equal n.Netlist.net_name name))
-              circuit.Netlist.nets;
-        }
-    | Retime_net (_, source, sinks) ->
-        if not mem then invalid_arg ("Router.Eco.apply: no such net: " ^ name);
-        let replacement = Netlist.make_net ~name ~source ~sinks in
-        {
-          circuit with
-          Netlist.nets =
-            List.map
-              (fun n -> if String.equal n.Netlist.net_name name then replacement else n)
-              circuit.Netlist.nets;
-        }
-
-  let apply t deltas =
-    if t.e_closed then invalid_arg "Router.Eco.apply: session closed";
-    let circuit = List.fold_left edit_circuit t.e_circuit deltas in
-    (match Netlist.validate circuit with
-    | Ok () -> ()
-    | Error msg -> invalid_arg ("Router.Eco.apply: " ^ msg));
-    let g = t.e_rrg.Rrg.graph in
-    G.Gstate.reset_peak_journal_depth g;
-    let base = snapshot_counters t.e_caches t.e_par g in
-    let ripped = Hashtbl.create 64 and reused = Hashtbl.create 64 in
-    let res = run_mode t circuit ~ripped ~reused in
-    (match res with
-    | Ok _ -> ()
-    | Error _ ->
-        (* The edited netlist does not route; put the pre-request routing
-           back so the session stays usable. *)
-        restore t);
-    finish t ~base ~ripped ~reused circuit res
-
-  let circuit t = t.e_circuit
-
-  let routed t = t.e_routed
-
-  let last_stats t = t.e_last
-
-  let close t =
-    if not t.e_closed then begin
-      t.e_closed <- true;
-      match t.e_par with Some ctx -> Fr_util.Pool.shutdown ctx.wpool | None -> ()
-    end
-end

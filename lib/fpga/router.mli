@@ -108,17 +108,25 @@ type stats = {
       (** effective graph mutations (journal entries written) across all
           passes *)
   rollbacks : int;
-      (** journal rollbacks performed (one per rip-up pass, plus one per
-          two-pin connection batch) *)
+      (** journal rollbacks performed, empty ones included.  Waves: one
+          per rip-up pass after the first, plus, in an {!Eco.apply}, one in
+          pass 1 to the first ledger batch the edit invalidates;
+          negotiated: one at entry, tearing the maintained routing down,
+          and one to the base weights once prices converge.  Plus one per
+          two-pin net solve.  A scratch {!route} is a fresh session, so it
+          counts what {!Eco.create} counts: no pass-1 rollback in waves
+          mode (there is no ledger to roll back into), and an empty entry
+          rollback in negotiated mode. *)
   journal_depth : int;
       (** peak undo-journal depth during {e this} call (the high-water mark
           is reset at entry) — the per-pass restore cost, to compare
           against the O(V+E) full-graph snapshot scans it replaced *)
   domains : int;  (** domain count this route ran with *)
   par_batches : int;
-      (** waves: multi-net speculative batches formed across all passes —
-          the parallelism actually available; negotiated: whole-netlist
-          parallel waves run (one per iteration when [domains > 1]) *)
+      (** multi-net fan-outs: rounds of two or more solves against the
+          frozen state — waves batches across all passes, negotiated
+          iterations — counted whatever [domains] is, so it measures the
+          parallelism available and is equal for every domain count *)
   par_conflicts : int;
       (** speculative trees invalidated by a batch-mate's commit and
           re-solved serially *)
@@ -146,10 +154,17 @@ val max_path_of_tree :
 
 val route :
   ?config:config -> ?domains:int -> Rrg.t -> Netlist.circuit -> (stats, failure) result
-(** Routes the whole circuit.  The RRG is left in the final pass's state
-    (useful for rendering); a journal checkpoint is taken at entry and each
-    rip-up pass rolls back to it in time proportional to the entries the
-    previous pass wrote ({!Fr_graph.Gstate.rollback}), not O(V+E).
+(** Routes the whole circuit.  A scratch route is an {!Eco} session opened
+    and closed: it opens a session on the graph's current state, routes
+    once with the code {!Eco.create} runs, commits the journal at the
+    session base and shuts the session's pool down.  Each rip-up pass
+    rolls back to that base in time proportional to the entries the
+    previous pass wrote ({!Fr_graph.Gstate.rollback}), not O(V+E).  The
+    RRG is left in the state the route ends in (useful for rendering):
+    waves mode keeps the final pass, even a failed one; negotiated mode
+    keeps the committed trees, or the entry state after a failure.  None
+    of it stays undoable: {!Fr_graph.Gstate.journal_depth} is back at its
+    entry value.
 
     [domains] (default 1) is the number of domains speculative batch
     solves run on; the routed trees and all quality stats are identical
@@ -186,7 +201,8 @@ val min_channel_width :
 
 (** {2 Incremental (ECO) re-routing}
 
-    A long-lived routing session over one RRG: the journal is kept live
+    A long-lived routing session over one RRG, the engine every route runs
+    in ({!route} is a session opened and closed): the journal is kept live
     (never truncated) above the session's base checkpoint, so a netlist
     delta only needs a {e targeted rollback} — to the first wave batch the
     edit invalidates (waves mode) or to the base state (negotiated mode) —

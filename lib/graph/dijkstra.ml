@@ -226,9 +226,9 @@ let pop st =
    pending target left (see [state]), or the frontier runs dry.  The inner
    loop walks the CSR arrays of the frozen topology directly — no closure
    per edge, no bounds checks — which is the point of the Topology/Gstate
-   split; the enable bits and the restriction are tested on their word
-   arrays, and the frontier is this module's own, so settling a node makes
-   no call into another module except the heuristic's.
+   split; the node enable bits and the restriction are tested on their
+   word arrays, and the frontier is this module's own, so settling a node
+   makes no call into another module except the heuristic's.
 
    Frontier keys are f = g + h (plain g when no heuristic), with the true
    distance g as tie and a sequence number breaking full ties, so pops
@@ -262,8 +262,7 @@ let drain r =
   let topo = Gstate.topology st.g in
   let off = topo.Topology.off and pack = topo.Topology.pack in
   let wts = Gstate.unsafe_weights st.g in
-  let n_on = Bitset.unsafe_words (Gstate.unsafe_node_bits st.g)
-  and e_on = Bitset.unsafe_words (Gstate.unsafe_edge_bits st.g) in
+  let n_on = Bitset.unsafe_words (Gstate.unsafe_node_bits st.g) in
   let region = match st.restrict with None -> None | Some b -> Some (Bitset.unsafe_words b) in
   let tag = st.tag and edge_ok = st.edge_ok in
   let dist = r.dist and parent_edge = r.parent_edge in
@@ -288,8 +287,7 @@ let drain r =
           let v = Array.unsafe_get pack !k in
           let e = Array.unsafe_get pack (!k + 1) in
           if
-            bit e_on e
-            && bit n_on v
+            bit n_on v
             && Array.unsafe_get tag v <> settled_tag
             && (match region with None -> true | Some words -> bit words v)
             && match edge_ok with None -> true | Some p -> p e

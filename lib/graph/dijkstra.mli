@@ -34,10 +34,10 @@
     number, so the search settles nodes in exactly the order of a
     lazy-deletion heap that pushed a duplicate instead, minus the stale
     pops; the settle order, the targeted stop and both counters are those
-    of that heap.  The enable bits and the restriction are tested inline on
-    their bitset words, so settling a node calls into no other module
-    except the heuristic.  Targets are tracked in a per-result tag array,
-    so a targeted lookup costs O(|targets|) on top of the nodes it
+    of that heap.  The node enable bits and the restriction are tested
+    inline on their bitset words, so settling a node calls into no other
+    module except the heuristic.  Targets are tracked in a per-result tag
+    array, so a targeted lookup costs O(|targets|) on top of the nodes it
     settles, and settling a node allocates no option, tuple or table
     entry.  A result holds four node-indexed arrays: [dist],
     [parent_edge], the tags and the slot index.

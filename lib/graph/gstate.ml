@@ -7,7 +7,6 @@ type edge = Topology.edge
 type undo =
   | Weight of int * float
   | Node_on of int * bool
-  | Edge_on of int * bool
 
 (* Version counter, journal and lifetime counters live in a [meta] record
    shared between a state and every read-only view of it, so a view sees
@@ -27,7 +26,6 @@ type t = {
   topo : Topology.t;
   w : float array;
   n_on : Bitset.t;
-  e_on : Bitset.t;
   meta : meta;
   read_only : bool;
 }
@@ -50,7 +48,6 @@ let of_topology topo =
     topo;
     w = Array.copy topo.Topology.base;
     n_on = Bitset.create (Topology.num_nodes topo);
-    e_on = Bitset.create (Topology.num_edges topo);
     meta = fresh_meta ();
     read_only = false;
   }
@@ -123,21 +120,6 @@ let disable_node g u = set_node g u false
 
 let enable_node g u = set_node g u true
 
-let edge_enabled g e = Bitset.get g.e_on e
-
-let set_edge g e b =
-  guard g "set_edge";
-  if e < 0 || e >= num_edges g then invalid_arg "Gstate.set_edge: edge out of range";
-  let cur = Bitset.get g.e_on e in
-  if cur <> b then begin
-    record g (Edge_on (e, not b));
-    Bitset.set g.e_on e b
-  end
-
-let disable_edge g e = set_edge g e false
-
-let enable_edge g e = set_edge g e true
-
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / rollback                                               *)
 (* ------------------------------------------------------------------ *)
@@ -155,8 +137,7 @@ let rollback g cp =
     m.jlen <- m.jlen - 1;
     (match m.journal.(m.jlen) with
     | Weight (e, w) -> g.w.(e) <- w
-    | Node_on (u, b) -> Bitset.set g.n_on u b
-    | Edge_on (e, b) -> Bitset.set g.e_on e b);
+    | Node_on (u, b) -> Bitset.set g.n_on u b);
     m.undone <- m.undone + 1
   done;
   m.rollbacks <- m.rollbacks + 1;
@@ -200,7 +181,7 @@ let iter_adj g u f =
     let hi = off.(u + 1) in
     while !k < hi do
       let v = pack.(!k) and e = pack.(!k + 1) in
-      if Bitset.get g.e_on e && Bitset.get g.n_on v then f e v g.w.(e);
+      if Bitset.get g.n_on v then f e v g.w.(e);
       k := !k + 2
     done
   end
@@ -225,10 +206,8 @@ let find_edge g u v =
 
 let iter_edges g f =
   for e = 0 to num_edges g - 1 do
-    if Bitset.get g.e_on e then begin
-      let u, v = Topology.endpoints g.topo e in
-      if Bitset.get g.n_on u && Bitset.get g.n_on v then f e u v g.w.(e)
-    end
+    let u, v = Topology.endpoints g.topo e in
+    if Bitset.get g.n_on u && Bitset.get g.n_on v then f e u v g.w.(e)
   done
 
 let mean_edge_weight g =
@@ -238,20 +217,8 @@ let mean_edge_weight g =
       incr count);
   if !count = 0 then 0. else !total /. float_of_int !count
 
-let copy g =
-  {
-    topo = g.topo;
-    w = Array.copy g.w;
-    n_on = Bitset.copy g.n_on;
-    e_on = Bitset.copy g.e_on;
-    meta = fresh_meta ();
-    read_only = false;
-  }
-
 (* Hot-loop escape hatches: Dijkstra reads these arrays directly. *)
 
 let unsafe_weights g = g.w
 
 let unsafe_node_bits g = g.n_on
-
-let unsafe_edge_bits g = g.e_on

@@ -3,9 +3,10 @@
     This is the routing substrate of the whole system (paper §2): the
     topology holds nodes, endpoints and adjacency; a [Gstate.t] overlays it
     with everything a routing pass mutates — current edge weights
-    (wirelength plus congestion) and node/edge enable flags (the router
+    (wirelength plus congestion) and node enable flags (the router
     removes the resources consumed by each routed net so that subsequent
-    nets stay electrically disjoint).
+    nets stay electrically disjoint; an edge is usable while both its
+    endpoints are enabled).
 
     Every effective mutation bumps a {!version} counter so shortest-path
     caches ({!Dist_cache}) can detect staleness, and appends an inverse
@@ -15,10 +16,6 @@
     longer scans the whole graph.  Mutations that change nothing (setting a
     weight to its current value, disabling a disabled node) are complete
     no-ops: no journal entry, no version bump.
-
-    The reader API mirrors the old mutable [Wgraph] one, so call sites
-    migrate by renaming [Wgraph.foo g] to [Gstate.foo g] and freezing
-    builders with {!of_builder}.
 
     {b Read-only views and parallelism.}  {!read_only_view} aliases a
     state — same arrays, same version counter, same journal — but every
@@ -35,8 +32,8 @@ type edge = Topology.edge
 
 val of_topology : Topology.t -> t
 (** Fresh state over a topology: weights at their base values, every node
-    and edge enabled, version 0, empty journal.  Any number of states may
-    share one topology. *)
+    enabled, version 0, empty journal.  Any number of states may share one
+    topology. *)
 
 val of_builder : Wgraph.t -> t
 (** [of_topology (Wgraph.freeze b)] — the usual way to finish building. *)
@@ -46,7 +43,7 @@ val topology : t -> Topology.t
 val num_nodes : t -> int
 
 val num_edges : t -> int
-(** Total number of edges (including currently disabled ones). *)
+(** Total number of edges (including those incident to disabled nodes). *)
 
 val weight : t -> edge -> float
 
@@ -61,12 +58,6 @@ val other_end : t -> edge -> int -> int
 (** [other_end g e u] is the endpoint of [e] that is not [u].
     @raise Invalid_argument if [u] is not an endpoint of [e]. *)
 
-val edge_enabled : t -> edge -> bool
-
-val disable_edge : t -> edge -> unit
-
-val enable_edge : t -> edge -> unit
-
 val node_enabled : t -> int -> bool
 
 val disable_node : t -> int -> unit
@@ -79,35 +70,32 @@ val version : t -> int
     mutation, and by every non-empty {!rollback}. *)
 
 val iter_adj : t -> int -> (edge -> int -> float -> unit) -> unit
-(** [iter_adj g u f] calls [f e v w] for every enabled incident edge [e]
-    leading to an enabled neighbor [v] with weight [w].  If [u] itself is
-    disabled nothing is visited. *)
+(** [iter_adj g u f] calls [f e v w] for every incident edge [e] leading
+    to an enabled neighbor [v] with weight [w].  If [u] itself is disabled
+    nothing is visited. *)
 
 val fold_adj : t -> int -> ('a -> edge -> int -> float -> 'a) -> 'a -> 'a
 
 val degree : t -> int -> int
-(** Number of enabled incident edges (to enabled neighbors). *)
+(** Number of incident edges to enabled neighbors. *)
 
 val find_edge : t -> int -> int -> edge option
-(** Some enabled edge between the two nodes, if any (minimum weight one). *)
+(** Some edge between the two nodes, if both are enabled (minimum weight
+    one). *)
 
 val iter_edges : t -> (edge -> int -> int -> float -> unit) -> unit
-(** Iterates enabled edges with both endpoints enabled. *)
+(** Iterates edges with both endpoints enabled. *)
 
 val mean_edge_weight : t -> float
-(** Average weight over enabled edges — the paper's congestion statistic
-    (w̄). *)
-
-val copy : t -> t
-(** Independent state sharing the same topology; version and journal start
-    fresh.  Copying a read-only view yields a fresh {e mutable} state. *)
+(** Average weight over edges with both endpoints enabled — the paper's
+    congestion statistic (w̄). *)
 
 val read_only_view : t -> t
 (** A view sharing this state's arrays, version and journal.  Reads through
     the view see the parent's current state; {!set_weight}, {!add_weight},
-    {!set_node}, {!set_edge}, the enable/disable wrappers, {!rollback} and
-    {!commit} all raise [Invalid_argument].  {!checkpoint} is permitted
-    (it only reads the journal position). *)
+    {!disable_node}, {!enable_node}, {!rollback} and {!commit} all raise
+    [Invalid_argument].  {!checkpoint} is permitted (it only reads the
+    journal position). *)
 
 val is_read_only : t -> bool
 
@@ -122,7 +110,7 @@ type checkpoint
 val checkpoint : t -> checkpoint
 
 val rollback : t -> checkpoint -> unit
-(** Restore the exact state (weights and enable flags) at the checkpoint,
+(** Restore the exact state (weights and node flags) at the checkpoint,
     undoing journal entries newest-first — O(entries written since the
     checkpoint).  Bumps {!version} if anything was undone; the checkpoint
     remains valid for further rollbacks.
@@ -169,5 +157,3 @@ val reset_peak_journal_depth : t -> unit
 val unsafe_weights : t -> float array
 
 val unsafe_node_bits : t -> Fr_util.Bitset.t
-
-val unsafe_edge_bits : t -> Fr_util.Bitset.t

@@ -78,7 +78,7 @@ let uses_only_enabled g t =
   List.for_all
     (fun e ->
       let u, v = Gstate.endpoints g e in
-      Gstate.edge_enabled g e && Gstate.node_enabled g u && Gstate.node_enabled g v)
+      Gstate.node_enabled g u && Gstate.node_enabled g v)
     t.edges
 
 (* Shared traversal behind the pathlength API; [what] names the public

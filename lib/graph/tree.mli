@@ -29,6 +29,8 @@ val spans : Gstate.t -> t -> int list -> bool
     counts as spanned). *)
 
 val uses_only_enabled : Gstate.t -> t -> bool
+(** Every node the tree touches is enabled, so the tree is still routable
+    on the current state. *)
 
 val path_length : Gstate.t -> t -> src:int -> dst:int -> float
 (** Length of the unique tree path between two tree nodes.

@@ -30,8 +30,6 @@ let set t i b =
   let cur = Array.unsafe_get t.words w in
   Array.unsafe_set t.words w (if b then cur lor bit else cur land lnot bit)
 
-let copy t = { words = Array.copy t.words; size = t.size }
-
 let count t =
   let c = ref 0 in
   for i = 0 to t.size - 1 do

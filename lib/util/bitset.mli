@@ -1,8 +1,8 @@
 (** Fixed-size packed bit vectors.
 
-    Backs the node/edge enable flags of the routing substrate: a get or set
-    is one word load plus mask arithmetic, and copying the whole set is an
-    [Array.copy] of [n/16] words instead of [n] bytes.
+    Backs the node enable flags of the routing substrate and the router's
+    bounding-box regions: a get or set is one word load plus mask
+    arithmetic, and the set takes [n/16] words instead of [n] bytes.
 
     Accesses are bounds-checked only by the backing array, so an index in
     [0 .. length-1] is the caller's responsibility. *)
@@ -19,8 +19,6 @@ val length : t -> int
 val get : t -> int -> bool
 
 val set : t -> int -> bool -> unit
-
-val copy : t -> t
 
 val count : t -> int
 (** Number of set bits. *)

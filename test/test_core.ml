@@ -568,8 +568,8 @@ let test_eval_detects_disabled_use () =
   let g, net, _ = shared_hub () in
   let cache = cache_of g in
   let t = C.Pfa.solve cache ~net in
-  List.iter (fun e -> G.Gstate.disable_edge g e) t.G.Tree.edges;
-  Alcotest.(check bool) "disabled edges rejected" true
+  List.iter (G.Gstate.disable_node g) (G.Tree.nodes g t);
+  Alcotest.(check bool) "disabled nodes rejected" true
     (C.Eval.check cache ~net ~tree:t = Error "tree uses disabled resources")
 
 (* ------------------------------------------------------------------ *)

@@ -476,31 +476,33 @@ let test_router_min_width_respects_cap () =
     (Invalid_argument "Router.min_channel_width: start must be >= 1") (fun () ->
       ignore (F.Router.min_channel_width ~arch_of_width ~circuit ~start:0 ()))
 
+(* A one-net circuit on the tiny circuit's array, on pins the tiny circuit
+   leaves free, so it can route on a graph the tiny circuit was routed on. *)
+let one_net_circuit () =
+  let pin row col side slot = { F.Netlist.row; col; side; slot } in
+  {
+    F.Netlist.circuit_name = "one";
+    rows = 4;
+    cols = 5;
+    nets =
+      [
+        F.Netlist.make_net ~name:"d" ~source:(pin 2 0 F.Rrg.South 0)
+          ~sinks:[ pin 2 1 F.Rrg.South 0 ];
+      ];
+  }
+
 (* Work counters are per-call: a second route on the same graph reports its
    own (smaller) work, not the state's lifetime totals — the old cumulative
    journal_depth high-water mark would make the second call's reading >=
    the first's. *)
 let test_router_stats_per_call () =
-  let pin row col side slot = { F.Netlist.row; col; side; slot } in
   let rrg = F.Rrg.build (small_arch ~w:6 ()) in
   let first =
     match F.Router.route rrg (tiny_circuit ()) with
     | Ok s -> s
     | Error _ -> Alcotest.fail "first route failed"
   in
-  let one_net =
-    {
-      F.Netlist.circuit_name = "one";
-      rows = 4;
-      cols = 5;
-      nets =
-        [
-          F.Netlist.make_net ~name:"d" ~source:(pin 2 0 F.Rrg.South 0)
-            ~sinks:[ pin 2 1 F.Rrg.South 0 ];
-        ];
-    }
-  in
-  match F.Router.route rrg one_net with
+  match F.Router.route rrg (one_net_circuit ()) with
   | Error _ -> Alcotest.fail "second route failed"
   | Ok second ->
       Alcotest.(check bool) "second call counts its own searches" true
@@ -514,6 +516,37 @@ let test_router_stats_per_call () =
         && second.F.Router.journal_depth < first.F.Router.journal_depth);
       Alcotest.(check bool) "mutations are per-call" true
         (second.F.Router.mutations > 0 && second.F.Router.mutations < first.F.Router.mutations)
+
+(* A scratch route is a session opened and closed: on [Ok] and on [Error],
+   in both modes, it commits the journal at the session base, so nothing it
+   wrote stays undoable and the graph takes a second route. *)
+let test_router_route_commits_journal () =
+  List.iter
+    (fun (mode, w, ok) ->
+      let what s =
+        Printf.sprintf "%s, W=%d: %s"
+          (match mode with F.Router.Waves -> "waves" | F.Router.Negotiated -> "negotiated")
+          w s
+      in
+      let rrg = F.Rrg.build (small_arch ~w ()) in
+      let g = rrg.F.Rrg.graph in
+      let config = F.Router.config_with ~mode ~max_passes:3 () in
+      Alcotest.(check bool)
+        (what "first route result") ok
+        (Result.is_ok (F.Router.route ~config rrg (tiny_circuit ())));
+      Alcotest.(check int) (what "journal empty after the first route") 0
+        (G.Gstate.journal_depth g);
+      Alcotest.(check bool)
+        (what "second route succeeds") true
+        (Result.is_ok (F.Router.route ~config rrg (one_net_circuit ())));
+      Alcotest.(check int) (what "journal empty after the second route") 0
+        (G.Gstate.journal_depth g))
+    [
+      (F.Router.Waves, 6, true);
+      (F.Router.Waves, 1, false);
+      (F.Router.Negotiated, 6, true);
+      (F.Router.Negotiated, 1, false);
+    ]
 
 let test_router_strategies_agree_on_feasibility () =
   let circuit = tiny_circuit () in
@@ -817,6 +850,7 @@ let () =
           Alcotest.test_case "min channel width" `Quick test_router_min_channel_width;
           Alcotest.test_case "min width respects cap" `Quick test_router_min_width_respects_cap;
           Alcotest.test_case "stats are per-call" `Quick test_router_stats_per_call;
+          Alcotest.test_case "route commits its journal" `Quick test_router_route_commits_journal;
           Alcotest.test_case "all strategies" `Quick test_router_strategies_agree_on_feasibility;
           Alcotest.test_case "two-pin wastes wire" `Quick test_router_two_pin_uses_more_wire;
           Alcotest.test_case "mismatched circuit" `Quick test_router_rejects_mismatched_circuit;

@@ -137,7 +137,7 @@ let test_real_tree_clean () =
   Alcotest.(check (list string))
     "no findings on lib/, bin/, bench/" []
     (List.map LL.Finding.to_string r.C.findings);
-  Alcotest.(check int) "the two router jobs are the only roots" 2 r.C.roots;
+  Alcotest.(check int) "the router's solve job is the only root" 1 r.C.roots;
   Alcotest.(check bool) "a real number of functions analyzed" true (r.C.functions > 400);
   Alcotest.(check bool) "escapes go through the allowlist" true (r.C.allowlisted > 0);
   Alcotest.(check bool) "fixpoint converges" true (r.C.rounds < 50)

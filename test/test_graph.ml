@@ -194,13 +194,9 @@ let test_wgraph_rejects () =
     (fun () -> ignore (G.Wgraph.add_edge g 0 1 (-1.)))
 
 let test_wgraph_disable () =
-  let g, e01, e02, _, _, _ = diamond () in
-  G.Gstate.disable_edge g e01;
-  Alcotest.(check bool) "disabled" false (G.Gstate.edge_enabled g e01);
-  Alcotest.(check int) "degree drops" 1 (G.Gstate.fold_adj g 0 (fun d _ _ _ -> d + 1) 0);
-  G.Gstate.enable_edge g e01;
-  Alcotest.(check int) "degree restored" 2 (G.Gstate.fold_adj g 0 (fun d _ _ _ -> d + 1) 0);
+  let g, _, e02, _, _, _ = diamond () in
   G.Gstate.disable_node g 2;
+  Alcotest.(check int) "degree drops" 1 (G.Gstate.fold_adj g 0 (fun d _ _ _ -> d + 1) 0);
   Alcotest.(check bool) "edge to disabled node hidden" true
     (G.Gstate.fold_adj g 0 (fun acc e _ _ -> acc && e <> e02) true);
   G.Gstate.enable_node g 2;
@@ -221,23 +217,13 @@ let test_wgraph_find_edge () =
   let g' = graph 3 [ (0, 1, 1.); (1, 2, 0.5); (1, 2, 0.25) ] in
   Alcotest.(check bool) "prefers lighter parallel" true (G.Gstate.find_edge g' 1 2 = Some 2)
 
-let test_wgraph_copy () =
-  let g, e01, _, _, _, _ = diamond () in
-  G.Gstate.disable_edge g e01;
-  G.Gstate.disable_node g 3;
-  let g' = G.Gstate.copy g in
-  Alcotest.(check bool) "copied disable state" false (G.Gstate.edge_enabled g' e01);
-  Alcotest.(check bool) "copied node state" false (G.Gstate.node_enabled g' 3);
-  G.Gstate.enable_edge g' e01;
-  Alcotest.(check bool) "independent" false (G.Gstate.edge_enabled g e01)
-
 let test_mean_edge_weight () =
   let b = G.Wgraph.create 3 in
   ignore (G.Wgraph.add_edge b 0 1 1.);
-  let e = G.Wgraph.add_edge b 1 2 3. in
+  ignore (G.Wgraph.add_edge b 1 2 3.);
   let g = G.Gstate.of_builder b in
   Alcotest.(check (float 1e-9)) "mean" 2. (G.Gstate.mean_edge_weight g);
-  G.Gstate.disable_edge g e;
+  G.Gstate.disable_node g 2;
   Alcotest.(check (float 1e-9)) "mean after disable" 1. (G.Gstate.mean_edge_weight g)
 
 (* ------------------------------------------------------------------ *)
@@ -255,8 +241,9 @@ let test_dijkstra_diamond () =
   Alcotest.(check (list int)) "path via 1,2" [ 0; 1; 2; 3 ] path
 
 let test_dijkstra_disabled_detour () =
-  let g, _, _, _, _, e12 = diamond () in
-  G.Gstate.disable_edge g e12;
+  let g, _, _, _, _, _ = diamond () in
+  (* The shortest route 0-1-2-3 (2.5) runs through node 2. *)
+  G.Gstate.disable_node g 2;
   let r = G.Dijkstra.run g ~src:0 in
   Alcotest.(check (float 1e-9)) "d3 detours" 3. (G.Dijkstra.dist r 3)
 
@@ -998,17 +985,16 @@ let test_gstate_checkpoint_basics () =
   (* No-op mutations (same value) write no journal entry and bump nothing. *)
   G.Gstate.set_weight g 0 1.;
   G.Gstate.enable_node g 1;
-  G.Gstate.enable_edge g 0;
   Alcotest.(check int) "no-op keeps version" v0 (G.Gstate.version g);
   Alcotest.(check int) "no-op keeps journal empty" 0 (G.Gstate.journal_depth g);
   let cp0 = G.Gstate.checkpoint g in
   G.Gstate.set_weight g 0 5.;
   G.Gstate.disable_node g 2;
   let cp1 = G.Gstate.checkpoint g in
-  G.Gstate.disable_edge g 1;
+  G.Gstate.disable_node g 0;
   Alcotest.(check int) "journal grows per mutation" 3 (G.Gstate.journal_depth g);
   G.Gstate.rollback g cp1;
-  Alcotest.(check bool) "inner rollback re-enables edge" true (G.Gstate.edge_enabled g 1);
+  Alcotest.(check bool) "inner rollback re-enables node" true (G.Gstate.node_enabled g 0);
   Alcotest.(check (float 1e-9)) "outer span untouched" 5. (G.Gstate.weight g 0);
   G.Gstate.rollback g cp0;
   Alcotest.(check (float 1e-9)) "weight restored" 1. (G.Gstate.weight g 0);
@@ -1038,18 +1024,14 @@ let prop_gstate_rollback_restores =
       let g = G.Random_graph.connected rng ~n:12 ~m:30 ~wmin:0.5 ~wmax:4. in
       let ne = G.Gstate.num_edges g and nn = G.Gstate.num_nodes g in
       let mutate () =
-        match Rng.int rng 6 with
+        match Rng.int rng 4 with
         | 0 -> G.Gstate.set_weight g (Rng.int rng ne) (Rng.float rng 5.)
         | 1 -> G.Gstate.add_weight g (Rng.int rng ne) (Rng.float rng 2.)
-        | 2 -> G.Gstate.disable_edge g (Rng.int rng ne)
-        | 3 -> G.Gstate.enable_edge g (Rng.int rng ne)
-        | 4 -> G.Gstate.disable_node g (Rng.int rng nn)
+        | 2 -> G.Gstate.disable_node g (Rng.int rng nn)
         | _ -> G.Gstate.enable_node g (Rng.int rng nn)
       in
       let snapshot () =
-        ( Array.init ne (G.Gstate.weight g),
-          Array.init nn (G.Gstate.node_enabled g),
-          Array.init ne (G.Gstate.edge_enabled g) )
+        (Array.init ne (G.Gstate.weight g), Array.init nn (G.Gstate.node_enabled g))
       in
       (* newest-first trace of every observed version *)
       let vers = ref [ G.Gstate.version g ] in
@@ -1166,7 +1148,6 @@ let () =
           Alcotest.test_case "disable/enable" `Quick test_wgraph_disable;
           Alcotest.test_case "versioning & weights" `Quick test_wgraph_version_and_weights;
           Alcotest.test_case "find_edge" `Quick test_wgraph_find_edge;
-          Alcotest.test_case "copy" `Quick test_wgraph_copy;
           Alcotest.test_case "mean edge weight" `Quick test_mean_edge_weight;
         ] );
       ( "dijkstra",

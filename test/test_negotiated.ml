@@ -224,6 +224,9 @@ let test_domain_determinism () =
     (fun domains ->
       let _, _, s = route_negotiated "term1" ~domains ~width:8 in
       check_term1_golden ~domains s;
+      Alcotest.(check int)
+        (Printf.sprintf "par_batches (domains=%d)" domains)
+        s1.F.Router.par_batches s.F.Router.par_batches;
       Alcotest.(check bool)
         (Printf.sprintf "trees bit-identical (domains=%d)" domains)
         true

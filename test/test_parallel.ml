@@ -121,7 +121,6 @@ let test_view_mutators_raise () =
     Alcotest.check_raises what (Invalid_argument ("Gstate." ^ what ^ ": read-only view")) f
   in
   raises "set_weight" (fun () -> G.Gstate.set_weight v e01 9.);
-  raises "set_edge" (fun () -> G.Gstate.disable_edge v e01);
   raises "set_node" (fun () -> G.Gstate.disable_node v 0);
   let cp = G.Gstate.checkpoint v in
   raises "rollback" (fun () -> G.Gstate.rollback v cp);
