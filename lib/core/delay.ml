@@ -1,19 +1,19 @@
 module G = Fr_graph
 
-type params = {
-  unit_resistance : float;
-  unit_capacitance : float;
-  sink_load : float;
-  driver_resistance : float;
-}
+(* Unit parasitics: Ω and F per unit wirelength, F per sink pin, Ω at
+   the driver. *)
+let unit_resistance = 1.
 
-let default_params =
-  { unit_resistance = 1.; unit_capacitance = 1.; sink_load = 1.; driver_resistance = 1. }
+let unit_capacitance = 1.
 
-let elmore ?(params = default_params) g ~tree ~net =
+let sink_load = 1.
+
+let driver_resistance = 1.
+
+let max_delay g ~tree ~net =
   let src = net.Net.source in
   if not (G.Tree.spans g tree (Net.terminals net)) then
-    invalid_arg "Delay.elmore: tree does not span net";
+    invalid_arg "Delay.max_delay: tree does not span net";
   let sink_tbl = Hashtbl.create 16 in
   List.iter (fun s -> Hashtbl.replace sink_tbl s ()) net.Net.sinks;
   (* Root the tree at the source. *)
@@ -35,12 +35,12 @@ let elmore ?(params = default_params) g ~tree ~net =
   let visited = Hashtbl.create 64 in
   let rec cap_of u =
     Hashtbl.replace visited u ();
-    let own = if Hashtbl.mem sink_tbl u then params.sink_load else 0. in
+    let own = if Hashtbl.mem sink_tbl u then sink_load else 0. in
     let below =
       List.fold_left
         (fun acc (v, w) ->
           if Hashtbl.mem visited v then acc
-          else acc +. (params.unit_capacitance *. w) +. cap_of v)
+          else acc +. (unit_capacitance *. w) +. cap_of v)
         0.
         (try Hashtbl.find adj u with Not_found -> [])
     in
@@ -49,7 +49,7 @@ let elmore ?(params = default_params) g ~tree ~net =
     total
   in
   let total_cap = if tree.G.Tree.edges = [] then 0. else cap_of src in
-  let driver_term = params.driver_resistance *. total_cap in
+  let driver_term = driver_resistance *. total_cap in
   (* Delays by pre-order DFS: accumulate R(path)·C(downstream). *)
   let delays = Hashtbl.create 16 in
   let seen = Hashtbl.create 64 in
@@ -59,20 +59,17 @@ let elmore ?(params = default_params) g ~tree ~net =
     List.iter
       (fun (v, w) ->
         if not (Hashtbl.mem seen v) then begin
-          let r = params.unit_resistance *. w in
-          let c_half_edge = params.unit_capacitance *. w /. 2. in
+          let r = unit_resistance *. w in
+          let c_half_edge = unit_capacitance *. w /. 2. in
           let c_below = try Hashtbl.find subtree_cap v with Not_found -> 0. in
           walk v (acc +. (r *. (c_half_edge +. c_below)))
         end)
       (try Hashtbl.find adj u with Not_found -> [])
   in
   if tree.G.Tree.edges <> [] then walk src 0.;
-  List.map
-    (fun s ->
+  List.fold_left
+    (fun acc s ->
       match Hashtbl.find_opt delays s with
-      | Some d -> (s, d)
-      | None -> invalid_arg "Delay.elmore: sink not reached by tree")
-    net.Net.sinks
-
-let max_delay ?params g ~tree ~net =
-  List.fold_left (fun acc (_, d) -> max acc d) 0. (elmore ?params g ~tree ~net)
+      | Some d -> Float.max acc d
+      | None -> invalid_arg "Delay.max_delay: sink not reached by tree")
+    0. net.Net.sinks

@@ -7,32 +7,16 @@
     works use: each tree edge contributes series resistance and
     distributed capacitance proportional to its length (= weight), sinks
     add load capacitance, and the source drives through a driver
-    resistance.  Under this model, the delay to a sink is
+    resistance.  All four parasitics are 1 per unit (1 Ω and 1 F per unit
+    wirelength, 1 F per sink pin, 1 Ω at the driver), adequate for
+    relative comparisons.  Under this model, the delay to a sink is
 
       R_driver·C(total) + Σ_{e on path} R(e)·(C(e)/2 + C(subtree below e))
 
     Pathlength-optimal trees (PFA/IDOM) minimize the dominant path-R term,
     which is why the paper routes critical nets with arborescences. *)
 
-type params = {
-  unit_resistance : float;  (** Ω per unit wirelength *)
-  unit_capacitance : float;  (** F per unit wirelength *)
-  sink_load : float;  (** F per sink pin *)
-  driver_resistance : float;  (** Ω at the source *)
-}
-
-val default_params : params
-(** 1 Ω, 1 F, 1 F, 1 Ω per unit — adequate for relative comparisons. *)
-
-val elmore :
-  ?params:params ->
-  Fr_graph.Gstate.t ->
-  tree:Fr_graph.Tree.t ->
-  net:Net.t ->
-  (int * float) list
-(** Delay to every sink of the net.  The tree must span the net.
+val max_delay : Fr_graph.Gstate.t -> tree:Fr_graph.Tree.t -> net:Net.t -> float
+(** The critical-sink delay: the largest delay to any sink of the net.
+    The tree must span the net.
     @raise Invalid_argument otherwise. *)
-
-val max_delay :
-  ?params:params -> Fr_graph.Gstate.t -> tree:Fr_graph.Tree.t -> net:Net.t -> float
-(** The critical-sink delay. *)

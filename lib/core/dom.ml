@@ -3,14 +3,3 @@ module G = Fr_graph
 let solve cache ~net =
   let members = Net.terminals net in
   Dominance.fold_tree cache ~source:net.Net.source ~members ~keep:members
-
-let distance_graph_cost cache ~source ~sinks =
-  let members = source :: sinks in
-  List.fold_left
-    (fun acc p ->
-      if p = source then acc
-      else
-        match Dominance.nearest_dominated cache ~source ~members ~p with
-        | Some (_, d) -> acc +. d
-        | None -> infinity)
-    0. sinks

@@ -7,9 +7,3 @@
 
 val solve : Fr_graph.Dist_cache.t -> net:Net.t -> Fr_graph.Tree.t
 (** @raise Routing_err.Unroutable when some sink is unreachable. *)
-
-val distance_graph_cost : Fr_graph.Dist_cache.t -> source:int -> sinks:int list -> float
-(** The paper's distance-graph formulation of DOM's cost: the sum, over all
-    sinks, of the distance to the chosen (nearest dominated) parent.  This
-    is the O(|N|²) objective {!Idom} evaluates in its Δ-scan; [infinity]
-    when some sink is unreachable. *)

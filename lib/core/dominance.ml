@@ -7,12 +7,7 @@ let dominates_via ~source_dist ~p_dist ~p ~s =
   dp < infinity && ds < infinity && dsp < infinity
   && Float.abs (dp -. (ds +. dsp)) <= tol *. (1. +. Float.abs dp) +. tol
 
-let dominates cache ~source ~p ~s =
-  let rsrc = G.Dist_cache.result_for cache ~src:source ~targets:[ p; s ] in
-  let rp = G.Dist_cache.result_for cache ~src:p ~targets:[ s ] in
-  dominates_via ~source_dist:(G.Dijkstra.dist rsrc) ~p_dist:(G.Dijkstra.dist rp) ~p ~s
-
-let max_dom ?(allowed = fun _ -> true) ?candidates cache ~source ~p ~q =
+let max_dom ?candidates cache ~source ~p ~q =
   let g = G.Dist_cache.graph cache in
   (* With an explicit candidate list the scan (and therefore the Dijkstra
      settling) is bounded to those nodes; otherwise every node is examined
@@ -41,7 +36,7 @@ let max_dom ?(allowed = fun _ -> true) ?candidates cache ~source ~p ~q =
     let best = ref (-1) and best_d = ref neg_infinity in
     let consider m =
       if
-        G.Gstate.node_enabled g m && allowed m
+        G.Gstate.node_enabled g m
         && dominates_via ~source_dist:sd ~p_dist:pd ~p ~s:m
         && dominates_via ~source_dist:sd ~p_dist:qd ~p:q ~s:m
         && sd m > !best_d

@@ -11,17 +11,7 @@ val tol : float
 (** Absolute tolerance for the dominance equality test (floating-point
     path sums). *)
 
-val dominates : Fr_graph.Dist_cache.t -> source:int -> p:int -> s:int -> bool
-(** Requires [p]'s Dijkstra result (computed on demand); [s] may be any
-    node. *)
-
-val dominates_via :
-  source_dist:(int -> float) -> p_dist:(int -> float) -> p:int -> s:int -> bool
-(** Low-level variant for tight scan loops: [source_dist] is distance from
-    the net source, [p_dist] is distance from [p]. *)
-
 val max_dom :
-  ?allowed:(int -> bool) ->
   ?candidates:int list ->
   Fr_graph.Dist_cache.t ->
   source:int ->
@@ -32,11 +22,9 @@ val max_dom :
     dominated by both [p] and [q] farthest from the source, with its
     distance.  Always succeeds on connected inputs since the source is
     dominated by everything; [None] only if [p]/[q] are unreachable.
-    [allowed] restricts the scanned node set.  [candidates] bounds the scan
-    to the listed nodes plus the source — and with it the Dijkstra settling,
-    via targeted queries; without it the scan settles whole per-source
-    results.  Scanning candidates [cs] equals scanning all nodes with
-    [allowed] = membership in [source :: cs]. *)
+    [candidates] bounds the scan to the listed nodes plus the source — and
+    with it the Dijkstra settling, via targeted queries; without it the
+    scan settles whole per-source results. *)
 
 val nearest_dominated :
   Fr_graph.Dist_cache.t -> source:int -> members:int list -> p:int -> (int * float) option

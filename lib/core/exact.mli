@@ -6,12 +6,9 @@
     the "OPT" reference for approximation-quality tests and the optimal
     Steiner trees of Fig 4. *)
 
-val max_terminals : int
-(** Hard safety limit (12) on the number of terminals. *)
-
 val steiner : Fr_graph.Gstate.t -> terminals:int list -> Fr_graph.Tree.t
 (** A minimum-cost tree of the enabled subgraph spanning the terminals.
-    @raise Invalid_argument beyond {!max_terminals} terminals.
+    @raise Invalid_argument beyond 12 terminals (a safety limit).
     @raise Routing_err.Unroutable when the terminals are disconnected. *)
 
 val steiner_cost : Fr_graph.Gstate.t -> terminals:int list -> float

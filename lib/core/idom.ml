@@ -2,15 +2,6 @@ module G = Fr_graph
 
 let improvement_eps = 1e-7
 
-let default_candidates g terminals =
-  let in_net = Hashtbl.create 16 in
-  List.iter (fun t -> Hashtbl.replace in_net t ()) terminals;
-  let acc = ref [] in
-  for v = G.Gstate.num_nodes g - 1 downto 0 do
-    if G.Gstate.node_enabled g v && not (Hashtbl.mem in_net v) then acc := v :: !acc
-  done;
-  !acc
-
 (* The Fig 12 loop; returns (S in acceptance order, cost trace).
 
    Δ-scan datapath: with the per-member Dijkstra arrays prefetched, a
@@ -31,7 +22,7 @@ let grow ?candidates cache ~net =
   let all_candidates =
     match candidates with
     | Some c -> List.filter (fun t -> not (Hashtbl.mem in_net t)) c
-    | None -> default_candidates g terminals
+    | None -> Igmst.default_candidates g terminals
   in
   let sd =
     (G.Dist_cache.result_for cache ~src:source

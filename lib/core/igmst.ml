@@ -233,5 +233,3 @@ let solve ?batched ?candidates h cache ~terminals =
   h.solve cache ~terminals:(s @ terminals)
 
 let ikmb ?candidates cache ~terminals = solve ?candidates kmb cache ~terminals
-
-let izel ?candidates cache ~terminals = solve ?candidates (zel ()) cache ~terminals

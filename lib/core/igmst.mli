@@ -40,6 +40,11 @@ val solve :
     is unaffected.
     @raise Routing_err.Unroutable if even [H] alone cannot span the net. *)
 
+val default_candidates : Fr_graph.Gstate.t -> int list -> int list
+(** [default_candidates g terminals] is every enabled node outside
+    [terminals], ascending: the paper's V − N, the candidate set of
+    {!solve} and {!Idom.solve} when none is given. *)
+
 val rank_candidates :
   members:int array -> rows:float array array -> candidates:int list -> (int * float) list
 (** The scoring step of the quick Δ scan.  [rows.(i)] is the distance row
@@ -66,7 +71,3 @@ val steiner_nodes :
 val ikmb :
   ?candidates:int list -> Fr_graph.Dist_cache.t -> terminals:int list -> Fr_graph.Tree.t
 (** IGMST instantiated with {!Kmb} — the paper's IKMB. *)
-
-val izel :
-  ?candidates:int list -> Fr_graph.Dist_cache.t -> terminals:int list -> Fr_graph.Tree.t
-(** IGMST instantiated with {!Zel} — the paper's IZEL. *)

@@ -87,5 +87,3 @@ let solve g ~terminals =
 let voronoi g ~terminals =
   let owner, dist, _ = voronoi g ~terminals in
   (owner, dist)
-
-let cost g ~terminals = G.Tree.cost g (solve g ~terminals)

@@ -13,8 +13,6 @@
 val solve : Fr_graph.Gstate.t -> terminals:int list -> Fr_graph.Tree.t
 (** @raise Routing_err.Unroutable when the terminals are disconnected. *)
 
-val cost : Fr_graph.Gstate.t -> terminals:int list -> float
-
 val voronoi : Fr_graph.Gstate.t -> terminals:int list -> int array * float array
 (** The underlying partition: for every node, its closest terminal (-1 if
-    unreachable) and the distance to it (exposed for tests). *)
+    unreachable) and the distance to it. *)

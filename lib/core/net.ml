@@ -14,5 +14,3 @@ let of_terminals = function
   | source :: sinks -> make ~source ~sinks
 
 let terminals n = n.source :: n.sinks
-
-let size n = 1 + List.length n.sinks

@@ -15,6 +15,3 @@ val of_terminals : int list -> t
 
 val terminals : t -> int list
 (** Source first, then sinks. *)
-
-val size : t -> int
-(** Number of pins (source included). *)

@@ -2,17 +2,12 @@ module G = Fr_graph
 
 (* One folding pass: returns the accumulated member set M (terminals plus
    MaxDom merge points). *)
-let fold_members ?steiner_ok ?steiner_candidates cache ~net =
+let fold_members ?steiner_candidates cache ~net =
   let source = net.Net.source in
   let rsrc = G.Dist_cache.result_for cache ~src:source ~targets:net.Net.sinks in
   List.iter
     (fun s -> if not (G.Dijkstra.reachable rsrc s) then Routing_err.fail "PFA")
     net.Net.sinks;
-  let allowed =
-    match steiner_ok with
-    | None -> fun _ -> true
-    | Some ok -> fun m -> m = source || ok m
-  in
   let active = ref (List.sort_uniq Int.compare (Net.terminals net)) in
   (* [members] keeps the paper's accumulation order (merge points prepended
      to the sorted terminals); [member_set] makes the dedup probe O(1). *)
@@ -23,7 +18,7 @@ let fold_members ?steiner_ok ?steiner_candidates cache ~net =
     (* Find the pair {p,q} whose MaxDom is farthest from the source. *)
     let best = ref None in
     let consider p q =
-      match Dominance.max_dom ~allowed ?candidates:steiner_candidates cache ~source ~p ~q with
+      match Dominance.max_dom ?candidates:steiner_candidates cache ~source ~p ~q with
       | None -> ()
       | Some (m, d) -> (
           match !best with
@@ -49,13 +44,6 @@ let fold_members ?steiner_ok ?steiner_candidates cache ~net =
   (* With strictly positive weights the last active node is the source. *)
   !members
 
-let steiner_nodes ?steiner_ok ?steiner_candidates cache ~net =
-  let term_set = Hashtbl.create 16 in
-  List.iter (fun t -> Hashtbl.replace term_set t ()) (Net.terminals net);
-  List.filter
-    (fun m -> not (Hashtbl.mem term_set m))
-    (fold_members ?steiner_ok ?steiner_candidates cache ~net)
-
-let solve ?steiner_ok ?steiner_candidates cache ~net =
-  let members = fold_members ?steiner_ok ?steiner_candidates cache ~net in
+let solve ?steiner_candidates cache ~net =
+  let members = fold_members ?steiner_candidates cache ~net in
   Dominance.fold_tree cache ~source:net.Net.source ~members ~keep:(Net.terminals net)

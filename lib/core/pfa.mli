@@ -8,24 +8,9 @@
     secondary objective.  Worst case Θ(N)·OPT on general graphs (Fig 10)
     and →2·OPT on grids (Fig 11) — see {!Worst_case}. *)
 
-val solve :
-  ?steiner_ok:(int -> bool) ->
-  ?steiner_candidates:int list ->
-  Fr_graph.Dist_cache.t ->
-  net:Net.t ->
-  Fr_graph.Tree.t
-(** [steiner_ok] restricts which nodes may serve as MaxDom merge points
-    (bounding-box pruning on large routing graphs; merge points may always
-    fall back to the source).  [steiner_candidates] bounds the MaxDom scan
-    to the listed nodes plus the source — and, through targeted Dijkstra
-    queries, the settling done on their behalf; scanning candidates [cs]
-    equals scanning all nodes with [steiner_ok] = membership in [cs].
+val solve : ?steiner_candidates:int list -> Fr_graph.Dist_cache.t -> net:Net.t -> Fr_graph.Tree.t
+(** [steiner_candidates] bounds the MaxDom scan to the listed nodes plus
+    the source (the router's bounding-box pruning on large routing graphs)
+    — and, through targeted Dijkstra queries, the settling done on their
+    behalf; without it every enabled node is a candidate merge point.
     @raise Routing_err.Unroutable when some sink is unreachable. *)
-
-val steiner_nodes :
-  ?steiner_ok:(int -> bool) ->
-  ?steiner_candidates:int list ->
-  Fr_graph.Dist_cache.t ->
-  net:Net.t ->
-  int list
-(** The MaxDom merge points the construction introduced (trace hook). *)

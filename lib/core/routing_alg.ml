@@ -73,10 +73,6 @@ let idom =
 
 let all = [ kmb; zel; ikmb; izel; djka; dom; pfa; idom ]
 
-let steiner_algs = List.filter (fun a -> a.kind = Steiner) all
-
-let arborescence_algs = List.filter (fun a -> a.kind = Arborescence) all
-
 let by_name name =
   let up = String.uppercase_ascii name in
   List.find_opt (fun a -> a.name = up) all

@@ -16,20 +16,14 @@ type t = {
 }
 
 val kmb : t
-val zel : t
 val ikmb : t
-val izel : t
 val djka : t
-val dom : t
 val pfa : t
 val idom : t
 
 val all : t list
 (** In the paper's Table 1 order: KMB, ZEL, IKMB, IZEL, DJKA, DOM, PFA,
     IDOM. *)
-
-val steiner_algs : t list
-val arborescence_algs : t list
 
 val by_name : string -> t option
 (** Case-insensitive lookup. *)

@@ -23,7 +23,7 @@ let sorted_triple a b c =
    makes sense with the minimum).  With a candidate list the scan — and the
    Dijkstra settling behind it — is bounded to those nodes; otherwise all
    nodes are examined from complete per-terminal results. *)
-let steiner_point_of_triple cache ~steiner_ok ~candidates a b c =
+let steiner_point_of_triple cache ~candidates a b c =
   let g = G.Dist_cache.graph cache in
   let scan, ra, rb, rc =
     match candidates with
@@ -41,7 +41,7 @@ let steiner_point_of_triple cache ~steiner_ok ~candidates a b c =
   in
   let best_v = ref (-1) and best_d = ref infinity in
   let consider v =
-    if G.Gstate.node_enabled g v && steiner_ok v then begin
+    if G.Gstate.node_enabled g v then begin
       let d = G.Dijkstra.dist ra v +. G.Dijkstra.dist rb v +. G.Dijkstra.dist rc v in
       if d < !best_d then begin
         best_d := d;
@@ -57,20 +57,20 @@ let steiner_point_of_triple cache ~steiner_ok ~candidates a b c =
   | Some vs -> List.iter consider vs);
   (!best_v, !best_d)
 
-let triple_info ?memo cache ~steiner_ok ~candidates a b c =
+let triple_info ?memo cache ~candidates a b c =
   let key = sorted_triple a b c in
   match memo with
-  | None -> steiner_point_of_triple cache ~steiner_ok ~candidates a b c
+  | None -> steiner_point_of_triple cache ~candidates a b c
   | Some m -> (
       refresh_memo m (G.Gstate.version (G.Dist_cache.graph cache));
       match Hashtbl.find_opt m.table key with
       | Some info -> info
       | None ->
-          let info = steiner_point_of_triple cache ~steiner_ok ~candidates a b c in
+          let info = steiner_point_of_triple cache ~candidates a b c in
           Hashtbl.add m.table key info;
           info)
 
-let solve ?memo ?(steiner_ok = fun _ -> true) ?steiner_candidates cache ~terminals =
+let solve ?memo ?steiner_candidates cache ~terminals =
   let ts = Array.of_list (List.sort_uniq Int.compare terminals) in
   let k = Array.length ts in
   if k <= 2 then Kmb.solve cache ~terminals
@@ -95,7 +95,7 @@ let solve ?memo ?(steiner_ok = fun _ -> true) ?steiner_candidates cache ~termina
       for j = i + 1 to k - 1 do
         for l = j + 1 to k - 1 do
           let v, d =
-            triple_info ?memo cache ~steiner_ok ~candidates:steiner_candidates ts.(i) ts.(j)
+            triple_info ?memo cache ~candidates:steiner_candidates ts.(i) ts.(j)
               ts.(l)
           in
           if v >= 0 && d < infinity then triples := (i, j, l, v, d) :: !triples
@@ -141,6 +141,3 @@ let solve ?memo ?(steiner_ok = fun _ -> true) ?steiner_candidates cache ~termina
     done;
     Kmb.solve cache ~terminals:(Array.to_list ts @ !steiners)
   end
-
-let cost ?memo ?steiner_ok ?steiner_candidates cache ~terminals =
-  G.Tree.cost (G.Dist_cache.graph cache) (solve ?memo ?steiner_ok ?steiner_candidates cache ~terminals)

@@ -18,23 +18,12 @@ val create_memo : unit -> memo
 
 val solve :
   ?memo:memo ->
-  ?steiner_ok:(int -> bool) ->
   ?steiner_candidates:int list ->
   Fr_graph.Dist_cache.t ->
   terminals:int list ->
   Fr_graph.Tree.t
-(** [steiner_ok] restricts which graph nodes may serve as triple Steiner
-    points (used with bounding-box pruning on large routing graphs).
-    [steiner_candidates] bounds the triple scan to the listed nodes — and,
-    through targeted Dijkstra queries, the settling done on their behalf;
-    scanning candidates [cs] equals scanning all nodes with [steiner_ok] =
-    membership in [cs].
+(** [steiner_candidates] bounds the triple scan to the listed nodes (the
+    router's bounding-box pruning on large routing graphs) — and, through
+    targeted Dijkstra queries, the settling done on their behalf; without
+    it every enabled node is a candidate Steiner point.
     @raise Routing_err.Unroutable when terminals cannot be spanned. *)
-
-val cost :
-  ?memo:memo ->
-  ?steiner_ok:(int -> bool) ->
-  ?steiner_candidates:int list ->
-  Fr_graph.Dist_cache.t ->
-  terminals:int list ->
-  float

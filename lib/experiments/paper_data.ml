@@ -54,9 +54,6 @@ let table1_row ~level ~alg =
   | None -> None
   | Some (_, _, rows) -> List.find_opt (fun r -> r.alg = alg) rows
 
-let table2_ratio_cge = 1.22
-let table3_ratio_sega = 1.26
-let table3_ratio_gbp = 1.17
 let table5_avg_pfa_wire = 18.2
 let table5_avg_idom_wire = 12.8
 let table5_avg_pfa_path = -9.5

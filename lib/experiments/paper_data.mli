@@ -14,20 +14,9 @@ type table1_row = {
   path8 : float;
 }
 
-val table1 : (string * float * table1_row list) list
-(** Per congestion level: (label, published mean edge weight w̄, rows in
-    the paper's algorithm order). *)
-
 val table1_row : level:string -> alg:string -> table1_row option
-
-val table2_ratio_cge : float
-(** CGE needs 22% more channel width than the paper's router (Table 2). *)
-
-val table3_ratio_sega : float
-(** 26% (Table 3). *)
-
-val table3_ratio_gbp : float
-(** 17% (Table 3). *)
+(** Table 1's row for a congestion level (["none"], ["low"] or
+    ["medium"]) and an algorithm name, as published. *)
 
 val table5_avg_pfa_wire : float
 val table5_avg_idom_wire : float

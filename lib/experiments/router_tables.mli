@@ -11,11 +11,6 @@ type width_row = {
   wirelength : float;  (** at the minimal width *)
 }
 
-val min_width :
-  ?config:Fr_fpga.Router.config -> Fr_fpga.Circuits.spec -> (int * Fr_fpga.Router.stats) option
-(** Minimal channel-width search for one circuit, starting near the
-    published width. *)
-
 val table2 : ?config:Fr_fpga.Router.config -> ?specs:Fr_fpga.Circuits.spec list -> unit -> width_row list
 (** 3000-series circuits with the IKMB router (vs the published CGE
     widths). *)

@@ -13,27 +13,17 @@ type t = {
   pin_slots : int;
 }
 
-let make ?(name = "custom") ?(pin_slots = 2) ~series ~rows ~cols ~channel_width ~fs ~fc () =
+let make ~name ~series ~rows ~cols ~channel_width ~fs ~fc =
   if rows < 1 || cols < 1 then invalid_arg "Arch.make: non-positive array size";
   if channel_width < 1 then invalid_arg "Arch.make: channel_width < 1";
-  if fs < 1 then invalid_arg "Arch.make: fs < 1";
-  if fc < 1 || fc > channel_width then invalid_arg "Arch.make: fc outside 1..W";
-  if pin_slots < 1 then invalid_arg "Arch.make: pin_slots < 1";
-  { name; series; rows; cols; channel_width; fs; fc; pin_slots }
-
-let fc_3000 w = int_of_float (ceil (0.6 *. float_of_int w))
+  { name; series; rows; cols; channel_width; fs; fc; pin_slots = 2 }
 
 let xc3000 ~rows ~cols ~channel_width =
   make ~name:"xc3000" ~series:Series_3000 ~rows ~cols ~channel_width ~fs:6
-    ~fc:(fc_3000 channel_width) ()
+    ~fc:(int_of_float (ceil (0.6 *. float_of_int channel_width)))
 
 let xc4000 ~rows ~cols ~channel_width =
-  make ~name:"xc4000" ~series:Series_4000 ~rows ~cols ~channel_width ~fs:3 ~fc:channel_width ()
-
-let with_channel_width t w =
-  let fc = match t.series with Series_3000 -> fc_3000 w | Series_4000 -> w in
-  make ~name:t.name ~pin_slots:t.pin_slots ~series:t.series ~rows:t.rows ~cols:t.cols
-    ~channel_width:w ~fs:t.fs ~fc ()
+  make ~name:"xc4000" ~series:Series_4000 ~rows ~cols ~channel_width ~fs:3 ~fc:channel_width
 
 let describe t =
   Printf.sprintf "%s %dx%d W=%d Fs=%d Fc=%d" t.name t.rows t.cols t.channel_width t.fs t.fc

@@ -27,28 +27,12 @@ type t = private {
   pin_slots : int;  (** pin nodes per block side (electrically distinct) *)
 }
 
-val make :
-  ?name:string ->
-  ?pin_slots:int ->
-  series:series ->
-  rows:int ->
-  cols:int ->
-  channel_width:int ->
-  fs:int ->
-  fc:int ->
-  unit ->
-  t
-(** @raise Invalid_argument on non-positive dimensions, [channel_width < 1],
-    [fs < 1], or [fc] outside [1..channel_width]. *)
-
 val xc3000 : rows:int -> cols:int -> channel_width:int -> t
-(** [fs = 6], [fc = ⌈0.6·W⌉]. *)
+(** [fs = 6], [fc = ⌈0.6·W⌉], two pin slots per block side.
+    @raise Invalid_argument on non-positive dimensions. *)
 
 val xc4000 : rows:int -> cols:int -> channel_width:int -> t
-(** [fs = 3], [fc = W]. *)
-
-val with_channel_width : t -> int -> t
-(** Same architecture at a different channel width (recomputes the
-    series-dependent [fc]). *)
+(** [fs = 3], [fc = W], two pin slots per block side.
+    @raise Invalid_argument on non-positive dimensions. *)
 
 val describe : t -> string

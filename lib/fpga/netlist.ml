@@ -130,8 +130,6 @@ let pin_of_string s =
       | _ -> None)
   | _ -> None
 
-let net_to_string n = String.concat " " ("net" :: n.net_name :: List.map pin_to_string (net_pins n))
-
 let parse_words l = String.split_on_char ' ' l |> List.filter (fun w -> w <> "")
 
 let net_of_string line =

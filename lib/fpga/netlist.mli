@@ -25,11 +25,6 @@ type circuit = {
   nets : net list;
 }
 
-val compare_pin : pin_ref -> pin_ref -> int
-(** Typed total order on pin references: row, then column, side, slot. *)
-
-val equal_pin : pin_ref -> pin_ref -> bool
-
 val same_net : net -> net -> bool
 (** Same name, same source, same sink list.  Order-sensitive: pin order
     determines the router's source/sink mapping, so a permutation is a
@@ -75,9 +70,6 @@ val pin_to_string : pin_ref -> string
 
 val pin_of_string : string -> pin_ref option
 
-val net_to_string : net -> string
-(** [net <name> <pin> <pin> ...] — one line of {!to_string}'s format. *)
-
 val net_of_string : string -> (net, string) result
-(** Parser for a single {!net_to_string} line — the wire format the serve
-    protocol uses for netlist deltas. *)
+(** Parser for a single [net <name> <pin> <pin> ...] line of {!to_string}'s
+    format — the wire format the serve protocol uses for netlist deltas. *)

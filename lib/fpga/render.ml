@@ -7,9 +7,10 @@ let digit n =
 
 (* The device drawn as a (2R+1) x (2C+1) cell matrix: even/even cells are
    switch blocks, odd/odd are logic blocks, the rest are channel segments. *)
-let draw cell_h cell_v rrg =
+let occupancy_map rrg =
   let a = rrg.Rrg.arch in
   let r = a.Arch.rows and c = a.Arch.cols in
+  let cell seg = digit (Rrg.segment_occupancy rrg seg) in
   let buf = Buffer.create (4 * r * c) in
   for gy = (2 * r) downto 0 do
     for gx = 0 to 2 * c do
@@ -18,10 +19,10 @@ let draw cell_h cell_v rrg =
         else if gy mod 2 = 1 && gx mod 2 = 1 then "[]"
         else if gy mod 2 = 0 then
           (* horizontal channel y = gy/2, segment x = (gx-1)/2 *)
-          Printf.sprintf "-%c-" (cell_h rrg ~y:(gy / 2) ~x:((gx - 1) / 2))
+          Printf.sprintf "-%c-" (cell (Rrg.H (gy / 2, (gx - 1) / 2)))
         else
           (* vertical channel x = gx/2, segment y = (gy-1)/2 *)
-          Printf.sprintf "%c" (cell_v rrg ~x:(gx / 2) ~y:((gy - 1) / 2))
+          Printf.sprintf "%c" (cell (Rrg.V (gx / 2, (gy - 1) / 2)))
       in
       (* pad: switch "+", block "[]", h-seg "-d-", v-seg "d" — align by
          column type: even gx columns are width 1, odd are width 3. *)
@@ -33,30 +34,6 @@ let draw cell_h cell_v rrg =
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
-
-let occupancy_map rrg =
-  let h rrg ~y ~x = digit (Rrg.segment_occupancy rrg (Rrg.H (y, x))) in
-  let v rrg ~x ~y = digit (Rrg.segment_occupancy rrg (Rrg.V (x, y))) in
-  draw h v rrg
-
-let net_map rrg tree =
-  let used = Hashtbl.create 64 in
-  List.iter
-    (fun n ->
-      match Rrg.segment_of_node rrg n with
-      | Some seg -> Hashtbl.replace used seg ()
-      | None -> ())
-    (G.Tree.nodes rrg.Rrg.graph tree);
-  let mark seg = if Hashtbl.mem used seg then '#' else '.' in
-  let h rrg' ~y ~x =
-    ignore rrg';
-    mark (Rrg.H (y, x))
-  in
-  let v rrg' ~x ~y =
-    ignore rrg';
-    mark (Rrg.V (x, y))
-  in
-  draw h v rrg
 
 let summary rrg stats =
   let a = rrg.Rrg.arch in

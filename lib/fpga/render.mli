@@ -7,9 +7,5 @@
 val occupancy_map : Rrg.t -> string
 (** Device map with per-segment occupancy digits, after routing. *)
 
-val net_map : Rrg.t -> Fr_graph.Tree.t -> string
-(** Map highlighting one routed net: '#' on channel segments the net's
-    tree passes through, '.' elsewhere. *)
-
 val summary : Rrg.t -> Router.stats -> string
 (** One-paragraph routing summary: passes, wirelength, peak occupancy. *)

@@ -59,7 +59,7 @@ let waves_stall_limit = 6
 
 (* Negotiated mode declares failure after this many pricing iterations,
    or after this many consecutive iterations without a new best total
-   overuse.  Prices use {!Fr_graph.Cost_model.default_params}. *)
+   overuse.  Prices use {!Fr_graph.Cost_model}'s constants. *)
 let neg_max_iterations = 64
 
 let neg_stall_limit = 12
@@ -303,57 +303,13 @@ let commit rrg net tree =
         (Rrg.wires_of_segment rrg seg))
     touched_segments
 
-(* Max source-sink pathlength of a routed tree under the given per-edge
-   weight (the router passes the pre-congestion base weights, so this is
-   physical wirelength along the path). *)
-let max_path_of_tree ~weight g tree ~net_src ~sinks =
-  let adj = Hashtbl.create 64 in
-  let add u x =
-    let cur = try Hashtbl.find adj u with Not_found -> [] in
-    Hashtbl.replace adj u (x :: cur)
-  in
-  List.iter
-    (fun e ->
-      let u, v = G.Gstate.endpoints g e in
-      add u (v, weight e);
-      add v (u, weight e))
-    tree.G.Tree.edges;
-  let dist = Hashtbl.create 64 in
-  (* Explicit DFS stack: a routed tree can be path-shaped and hundreds of
-     thousands of nodes deep at ROADMAP-scale circuits, far past what the
-     native call stack survives. *)
-  let stack = ref [ (net_src, 0.) ] in
-  let continue = ref true in
-  while !continue do
-    match !stack with
-    | [] -> continue := false
-    | (u, d) :: rest ->
-        stack := rest;
-        if not (Hashtbl.mem dist u) then begin
-          Hashtbl.replace dist u d;
-          List.iter
-            (fun (v, w) -> if not (Hashtbl.mem dist v) then stack := (v, d +. w) :: !stack)
-            (try Hashtbl.find adj u with Not_found -> [])
-        end
-  done;
-  List.fold_left
-    (fun acc s ->
-      match Hashtbl.find_opt dist s with
-      | Some d -> max acc d
-      | None ->
-          (* A committed tree must span every sink; reaching this means the
-             construction (or the commit bookkeeping) is broken, and
-             silently skipping the sink would under-report pathlength. *)
-          invalid_arg (Printf.sprintf "Router.max_path_of_tree: sink %d not spanned by tree" s))
-    0. sinks
-
 (* Land a solved net, in both modes: measure it at the base weights (so
    pathlength is in pre-congestion units), then commit it. *)
 let land_net rrg base_w net tree =
   let cnet = Netlist.rrg_net rrg net in
   let max_path =
-    max_path_of_tree ~weight:(Array.get base_w) rrg.Rrg.graph tree ~net_src:cnet.C.Net.source
-      ~sinks:cnet.C.Net.sinks
+    G.Tree.max_path_length ~weight:(Array.get base_w) rrg.Rrg.graph tree
+      ~src:cnet.C.Net.source ~sinks:cnet.C.Net.sinks
   in
   let wires_used = Rrg.wirelength rrg tree in
   commit rrg net tree;
@@ -434,24 +390,25 @@ let partition_wave cfg order =
 (* The solve fan-out                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Worker-domain context: the pool plus, per worker, an RRG view and
-   distance caches of its own.  Caches are never shared across domains
-   (Dist_cache is not thread-safe); the graph views are shared read-only. *)
-type par_ctx = {
+(* Worker-domain context: the pool plus a read-only RRG view and, per
+   executing domain, distance caches of its own.  Caches are never shared
+   across domains (Dist_cache is not thread-safe); the graph view is
+   shared read-only.  Worker 0 is the calling domain, so [dcaches.(0)]
+   also serves every serial solve.  A 1-domain pool spawns nothing and
+   runs its waves inline. *)
+type workers = {
   wpool : Fr_util.Pool.t;
   wrrg : Rrg.t;
   dcaches : cache_pool array;
 }
 
-(* Drop every stale search result: the serial pool's and each worker
-   domain's.  A lookup would drop a stale entry lazily, but a worker's
-   pool is only looked up again under the same footprint, which in
-   negotiated mode (only conflicted nets re-solve) is often never, so its
-   dead frontiers would stay alive.  Called on the main domain at serial
-   points between pool waves, when no worker touches its caches. *)
-let invalidate_all caches par =
-  pool_invalidate caches;
-  match par with None -> () | Some ctx -> Array.iter pool_invalidate ctx.dcaches
+(* Drop every domain's stale search results.  A lookup would drop a stale
+   entry lazily, but a worker's pool is only looked up again under the
+   same footprint, which in negotiated mode (only conflicted nets
+   re-solve) is often never, so its dead frontiers would stay alive.
+   Called on the main domain at serial points between pool waves, when no
+   worker touches its caches. *)
+let invalidate_all ctx = Array.iter pool_invalidate ctx.dcaches
 
 (* Restricted solve first, full-graph retry on failure (unchanged). *)
 let attempt caches cfg rrg net =
@@ -471,6 +428,10 @@ let attempt caches cfg rrg net =
 let solve_job ctx cfg nets ~worker i = attempt ctx.dcaches.(worker) cfg ctx.wrrg nets.(i)
   [@@frdomcheck.worker]
 
+(* A serial solve: on the main domain, whose caches are worker 0's, and
+   against the live RRG (two-pin nets claim wires through its journal). *)
+let attempt_serial ctx cfg rrg net = attempt ctx.dcaches.(0) cfg rrg net
+
 (* Solve [nets] against the current state, results in input order — one
    waves batch or one negotiated iteration.  The nets that solve as pure
    reads of the frozen state fan out over the pool when there are two or
@@ -478,21 +439,21 @@ let solve_job ctx cfg nets ~worker i = attempt ctx.dcaches.(worker) cfg ctx.wrrg
    count; the serial-only two-pin nets, which claim wires through the live
    journal while solving (and roll back when done), then solve in order on
    the main domain. *)
-let solve_all ~par ~par_batches caches cfg rrg nets =
+let solve_all ~par_batches ctx cfg rrg nets =
   let results = Array.make (Array.length nets) None in
-  let solve_here i = results.(i) <- attempt caches cfg rrg nets.(i) in
+  let solve_here i = results.(i) <- attempt_serial ctx cfg rrg nets.(i) in
   let serial, frozen =
     List.partition (fun i -> serial_only cfg nets.(i)) (List.init (Array.length nets) Fun.id)
   in
   let frozen = Array.of_list frozen in
   let count = Array.length frozen in
-  if count >= 2 then incr par_batches;
-  (match par with
-  | Some ctx when count >= 2 ->
-      let jobs = Array.map (Array.get nets) frozen in
-      let solved = Fr_util.Pool.map ctx.wpool ~count (solve_job ctx cfg jobs) in
-      Array.iteri (fun k r -> results.(frozen.(k)) <- r) solved
-  | _ -> Array.iter solve_here frozen);
+  if count >= 2 then begin
+    incr par_batches;
+    let jobs = Array.map (Array.get nets) frozen in
+    let solved = Fr_util.Pool.map ctx.wpool ~count (solve_job ctx cfg jobs) in
+    Array.iteri (fun k r -> results.(frozen.(k)) <- r) solved
+  end
+  else Array.iter solve_here frozen;
   List.iter solve_here serial;
   results
 
@@ -513,17 +474,13 @@ let check_route_args ~fname rrg circuit domains =
   then invalid_arg (fname ^ ": circuit does not fit architecture");
   if domains < 1 then invalid_arg (fname ^ ": domains must be >= 1")
 
-let make_par domains rrg =
-  if domains = 1 then None
-  else begin
-    let wrrg = Rrg.read_only_view rrg in
-    Some
-      {
-        wpool = Fr_util.Pool.create ~domains ();
-        wrrg;
-        dcaches = Array.init domains (fun _ -> make_pool wrrg.Rrg.graph);
-      }
-  end
+let make_workers domains rrg =
+  let wrrg = Rrg.read_only_view rrg in
+  {
+    wpool = Fr_util.Pool.create ~domains ();
+    wrrg;
+    dcaches = Array.init domains (fun _ -> make_pool wrrg.Rrg.graph);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The routing session: the router's one engine                        *)
@@ -555,11 +512,9 @@ module Eco = struct
   type t = {
     e_rrg : Rrg.t;
     e_cfg : config;
-    e_domains : int;
     e_base_w : float array;
     e_cp0 : G.Gstate.checkpoint;
-    e_caches : cache_pool;
-    e_par : par_ctx option;
+    e_workers : workers;
     mutable e_circuit : Netlist.circuit;
     mutable e_batches : batch_rec list;
     mutable e_routed : routed_net list;
@@ -575,9 +530,9 @@ module Eco = struct
     nets_reused : int;
   }
 
-  (* Work counters summed over the serial cache pool and every worker
-     domain's pools, snapshotted at each request's entry so the session
-     reports per-request deltas rather than lifetime totals. *)
+  (* Work counters summed over every domain's cache pools, snapshotted at
+     each request's entry so the session reports per-request deltas rather
+     than lifetime totals. *)
   type counters = {
     c_runs : int;
     c_settled : int;
@@ -588,12 +543,7 @@ module Eco = struct
 
   let snapshot_counters t =
     let g = t.e_rrg.Rrg.graph in
-    let sum f =
-      f t.e_caches
-      + match t.e_par with
-        | None -> 0
-        | Some ctx -> Array.fold_left (fun a p -> a + f p) 0 ctx.dcaches
-    in
+    let sum f = Array.fold_left (fun a p -> a + f p) 0 t.e_workers.dcaches in
     {
       c_runs = sum pool_runs;
       c_settled = sum pool_settled;
@@ -616,7 +566,7 @@ module Eco = struct
       mutations = now.c_mut - base.c_mut;
       rollbacks = now.c_rb - base.c_rb;
       journal_depth = G.Gstate.peak_journal_depth g;
-      domains = t.e_domains;
+      domains = Array.length t.e_workers.dcaches;
       par_batches = !par_batches;
       par_conflicts = !par_conflicts;
       future_cost_evals = now.c_h_evals - base.c_h_evals;
@@ -639,11 +589,9 @@ module Eco = struct
     {
       e_rrg = rrg;
       e_cfg = config;
-      e_domains = domains;
       e_base_w = Array.init (G.Gstate.num_edges g) (G.Gstate.weight g);
       e_cp0 = G.Gstate.checkpoint g;
-      e_caches = make_pool g;
-      e_par = make_par domains rrg;
+      e_workers = make_workers domains rrg;
       e_circuit = circuit;
       e_batches = [];
       e_routed = [];
@@ -658,7 +606,7 @@ module Eco = struct
      re-running the schedule suffix from that batch reproduces exactly what
      a full pass over the same schedule would have done from there. *)
   let run_batches t ~par_batches ~par_conflicts batches =
-    let rrg = t.e_rrg and cfg = t.e_cfg and caches = t.e_caches and par = t.e_par in
+    let rrg = t.e_rrg and cfg = t.e_cfg and ctx = t.e_workers in
     let g = rrg.Rrg.graph in
     let failed = ref [] in
     let run_batch b =
@@ -668,7 +616,7 @@ module Eco = struct
         landed := land_net rrg t.e_base_w net tree :: !landed;
         (* The commit just mutated weights/enables: every domain's entries
            are stale. *)
-        invalidate_all caches par
+        invalidate_all ctx
       in
       let land_result net = function
         | None ->
@@ -686,7 +634,7 @@ module Eco = struct
               (* A batch-mate committed first and took one of this tree's
                  wires: re-solve against the live state, serially. *)
               incr par_conflicts;
-              match attempt caches cfg rrg net with
+              match attempt_serial ctx cfg rrg net with
               | Some tree -> land_tree net tree
               | None -> failed := net.Netlist.net_name :: !failed
             end
@@ -694,7 +642,7 @@ module Eco = struct
       let nets = Array.of_list (List.map fst b.members) in
       Array.iteri
         (fun i r -> land_result nets.(i) r)
-        (solve_all ~par ~par_batches caches cfg rrg nets);
+        (solve_all ~par_batches ctx cfg rrg nets);
       { br_cp = cp; br_nets = Array.to_list nets; br_routed = List.rev !landed }
     in
     let ledger = List.rev (List.fold_left (fun acc b -> run_batch b :: acc) [] batches) in
@@ -796,8 +744,7 @@ module Eco = struct
           Hashtbl.replace ripped nets.(i).Netlist.net_name ())
         active;
       let results =
-        solve_all ~par:t.e_par ~par_batches t.e_caches t.e_cfg rrg
-          (Array.map (Array.get nets) active)
+        solve_all ~par_batches t.e_workers t.e_cfg rrg (Array.map (Array.get nets) active)
       in
       let missing = ref [] in
       Array.iteri
@@ -861,7 +808,7 @@ module Eco = struct
             G.Cost_model.apply cm;
             (* The apply bumped the graph version: every domain's entries
                are stale, as in the waves mode. *)
-            invalidate_all t.e_caches t.e_par;
+            invalidate_all t.e_workers;
             iterate (n + 1) ~active:(Array.of_list !conflicted) ~best ~stalled
           end
         end
@@ -925,12 +872,12 @@ module Eco = struct
               { br with br_cp = cp })
             t.e_batches
     | Negotiated -> List.iter (fun r -> commit t.e_rrg r.net r.tree) t.e_routed);
-    invalidate_all t.e_caches t.e_par
+    invalidate_all t.e_workers
 
   let close t =
     if not t.e_closed then begin
       t.e_closed <- true;
-      match t.e_par with Some ctx -> Fr_util.Pool.shutdown ctx.wpool | None -> ()
+      Fr_util.Pool.shutdown t.e_workers.wpool
     end
 
   let create ?config ?domains rrg circuit =
@@ -1009,9 +956,9 @@ let route ?config ?domains rrg circuit =
   Result.map (fun es -> es.Eco.stats) r
 
 let min_channel_width ?(config = default_config) ?(domains = 1) ~arch_of_width ~circuit
-    ~start ?max_width () =
+    ~start () =
   if start < 1 then invalid_arg "Router.min_channel_width: start must be >= 1";
-  let max_width = match max_width with Some m -> m | None -> start + 15 in
+  let max_width = start + 15 in
   let try_width w =
     let rrg = Rrg.build (arch_of_width w) in
     match route ~config ~domains rrg circuit with Ok stats -> Some stats | Error _ -> None
@@ -1030,9 +977,9 @@ let min_channel_width ?(config = default_config) ?(domains = 1) ~arch_of_width ~
       | None -> bisect mid hi best
     end
   in
-  (* When the first probe fails, bracket a succeeding width by galloping
-     upward with doubling steps, then bisect inside the last gap.  The
-     probe sequence is clamped to [max_width], so the cap itself is always
+  (* When [start] fails, bracket a succeeding width by galloping upward
+     with doubling steps, then bisect inside the last gap.  The probe
+     sequence is clamped to [max_width], so the cap itself is always
      attempted before giving up. *)
   let rec gallop_up lo step =
     let w = min max_width (lo + step) in
@@ -1040,13 +987,6 @@ let min_channel_width ?(config = default_config) ?(domains = 1) ~arch_of_width ~
     | Some stats -> bisect lo w stats
     | None -> if w >= max_width then None else gallop_up w (2 * step)
   in
-  if max_width < 1 then None
-  else begin
-    (* The initial probe must stay inside the bracket: a [start] above
-       [max_width] handed straight to [bisect] as its succeeding [hi]
-       could report a width past the cap the caller set. *)
-    let first = min start max_width in
-    match try_width first with
-    | Some stats -> bisect 0 first stats
-    | None -> if first >= max_width then None else gallop_up first 1
-  end
+  match try_width start with
+  | Some stats -> bisect 0 start stats
+  | None -> gallop_up start 1

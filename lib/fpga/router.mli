@@ -42,7 +42,7 @@
     escalate (present pressure geometrically, history by a sub-gradient
     step on the overuse) until the cheapest trees are mutually disjoint,
     at which point the trees are committed in canonical net order at base
-    weights.  Prices follow {!Fr_graph.Cost_model.default_params}; the
+    weights.  Prices follow {!Fr_graph.Cost_model}'s constants; the
     negotiation gives up after 64 iterations, or after 12 in a row without
     a new best total overuse.  Solves are pure functions of each
     iteration's frozen priced graph and the pricing reads only
@@ -139,19 +139,6 @@ type failure = {
   passes_tried : int;
 }
 
-val max_path_of_tree :
-  weight:(Fr_graph.Gstate.edge -> float) ->
-  Fr_graph.Gstate.t ->
-  Fr_graph.Tree.t ->
-  net_src:int ->
-  sinks:int list ->
-  float
-(** Max source-sink pathlength of a routed tree under the given per-edge
-    weight.  The router measures committed trees with the pre-congestion
-    base weights; exposed for tests and analysis.
-    @raise Invalid_argument if some sink is not spanned by the tree —
-    silently skipping it would under-report pathlength. *)
-
 val route :
   ?config:config -> ?domains:int -> Rrg.t -> Netlist.circuit -> (stats, failure) result
 (** Routes the whole circuit.  A scratch route is an {!Eco} session opened
@@ -183,20 +170,14 @@ val min_channel_width :
   arch_of_width:(int -> Arch.t) ->
   circuit:Netlist.circuit ->
   start:int ->
-  ?max_width:int ->
   unit ->
   (int * stats) option
 (** Smallest channel width at which the circuit routes completely,
     assuming feasibility is monotone in the width: bisects between the last
-    failing and first succeeding width, galloping upward from [start]
-    until [max_width] (default [start + 15]) when [start] itself fails.
-    [None] if even [max_width] fails.
-
-    The search is confined to [[1, max_width]]: the first probe is
-    [min start max_width] (so a [start] above the cap can never report a
-    width past it), the gallop's clamped probe sequence always attempts
-    [max_width] itself before giving up, and a [max_width < 1] bracket is
-    empty, hence [None].
+    failing and first succeeding width, galloping upward from [start] when
+    [start] itself fails.  The gallop's probes are clamped to
+    [start + 15] and always try that cap before giving up; [None] if even
+    the cap fails.
     @raise Invalid_argument when [start < 1]. *)
 
 (** {2 Incremental (ECO) re-routing}

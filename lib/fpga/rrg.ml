@@ -41,7 +41,7 @@ type t = {
   (* Minimum enabled base cost per unit of Manhattan channel distance,
      computed once at build over every edge: the admissible scale for
      {!future_cost}.  (1.0 for this builder: every edge's base weight
-     equals its endpoints' L1 separation, jogs only add.) *)
+     equals its endpoints' L1 separation.) *)
   min_unit_cost : float;
   (* Every node's {!pos}, filled once at build: the searches read node
      geometry per scanned edge and per heuristic evaluation, so decoding
@@ -194,8 +194,7 @@ let wirelength t tree =
    channel segments are joined pairwise; each wire is offered
    [per_side = fs/3 (rounded up)] target tracks on each other side, with a
    rotating offset so fs=3 is the disjoint pattern and fs=6 doubles it. *)
-let build ?(jog_penalty = 0.) arch =
-  if jog_penalty < 0. then invalid_arg "Rrg.build: negative jog penalty";
+let build arch =
   let r, c, w, s = dims arch in
   let n = n_hwires arch + n_vwires arch + n_pins arch in
   let per_side_cap = max 1 ((arch.Arch.fs + 2) / 3) in
@@ -206,35 +205,26 @@ let build ?(jog_penalty = 0.) arch =
     ((r + 1) * (c + 1) * 6 * w * per_side_cap) + (r * c * 4 * s * arch.Arch.fc)
   in
   let g = G.Wgraph.create ~edge_capacity n in
-  (* [`H] / [`V] tag the side orientation so turning connections can carry
-     the jog penalty. *)
-  let wire_wire ou u ov v =
-    let extra = if ou <> ov then jog_penalty else 0. in
-    ignore (G.Wgraph.add_edge g u v (1.0 +. extra))
-  in
+  let wire_wire u v = ignore (G.Wgraph.add_edge g u v 1.0) in
   let pin_wire u v = ignore (G.Wgraph.add_edge g u v 0.5) in
   let per_side = max 1 ((arch.Arch.fs + 2) / 3) in
   for x = 0 to c do
     for y = 0 to r do
       (* incident segment accessors, None when at the device boundary *)
-      let west =
-        if x >= 1 then Some (`H, fun track -> hwire_id arch ~y ~x:(x - 1) ~track) else None
-      in
-      let east = if x <= c - 1 then Some (`H, fun track -> hwire_id arch ~y ~x ~track) else None in
-      let south =
-        if y >= 1 then Some (`V, fun track -> vwire_id arch ~x ~y:(y - 1) ~track) else None
-      in
-      let north = if y <= r - 1 then Some (`V, fun track -> vwire_id arch ~x ~y ~track) else None in
+      let west = if x >= 1 then Some (fun track -> hwire_id arch ~y ~x:(x - 1) ~track) else None in
+      let east = if x <= c - 1 then Some (fun track -> hwire_id arch ~y ~x ~track) else None in
+      let south = if y >= 1 then Some (fun track -> vwire_id arch ~x ~y:(y - 1) ~track) else None in
+      let north = if y <= r - 1 then Some (fun track -> vwire_id arch ~x ~y ~track) else None in
       let sides = List.filter_map (fun o -> o) [ west; east; south; north ] in
       let rec join = function
         | [] -> ()
-        | (oa, a) :: rest ->
+        | a :: rest ->
             List.iter
-              (fun (ob, b) ->
+              (fun b ->
                 for track = 0 to w - 1 do
                   for o = 0 to per_side - 1 do
                     let target = (track + o) mod w in
-                    wire_wire oa (a track) ob (b target)
+                    wire_wire (a track) (b target)
                   done
                 done)
               rest;
@@ -271,8 +261,8 @@ let build ?(jog_penalty = 0.) arch =
   let graph = G.Gstate.of_builder g in
   let node_x, node_y = node_positions arch in
   (* The admissible per-unit scale: min over edges of base weight / L1
-     endpoint separation.  Every edge above has weight >= its L1 length
-     (wire-wire: 1 (+ jog) over distance 1; pin-wire: 0.5 over 0.5), so
+     endpoint separation.  Every edge above has weight = its L1 length
+     (wire-wire: 1 over distance 1; pin-wire: 0.5 over 0.5), so
      this is 1.0 — but computing it keeps the bound correct if the
      builder's costs ever change. *)
   let min_unit_cost = ref infinity in
@@ -287,8 +277,6 @@ let build ?(jog_penalty = 0.) arch =
   let min_unit_cost = if !min_unit_cost < infinity then !min_unit_cost else 0. in
   { arch; graph; min_unit_cost; node_x; node_y }
 
-let min_unit_cost t = t.min_unit_cost
-
 (* Admissible, consistent future-cost bound toward [targets]: Manhattan
    channel distance to the nearest target, scaled by the minimum base
    cost per unit distance.
@@ -299,8 +287,7 @@ let min_unit_cost t = t.min_unit_cost
    run-time prices only inflate base weights — Waves congestion adds
    positive increments, {!Fr_graph.Cost_model} multiplies by factors
    >= 1, and disabling resources removes paths — so the bound only gets
-   slacker.  A jog_penalty likewise only adds to turning edges, so the
-   bound needs no term for it to stay admissible.
+   slacker.
    Consistent: |h(u) - h(v)| <= min_unit_cost * L1(u, v) <= w(u, v) by
    the triangle inequality, for every enabled edge.
    Both properties hold at every node for any target set, so the bound is

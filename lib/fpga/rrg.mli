@@ -24,7 +24,6 @@ type side =
   | West
 
 val side_index : side -> int
-val side_of_index : int -> side
 val all_sides : side list
 
 type seg =
@@ -50,12 +49,9 @@ type t = private {
   node_y : float array;  (** every node's {!pos} y, filled once at build *)
 }
 
-val build : ?jog_penalty:float -> Arch.t -> t
-(** [jog_penalty] (default 0.) is added to every switch edge that turns a
-    route between a horizontal and a vertical wire — the jog-minimization
-    objective of the authors' multi-weighted-graph routing framework
-    (paper references [4, 7]).  Straight-through and pin connections are
-    unaffected. *)
+val build : Arch.t -> t
+(** Wire-to-wire switch edges cost 1.0 and pin-to-wire edges 0.5: every
+    edge costs its L1 span in the {!pos} embedding. *)
 
 val hwire : t -> y:int -> x:int -> track:int -> int
 val vwire : t -> x:int -> y:int -> track:int -> int
@@ -80,17 +76,13 @@ val pos : t -> int -> float * float
     [node_x]/[node_y], which hot loops may index directly.
     @raise Invalid_argument out of range. *)
 
-val min_unit_cost : t -> float
-(** Minimum enabled base cost per unit of Manhattan channel distance
-    (1.0 for this builder). *)
-
 val future_cost : t -> targets:int list -> Fr_graph.Dijkstra.heuristic
 (** Admissible, consistent future-cost lower bound toward [targets]:
     Manhattan channel distance from {!pos} to the nearest target, scaled
-    by {!min_unit_cost}.  Admissibility holds at every node for any
+    by [min_unit_cost].  Admissibility holds at every node for any
     target set and survives every run-time repricing the router performs
     (Waves congestion adds, {!Fr_graph.Cost_model} multiplies by factors
-    >= 1, jog penalties only add, disabling removes paths), so one per-net
+    >= 1, disabling removes paths), so one per-net
     heuristic over all terminals is valid for every query of that net's
     solve.  Verified by property test on seeded random architectures in
     both base-cost and Cost_model-priced states. *)

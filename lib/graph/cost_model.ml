@@ -1,16 +1,17 @@
-type params = {
-  present_factor : float;
-  present_growth : float;
-  history_factor : float;
-  capacity : int;
-}
+(* PathFinder's pricing constants: the first iteration's price per unit
+   of prospective overuse, its growth per escalation, the history gained
+   per unit of overuse, and the nets a node can legally carry (one RRG
+   wire, one net). *)
+let present_factor = 0.5
 
-let default_params =
-  { present_factor = 0.5; present_growth = 1.3; history_factor = 0.4; capacity = 1 }
+let present_growth = 1.3
+
+let history_factor = 0.4
+
+let capacity = 1
 
 type t = {
   g : Gstate.t;
-  params : params;
   base : float array;  (* weights at creation: the pre-congestion costs *)
   usage : int array;  (* nets recorded per node, this iteration *)
   hist : float array;  (* accumulated history price per node *)
@@ -18,30 +19,19 @@ type t = {
      O(nodes actually routed through), not O(V). *)
   mutable touched : int list;
   mutable present_factor_now : float;
-  mutable epoch : int;
 }
 
-let create ?(params = default_params) g =
+let create g =
   if Gstate.is_read_only g then invalid_arg "Cost_model.create: read-only view";
-  if params.present_factor < 0. || params.history_factor < 0. then
-    invalid_arg "Cost_model.create: negative price factor";
-  if params.present_growth < 1. then invalid_arg "Cost_model.create: present_growth must be >= 1";
-  if params.capacity < 1 then invalid_arg "Cost_model.create: capacity must be >= 1";
   let n = Gstate.num_nodes g in
   {
     g;
-    params;
     base = Array.init (Gstate.num_edges g) (Gstate.weight g);
     usage = Array.make n 0;
     hist = Array.make n 0.;
     touched = [];
-    present_factor_now = params.present_factor;
-    epoch = 0;
+    present_factor_now = present_factor;
   }
-
-let params t = t.params
-
-let epoch t = t.epoch
 
 let begin_iteration t =
   List.iter (fun v -> t.usage.(v) <- 0) t.touched;
@@ -67,7 +57,7 @@ let usage t v = t.usage.(v)
 
 let history t v = t.hist.(v)
 
-let over t v = t.usage.(v) - t.params.capacity
+let over t v = t.usage.(v) - capacity
 
 let overuse t =
   List.fold_left (fun acc v -> acc + Int.max 0 (over t v)) 0 t.touched
@@ -79,9 +69,9 @@ let escalate t =
   List.iter
     (fun v ->
       let o = over t v in
-      if o > 0 then t.hist.(v) <- t.hist.(v) +. (t.params.history_factor *. float_of_int o))
+      if o > 0 then t.hist.(v) <- t.hist.(v) +. (history_factor *. float_of_int o))
     t.touched;
-  t.present_factor_now <- t.present_factor_now *. t.params.present_growth
+  t.present_factor_now <- t.present_factor_now *. present_growth
 
 (* Prospective present price of a node: what one MORE net would overload it
    by.  The router rips conflicted nets out of [usage] before {!apply}, so
@@ -91,7 +81,7 @@ let escalate t =
    first-order term needs; pricing full usage instead makes every net flee
    its own route and the netlist reshuffles forever. *)
 let present t v =
-  t.present_factor_now *. float_of_int (Int.max 0 (t.usage.(v) + 1 - t.params.capacity))
+  t.present_factor_now *. float_of_int (Int.max 0 (t.usage.(v) + 1 - capacity))
 
 let apply t =
   let g = t.g in
@@ -100,8 +90,4 @@ let apply t =
     let pres = 0.5 *. (present t u +. present t v) in
     let hist = 0.5 *. (t.hist.(u) +. t.hist.(v)) in
     Gstate.set_weight g e (t.base.(e) *. (1. +. pres) *. (1. +. hist))
-  done;
-  t.epoch <- t.epoch + 1
-
-let restore_base t =
-  Array.iteri (fun e w -> Gstate.set_weight t.g e w) t.base
+  done

@@ -23,41 +23,23 @@
 
     {b Epochs and cache validity.}  Prices change only at {!apply}, which
     writes the effective weights into the owning {!Gstate} through the
-    journaled mutators: the graph version bumps, every {!Dist_cache} over
-    the state (or any read-only view of it) invalidates, and {!epoch}
-    advances.  Between two applies the graph is frozen, so all searches of
+    journaled mutators: the graph version bumps and every {!Dist_cache}
+    over the state (or any read-only view of it) invalidates.  Between two
+    applies the graph is frozen, so all searches of
     one iteration — including searches fanned out over worker domains —
     resume and share results safely: the settled-prefix-is-final invariant
     holds per cost epoch by construction. *)
 
-type params = {
-  present_factor : float;
-      (** price per unit of prospective overuse on a node, this iteration *)
-  present_growth : float;
-      (** geometric escalation of [present_factor] per {!escalate} (>= 1) *)
-  history_factor : float;
-      (** sub-gradient step: history gained per unit of overuse per
-          iteration *)
-  capacity : int;  (** nets a node can legally carry (1 on an RRG) *)
-}
-
-val default_params : params
-(** [present_factor = 0.5], [present_growth = 1.3],
-    [history_factor = 0.4], [capacity = 1]. *)
-
 type t
 
-val create : ?params:params -> Gstate.t -> t
+val create : Gstate.t -> t
 (** A cost model over the graph's {e current} weights (captured as the base
-    costs).  Usage and history start at zero; {!epoch} at 0.  The state
-    must be mutable (the model writes prices through it).
-    @raise Invalid_argument on a read-only view or invalid params. *)
-
-val params : t -> params
-
-val epoch : t -> int
-(** Number of {!apply} calls so far — the cost-epoch counter that names
-    which price vector the graph currently carries. *)
+    costs).  Usage and history start at zero.  Every node carries one net
+    (the capacity of an RRG wire).  The present factor starts at 0.5 per
+    unit of prospective overuse and grows 1.3x per {!escalate}; each
+    {!escalate} adds 0.4 history per unit of overuse.  The state must be
+    mutable (the model writes prices through it).
+    @raise Invalid_argument on a read-only view. *)
 
 val begin_iteration : t -> unit
 (** Reset all usage counters to zero (history is untouched), before
@@ -84,26 +66,20 @@ val history : t -> int -> float
 
 val overuse : t -> int
 (** Total overuse this iteration: sum over nodes of
-    [max 0 (usage - capacity)].  Zero means the recorded routes are
+    [max 0 (usage - 1)].  Zero means the recorded routes are
     mutually disjoint — the convergence criterion. *)
 
 val overused_nodes : t -> int list
-(** Sorted nodes with [usage > capacity]. *)
+(** Sorted nodes with [usage > 1]. *)
 
 val escalate : t -> unit
 (** The per-iteration multiplier update: each node's history rises by
-    [history_factor * max 0 (usage - capacity)] (the sub-gradient step on
-    its capacity constraint) and [present_factor] grows by
-    [present_growth]. *)
+    [0.4 * max 0 (usage - 1)] (the sub-gradient step on its capacity
+    constraint) and the present factor grows 1.3x. *)
 
 val apply : t -> unit
 (** Write the effective cost of every edge into the graph —
     [base * (1 + present) * (1 + history)] with the endpoint-mean penalty
-    split — and advance {!epoch}.  Bumps the graph version (via the
-    journaled mutators) exactly when some price changed, which is what
-    invalidates distance caches between epochs. *)
-
-val restore_base : t -> unit
-(** Write the captured base weights back (journaled, like {!apply});
-    used after convergence so committed trees are measured and re-priced
-    in pre-congestion units. *)
+    split.  Bumps the graph version (via the journaled mutators) exactly
+    when some price changed, which is what invalidates distance caches
+    between epochs. *)

@@ -68,8 +68,6 @@ let restriction t = t.restrict
 
 let set_future_cost t h = t.future <- h
 
-let future_cost t = t.future
-
 (* Recency-list plumbing.  [unlink] is safe on any live entry (head, tail
    or middle); the option patterns decide which neighbor pointers to fix,
    so no identity comparisons are needed. *)

@@ -74,8 +74,6 @@ val set_future_cost : t -> Dijkstra.heuristic option -> unit
     lookups.  The router sets a fresh per-net heuristic before each solve;
     existing entries stay valid under their own keys. *)
 
-val future_cost : t -> Dijkstra.heuristic option
-
 val result : t -> src:int -> Dijkstra.result
 (** The memoized single-source result, {e complete} (every reachable node
     settled, so raw [dist] array reads are final), recomputed if the graph
@@ -88,8 +86,7 @@ val result_for : t -> src:int -> targets:int list -> Dijkstra.result
     through {!Dijkstra.dist} (which resumes on demand). *)
 
 val dist : t -> src:int -> dst:int -> float
-
-val path_edges : t -> src:int -> dst:int -> Gstate.edge list
+(** One-way targeted lookup: the search runs (or resumes) from [src]. *)
 
 val cached : t -> int -> bool
 (** Whether the entry the next targeted lookup for this source would use

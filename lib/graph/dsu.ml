@@ -26,9 +26,4 @@ let union t a b =
     true
   end
 
-let same t a b =
-  let ra = find t a in
-  let rb = find t b in
-  ra = rb
-
 let count t = t.classes

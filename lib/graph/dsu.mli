@@ -4,13 +4,9 @@ type t
 
 val create : int -> t
 
-val find : t -> int -> int
-
 val union : t -> int -> int -> bool
 (** [union t a b] merges the classes of [a] and [b]; returns [false] when
     they were already in the same class. *)
-
-val same : t -> int -> int -> bool
 
 val count : t -> int
 (** Number of disjoint classes currently represented. *)

@@ -29,16 +29,3 @@ let coords t v = (v mod t.width, v / t.width)
 let manhattan t a b =
   let xa, ya = coords t a and xb, yb = coords t b in
   abs (xa - xb) + abs (ya - yb)
-
-let find_explicit t u v =
-  match Gstate.find_edge t.graph u v with
-  | Some e -> e
-  | None -> invalid_arg "Grid.find_explicit: no such edge"
-
-let horizontal_edge t ~x ~y =
-  let u = node t ~x ~y and v = node t ~x:(x + 1) ~y in
-  find_explicit t u v
-
-let vertical_edge t ~x ~y =
-  let u = node t ~x ~y and v = node t ~x ~y:(y + 1) in
-  find_explicit t u v

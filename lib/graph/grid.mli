@@ -20,9 +20,3 @@ val coords : t -> int -> int * int
 
 val manhattan : t -> int -> int -> int
 (** Rectilinear distance between two grid nodes (in grid steps). *)
-
-val horizontal_edge : t -> x:int -> y:int -> Gstate.edge
-(** Edge from (x,y) to (x+1,y).  @raise Invalid_argument when absent. *)
-
-val vertical_edge : t -> x:int -> y:int -> Gstate.edge
-(** Edge from (x,y) to (x,y+1).  @raise Invalid_argument when absent. *)

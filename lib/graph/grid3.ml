@@ -5,15 +5,15 @@ type t = {
   depth : int;
 }
 
-let create ?(xy_weight = 1.) ?(via_weight = 2.) ~width ~height ~depth () =
+let create ?(via_weight = 2.) ~width ~height ~depth () =
   if width < 1 || height < 1 || depth < 1 then invalid_arg "Grid3.create: empty grid";
   let b = Wgraph.create ~edge_capacity:(3 * width * height * depth) (width * height * depth) in
   let id x y z = (((z * height) + y) * width) + x in
   for z = 0 to depth - 1 do
     for y = 0 to height - 1 do
       for x = 0 to width - 1 do
-        if x + 1 < width then ignore (Wgraph.add_edge b (id x y z) (id (x + 1) y z) xy_weight);
-        if y + 1 < height then ignore (Wgraph.add_edge b (id x y z) (id x (y + 1) z) xy_weight);
+        if x + 1 < width then ignore (Wgraph.add_edge b (id x y z) (id (x + 1) y z) 1.);
+        if y + 1 < height then ignore (Wgraph.add_edge b (id x y z) (id x (y + 1) z) 1.);
         if z + 1 < depth then ignore (Wgraph.add_edge b (id x y z) (id x y (z + 1)) via_weight)
       done
     done
@@ -24,12 +24,3 @@ let node t ~x ~y ~z =
   if x < 0 || x >= t.width || y < 0 || y >= t.height || z < 0 || z >= t.depth then
     invalid_arg "Grid3.node: out of range";
   (((z * t.height) + y) * t.width) + x
-
-let coords t v =
-  let x = v mod t.width in
-  let rest = v / t.width in
-  (x, rest mod t.height, rest / t.height)
-
-let manhattan3 t a b =
-  let xa, ya, za = coords t a and xb, yb, zb = coords t b in
-  abs (xa - xb) + abs (ya - yb) + abs (za - zb)

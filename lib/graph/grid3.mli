@@ -14,16 +14,10 @@ type t = {
   depth : int;  (** z extent (layers) *)
 }
 
-val create :
-  ?xy_weight:float -> ?via_weight:float -> width:int -> height:int -> depth:int -> unit -> t
-(** 6-connected grid; intra-layer edges weigh [xy_weight] (default 1.),
-    inter-layer via edges [via_weight] (default 2. — vias are slower than
-    planar wires).  @raise Invalid_argument on empty dimensions. *)
+val create : ?via_weight:float -> width:int -> height:int -> depth:int -> unit -> t
+(** 6-connected grid; intra-layer edges weigh 1., inter-layer via edges
+    [via_weight] (default 2. — vias are slower than planar wires).
+    @raise Invalid_argument on empty dimensions. *)
 
 val node : t -> x:int -> y:int -> z:int -> int
 (** @raise Invalid_argument when out of range. *)
-
-val coords : t -> int -> int * int * int
-
-val manhattan3 : t -> int -> int -> int
-(** |Δx| + |Δy| + |Δz| in grid steps (unweighted). *)

@@ -2,11 +2,11 @@ module Bitset = Fr_util.Bitset
 
 type edge = Topology.edge
 
-(* One journal entry per *effective* mutation, recording the value to
-   restore on rollback. *)
+(* One journal entry per *effective* mutation, recording what rollback
+   restores: an edge's old weight, or a disabled node to switch back on. *)
 type undo =
   | Weight of int * float
-  | Node_on of int * bool
+  | Node_on of int
 
 (* Version counter, journal and lifetime counters live in a [meta] record
    shared between a state and every read-only view of it, so a view sees
@@ -43,7 +43,8 @@ let fresh_meta () =
     peak_depth = 0;
   }
 
-let of_topology topo =
+let of_builder b =
+  let topo = Wgraph.freeze b in
   {
     topo;
     w = Array.copy topo.Topology.base;
@@ -51,8 +52,6 @@ let of_topology topo =
     meta = fresh_meta ();
     read_only = false;
   }
-
-let of_builder b = of_topology (Wgraph.freeze b)
 
 let topology g = g.topo
 
@@ -107,18 +106,13 @@ let add_weight g e dw = set_weight g e (g.w.(e) +. dw)
 
 let node_enabled g u = Bitset.get g.n_on u
 
-let set_node g u b =
-  guard g "set_node";
-  if u < 0 || u >= num_nodes g then invalid_arg "Gstate.set_node: node out of range";
-  let cur = Bitset.get g.n_on u in
-  if cur <> b then begin
-    record g (Node_on (u, not b));
-    Bitset.set g.n_on u b
+let disable_node g u =
+  guard g "disable_node";
+  if u < 0 || u >= num_nodes g then invalid_arg "Gstate.disable_node: node out of range";
+  if Bitset.get g.n_on u then begin
+    record g (Node_on u);
+    Bitset.set g.n_on u false
   end
-
-let disable_node g u = set_node g u false
-
-let enable_node g u = set_node g u true
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / rollback                                               *)
@@ -137,7 +131,7 @@ let rollback g cp =
     m.jlen <- m.jlen - 1;
     (match m.journal.(m.jlen) with
     | Weight (e, w) -> g.w.(e) <- w
-    | Node_on (u, b) -> Bitset.set g.n_on u b);
+    | Node_on u -> Bitset.set g.n_on u true);
     m.undone <- m.undone + 1
   done;
   m.rollbacks <- m.rollbacks + 1;
@@ -190,19 +184,6 @@ let fold_adj g u f acc =
   let acc = ref acc in
   iter_adj g u (fun e v w -> acc := f !acc e v w);
   !acc
-
-let degree g u = fold_adj g u (fun d _ _ _ -> d + 1) 0
-
-let find_edge g u v =
-  fold_adj g u
-    (fun best e v' w ->
-      if v' <> v then best
-      else
-        match best with
-        | Some (_, bw) when bw <= w -> best
-        | _ -> Some (e, w))
-    None
-  |> Option.map fst
 
 let iter_edges g f =
   for e = 0 to num_edges g - 1 do

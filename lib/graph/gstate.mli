@@ -30,13 +30,9 @@ type t
 
 type edge = Topology.edge
 
-val of_topology : Topology.t -> t
-(** Fresh state over a topology: weights at their base values, every node
-    enabled, version 0, empty journal.  Any number of states may share one
-    topology. *)
-
 val of_builder : Wgraph.t -> t
-(** [of_topology (Wgraph.freeze b)] — the usual way to finish building. *)
+(** Fresh state over [Wgraph.freeze b]: weights at their base values, every
+    node enabled, version 0, empty journal. *)
 
 val topology : t -> Topology.t
 
@@ -61,9 +57,8 @@ val other_end : t -> edge -> int -> int
 val node_enabled : t -> int -> bool
 
 val disable_node : t -> int -> unit
-(** Disabling a node hides it and all incident edges from traversals. *)
-
-val enable_node : t -> int -> unit
+(** Disabling a node hides it and all incident edges from traversals;
+    {!rollback} re-enables it. *)
 
 val version : t -> int
 (** Monotone counter bumped by every effective weight or enable/disable
@@ -76,13 +71,6 @@ val iter_adj : t -> int -> (edge -> int -> float -> unit) -> unit
 
 val fold_adj : t -> int -> ('a -> edge -> int -> float -> 'a) -> 'a -> 'a
 
-val degree : t -> int -> int
-(** Number of incident edges to enabled neighbors. *)
-
-val find_edge : t -> int -> int -> edge option
-(** Some edge between the two nodes, if both are enabled (minimum weight
-    one). *)
-
 val iter_edges : t -> (edge -> int -> int -> float -> unit) -> unit
 (** Iterates edges with both endpoints enabled. *)
 
@@ -93,7 +81,7 @@ val mean_edge_weight : t -> float
 val read_only_view : t -> t
 (** A view sharing this state's arrays, version and journal.  Reads through
     the view see the parent's current state; {!set_weight}, {!add_weight},
-    {!disable_node}, {!enable_node}, {!rollback} and {!commit} all raise
+    {!disable_node}, {!rollback} and {!commit} all raise
     [Invalid_argument].  {!checkpoint} is permitted (it only reads the
     journal position). *)
 

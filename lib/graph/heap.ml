@@ -25,17 +25,6 @@ let create ?(capacity = 16) () =
 
 let is_empty h = h.len = 0
 
-let size h = h.len
-
-let capacity h = Array.length h.prio
-
-(* Drops the entries but keeps the allocated arrays, so a heap reused
-   across many searches (negotiated iterations, resumed frontiers) never
-   re-pays allocation churn. *)
-let clear h =
-  h.len <- 0;
-  h.next_seq <- 0
-
 let grow h =
   let cap = Array.length h.prio in
   let ncap = 2 * cap in

@@ -31,12 +31,3 @@ val pop : t -> int
     @raise Invalid_argument if the heap is empty. *)
 
 val is_empty : t -> bool
-
-val size : t -> int
-
-val capacity : t -> int
-(** Allocated slots (>= {!size}).  {!clear} retains it. *)
-
-val clear : t -> unit
-(** Empties the heap but keeps its allocated arrays, so reuse across many
-    searches causes no reallocation churn. *)

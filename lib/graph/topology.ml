@@ -49,11 +49,3 @@ let num_nodes t = t.n
 let num_edges t = t.m
 
 let endpoints t e = (t.eu.(e), t.ev.(e))
-
-let other_end t e u =
-  let a = t.eu.(e) and b = t.ev.(e) in
-  if u = a then b
-  else if u = b then a
-  else invalid_arg "Topology.other_end: node not an endpoint"
-
-let base_weight t e = t.base.(e)

@@ -40,8 +40,3 @@ val num_nodes : t -> int
 val num_edges : t -> int
 
 val endpoints : t -> edge -> int * int
-
-val other_end : t -> edge -> int -> int
-(** @raise Invalid_argument if the node is not an endpoint of the edge. *)
-
-val base_weight : t -> edge -> float

@@ -21,9 +21,7 @@ let node_set g t =
 let nodes g t =
   Hashtbl.fold (fun v () acc -> v :: acc) (node_set g t) [] |> List.sort Int.compare
 
-let mem_node g t v = Hashtbl.mem (node_set g t) v
-
-(* Adjacency of the tree as an association table: node -> (edge, nbr, w). *)
+(* Adjacency of the tree as an association table: node -> (edge, nbr). *)
 let adjacency g t =
   let tbl = Hashtbl.create (2 * List.length t.edges) in
   let add u x =
@@ -33,9 +31,8 @@ let adjacency g t =
   List.iter
     (fun e ->
       let u, v = Gstate.endpoints g e in
-      let w = Gstate.weight g e in
-      add u (e, v, w);
-      add v (e, u, w))
+      add u (e, v);
+      add v (e, u))
     t.edges;
   tbl
 
@@ -54,7 +51,7 @@ let is_tree g t =
       let rec dfs u =
         if not (Hashtbl.mem seen u) then begin
           Hashtbl.add seen u ();
-          List.iter (fun (_, v, _) -> dfs v) (try Hashtbl.find adj u with Not_found -> [])
+          List.iter (fun (_, v) -> dfs v) (try Hashtbl.find adj u with Not_found -> [])
         end
       in
       (match t.edges with
@@ -81,9 +78,11 @@ let uses_only_enabled g t =
       Gstate.node_enabled g u && Gstate.node_enabled g v)
     t.edges
 
-(* Shared traversal behind the pathlength API; [what] names the public
-   entry point so a raised Invalid_argument points at the real caller. *)
-let path_table_for g t ~src ~what =
+(* The one pathlength traversal; [what] names the public entry point so a
+   raised Invalid_argument points at the real caller.  The recursion is as
+   deep as the tree: OCaml 5 grows the stack on demand, so even
+   path-shaped trees of millions of nodes are fine. *)
+let distances ~weight g t ~src ~what =
   let adj = adjacency g t in
   if (not (Hashtbl.mem adj src)) && t.edges <> [] then
     invalid_arg ("Tree." ^ what ^ ": source not in tree");
@@ -91,33 +90,24 @@ let path_table_for g t ~src ~what =
   let rec dfs u d =
     Hashtbl.replace dist u d;
     List.iter
-      (fun (_, v, w) -> if not (Hashtbl.mem dist v) then dfs v (d +. w))
+      (fun (e, v) -> if not (Hashtbl.mem dist v) then dfs v (d +. weight e))
       (try Hashtbl.find adj u with Not_found -> [])
   in
   dfs src 0.;
   dist
 
-let path_table g t ~src = path_table_for g t ~src ~what:"path_table"
+let path_table g t ~src = distances ~weight:(Gstate.weight g) g t ~src ~what:"path_table"
 
-let path_lengths_from g t ~src =
-  Hashtbl.fold
-    (fun v d acc -> (v, d) :: acc)
-    (path_table_for g t ~src ~what:"path_lengths_from")
-    []
-
-let path_length g t ~src ~dst =
-  let all = path_table_for g t ~src ~what:"path_length" in
-  match Hashtbl.find_opt all dst with
-  | Some d -> d
-  | None -> invalid_arg "Tree.path_length: destination not connected to source in tree"
-
-let max_path_length g t ~src ~sinks =
-  let all = path_table_for g t ~src ~what:"max_path_length" in
+let max_path_length ~weight g t ~src ~sinks =
+  let dist = distances ~weight g t ~src ~what:"max_path_length" in
   List.fold_left
     (fun acc s ->
-      match Hashtbl.find_opt all s with
+      match Hashtbl.find_opt dist s with
       | Some d -> Float.max acc d
-      | None -> invalid_arg "Tree.max_path_length: sink not in tree")
+      | None ->
+          (* A committed tree must span every sink; skipping one would
+             under-report pathlength. *)
+          invalid_arg (Printf.sprintf "Tree.max_path_length: sink %d not in tree" s))
     0. sinks
 
 let prune g t ~keep =
@@ -144,5 +134,3 @@ let prune g t ~keep =
     if kept = before then edges else go edges'
   in
   { edges = go t.edges }
-
-let union a b = of_edges (a.edges @ b.edges)

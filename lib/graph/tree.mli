@@ -18,8 +18,6 @@ val cost : Gstate.t -> t -> float
 val nodes : Gstate.t -> t -> int list
 (** Sorted distinct nodes touched by the tree's edges. *)
 
-val mem_node : Gstate.t -> t -> int -> bool
-
 val is_tree : Gstate.t -> t -> bool
 (** Connected and acyclic over the induced node set (vacuously true when
     empty). *)
@@ -32,22 +30,19 @@ val uses_only_enabled : Gstate.t -> t -> bool
 (** Every node the tree touches is enabled, so the tree is still routable
     on the current state. *)
 
-val path_length : Gstate.t -> t -> src:int -> dst:int -> float
-(** Length of the unique tree path between two tree nodes.
-    @raise Invalid_argument if either node is absent or disconnected. *)
-
-val path_lengths_from : Gstate.t -> t -> src:int -> (int * float) list
-(** Distances from [src] to every tree node, by tree traversal. *)
-
 val path_table : Gstate.t -> t -> src:int -> (int, float) Hashtbl.t
-(** Hashtable variant of [path_lengths_from] for hot-path per-sink lookups:
-    O(1) per probe instead of a linear scan of the association list. *)
+(** Distances from [src] to every tree node along the tree, at the graph's
+    current weights: O(1) per-sink lookups.
+    @raise Invalid_argument if the tree is non-empty and lacks [src]. *)
 
-val max_path_length : Gstate.t -> t -> src:int -> sinks:int list -> float
-(** The paper's "maximum source–sink pathlength" metric. *)
+val max_path_length :
+  weight:(Gstate.edge -> float) -> Gstate.t -> t -> src:int -> sinks:int list -> float
+(** The paper's "maximum source–sink pathlength" metric, with edge lengths
+    from [weight] (the router measures committed trees at the
+    pre-congestion base weights, not the graph's current prices).  Same
+    traversal as {!path_table}.
+    @raise Invalid_argument if some sink is not reached from [src]. *)
 
 val prune : Gstate.t -> t -> keep:int list -> t
 (** Repeatedly removes leaf nodes not in [keep] (KMB's final pendant-edge
     deletion step, Fig 17). *)
-
-val union : t -> t -> t

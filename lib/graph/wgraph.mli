@@ -16,11 +16,8 @@ type edge = int
 val create : ?edge_capacity:int -> int -> t
 (** [create n] is a builder over nodes [0 .. n-1] with no edges.
     [edge_capacity] pre-sizes the edge store so that adding up to that many
-    edges never reallocates (the RRG knows its edge count up front). *)
-
-val num_nodes : t -> int
-
-val num_edges : t -> int
+    edges never reallocates (the RRG knows its edge count up front); past
+    it, the store doubles. *)
 
 val add_edge : t -> int -> int -> float -> edge
 (** [add_edge g u v w] adds an undirected edge of weight [w >= 0.] and

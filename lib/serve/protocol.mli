@@ -47,8 +47,6 @@ type request =
 
 val mode_name : Fr_fpga.Router.mode -> string
 
-val mode_of_name : string -> Fr_fpga.Router.mode option
-
 val parse_request : Json.t -> (request, string) result
 
 val ok : (string * Json.t) list -> Json.t

@@ -58,8 +58,6 @@ let create ~socket =
     conns = Hashtbl.create 16;
   }
 
-let socket_path t = t.path
-
 let live_connections t = Mutex.protect t.conn_lock (fun () -> Hashtbl.length t.conns)
 
 let close_session t =
@@ -218,6 +216,27 @@ let poke t =
       | exception Unix.Unix_error _ -> Unix.close fd)
   | exception Unix.Unix_error _ -> ()
 
+(* The longest request line the daemon reads, newline excluded: 1 MiB. *)
+let max_line = 1 lsl 20
+
+(* Read one request line without its newline, buffering at most
+   [max_line] bytes: [`Too_long] as soon as byte [max_line + 1] is not the
+   newline.  A final line without a newline still counts; a read error is
+   the end of input. *)
+let read_line ic =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> `Line (Buffer.contents buf)
+    | c when Buffer.length buf < max_line ->
+        Buffer.add_char buf c;
+        go ()
+    | _ -> `Too_long
+    | exception (End_of_file | Sys_error _) ->
+        if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
+  in
+  go ()
+
 let handle_conn t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -233,11 +252,15 @@ let handle_conn t fd =
     | exception Sys_error _ -> false
   in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | exception Sys_error _ -> ()
-    | line when String.trim line = "" -> loop ()
-    | line ->
+    match read_line ic with
+    | `Eof -> ()
+    | `Too_long ->
+        (* Answer, then end the connection rather than read the rest: the
+           peer cannot make the daemon buffer more than the cap. *)
+        ignore
+          (reply (Protocol.error (Printf.sprintf "request line longer than %d bytes" max_line)))
+    | `Line line when String.trim line = "" -> loop ()
+    | `Line line ->
         let resp, stop_now =
           match Json.of_string line with
           | Error e -> (Protocol.error (Printf.sprintf "bad JSON: %s" e), false)
@@ -285,5 +308,3 @@ let serve_forever t =
   Mutex.protect t.lock (fun () -> close_session t);
   Unix.close t.sock;
   if Sys.file_exists t.path then Sys.remove t.path
-
-let run ~socket = serve_forever (create ~socket)

@@ -12,7 +12,11 @@
     re-route its netlist incrementally under the ECO differential-exactness
     contract; ["checkpoint"] snapshots the netlist by value and restores by
     replaying a name-keyed diff as ECO deltas; ["shutdown"] stops the
-    accept loop, drains the connection threads and closes the session. *)
+    accept loop, drains the connection threads and closes the session.
+
+    A request line may be at most 1 MiB long, newline excluded.  A longer
+    one gets an [{"ok":false,"error":...}] reply and its connection is
+    closed; the daemon never buffers more than the cap. *)
 
 type t
 
@@ -24,8 +28,6 @@ val create : socket:string -> t
     before reading its reply ends only its own connection.
     @raise Unix.Unix_error when the socket cannot be bound. *)
 
-val socket_path : t -> string
-
 val serve_forever : t -> unit
 (** Accept connections until a ["shutdown"] request arrives, then join
     the connection threads still live, close the session (shutting its
@@ -36,6 +38,3 @@ val serve_forever : t -> unit
 val live_connections : t -> int
 (** Connections currently open (their threads not yet finished).  Never
     waits for a request in progress. *)
-
-val run : socket:string -> unit
-(** [create] + {!serve_forever}. *)

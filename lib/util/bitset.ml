@@ -29,10 +29,3 @@ let set t i b =
   let w = i lsr shift and bit = 1 lsl (i land mask) in
   let cur = Array.unsafe_get t.words w in
   Array.unsafe_set t.words w (if b then cur lor bit else cur land lnot bit)
-
-let count t =
-  let c = ref 0 in
-  for i = 0 to t.size - 1 do
-    if get t i then incr c
-  done;
-  !c

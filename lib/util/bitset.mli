@@ -20,9 +20,6 @@ val get : t -> int -> bool
 
 val set : t -> int -> bool -> unit
 
-val count : t -> int
-(** Number of set bits. *)
-
 val unsafe_words : t -> int array
 (** The backing words, shared, not copied: bit [i] is bit [i land 15] of
     word [i lsr 4].  For hot loops in other modules that must test bits

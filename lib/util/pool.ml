@@ -1,19 +1,18 @@
 (* A fixed pool of worker domains, reused across waves.
 
-   One wave = one [run]/[map] call.  Workers park on [wake] between waves
-   and re-arm off a generation counter, so a pool created once at router
-   entry amortizes domain spawn cost over every batch of every pass.  Work
+   One wave = one [map] call.  Workers park on [wake] between waves and
+   re-arm off a generation counter, so a pool created once at router entry
+   amortizes domain spawn cost over every batch of every pass.  Work
    distribution is an atomic cursor over the index space: claiming is
-   wait-free, and the chunk size bounds how uneven job costs can skew the
-   split.  The caller is worker 0 and works its own share of the wave
-   rather than blocking, so [domains = n] means n executing domains, not
-   n + 1. *)
+   wait-free and takes one index at a time.  The caller is worker 0 and
+   works its own share of the wave rather than blocking, so [domains = n]
+   means n executing domains, not n + 1. *)
 
 type wave = {
   job : worker:int -> int -> unit;
   count : int;
   cursor : int Atomic.t;
-  abort : bool Atomic.t;  (* set on first failure: stop claiming chunks *)
+  abort : bool Atomic.t;  (* set on first failure: stop claiming jobs *)
   (* Smallest-index failure among jobs that ran; guarded by the pool mutex. *)
   mutable failed : (int * exn * Printexc.raw_backtrace) option;
   mutable live : int;  (* spawned workers still inside this wave *)
@@ -21,7 +20,6 @@ type wave = {
 
 type t = {
   domains : int;
-  chunk : int;
   m : Mutex.t;
   wake : Condition.t;  (* workers: a new wave (or stop) is available *)
   finished : Condition.t;  (* caller: all spawned workers left the wave *)
@@ -33,26 +31,23 @@ type t = {
 }
 
 (* Run jobs until the cursor passes [count] or a failure aborts the wave.
-   Indices inside an already-claimed chunk still run after an abort; only
-   new claims stop.  Per-job exceptions are recorded, not propagated, so
-   one domain's failure cannot leave another's chunk half-done. *)
+   A job already claimed still runs after an abort; only new claims stop.
+   Per-job exceptions are recorded, not propagated, so one domain's failure
+   cannot cut another's job short. *)
 let work t ~worker w =
   let rec loop () =
     if not (Atomic.get w.abort) then begin
-      let lo = Atomic.fetch_and_add w.cursor t.chunk in
-      if lo < w.count then begin
-        let hi = Int.min w.count (lo + t.chunk) in
-        for i = lo to hi - 1 do
-          try w.job ~worker i
-          with e ->
-            let bt = Printexc.get_raw_backtrace () in
-            Atomic.set w.abort true;
-            Mutex.lock t.m;
-            (match w.failed with
-            | Some (j, _, _) when j <= i -> ()
-            | _ -> w.failed <- Some (i, e, bt));
-            Mutex.unlock t.m
-        done;
+      let i = Atomic.fetch_and_add w.cursor 1 in
+      if i < w.count then begin
+        (try w.job ~worker i
+         with e ->
+           let bt = Printexc.get_raw_backtrace () in
+           Atomic.set w.abort true;
+           Mutex.lock t.m;
+           (match w.failed with
+           | Some (j, _, _) when j <= i -> ()
+           | _ -> w.failed <- Some (i, e, bt));
+           Mutex.unlock t.m);
         loop ()
       end
     end
@@ -77,13 +72,11 @@ let rec worker_loop t ~worker last_gen =
     worker_loop t ~worker gen
   end
 
-let create ?(chunk = 1) ~domains () =
+let create ~domains () =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
-  if chunk < 1 then invalid_arg "Pool.create: chunk must be >= 1";
   let t =
     {
       domains;
-      chunk;
       m = Mutex.create ();
       wake = Condition.create ();
       finished = Condition.create ();
@@ -99,11 +92,9 @@ let create ?(chunk = 1) ~domains () =
         Domain.spawn (fun () -> worker_loop t ~worker:(k + 1) 0));
   t
 
-let size t = t.domains
-
-let run t ~count f =
-  if t.shut then invalid_arg "Pool.run: pool is shut down";
-  if count < 0 then invalid_arg "Pool.run: negative count";
+(* One wave over [0 .. count - 1]: returns once every claimed job has
+   finished, re-raising the smallest-index failure. *)
+let run_wave t ~count f =
   if count = 0 then ()
   else if t.domains = 1 then
     (* Inline fast path: same job order a 1-worker wave would use, without
@@ -141,9 +132,12 @@ let run t ~count f =
   end
 
 let map t ~count f =
+  if t.shut then invalid_arg "Pool.map: pool is shut down";
+  if count < 0 then invalid_arg "Pool.map: negative count";
   let out = Array.make count None in
-  run t ~count (fun ~worker i -> out.(i) <- Some (f ~worker i));
-  (* [run] returned normally, so every index executed and filled its slot. *)
+  run_wave t ~count (fun ~worker i -> out.(i) <- Some (f ~worker i));
+  (* The wave returned normally, so every index executed and filled its
+     slot. *)
   Array.map (function Some v -> v | None -> assert false) out
 
 let shutdown t =

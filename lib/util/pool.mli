@@ -4,17 +4,17 @@
     out over the same small set of domains; spawning a domain per batch
     would cost more than the batch itself, so the pool keeps [domains - 1]
     persistent workers parked on a condition variable and reuses them for
-    every {!run}/{!map} call ("wave") until {!shutdown}.
+    every {!map} call ("wave") until {!shutdown}.
 
-    Scheduling is a chunked shared counter: workers (and the calling
-    domain, which participates as worker 0) repeatedly grab the next
-    [chunk] indices from an atomic cursor until the wave is exhausted.
-    Each submitted index is executed exactly once, by exactly one worker.
+    Scheduling is a shared counter: workers (and the calling domain, which
+    participates as worker 0) repeatedly claim the next index from an
+    atomic cursor until the wave is exhausted.  Each submitted index is
+    executed exactly once, by exactly one worker.
 
     Exceptions raised by jobs are caught per-worker; after the wave
     completes, the recorded exception with the smallest index is re-raised
     in the caller (with its original backtrace).  Once a failure is
-    recorded, workers stop claiming new chunks — jobs already claimed
+    recorded, workers stop claiming new indices — jobs already claimed
     still finish, so a wave that raises may leave later indices
     unexecuted.
 
@@ -25,27 +25,19 @@
 
 type t
 
-val create : ?chunk:int -> domains:int -> unit -> t
-(** [create ~domains ()] spawns [domains - 1] worker domains.  [chunk]
-    (default 1) is the number of consecutive indices claimed per grab —
-    leave it at 1 for coarse jobs like per-net routing.
-    @raise Invalid_argument if [domains < 1] or [chunk < 1]. *)
-
-val size : t -> int
-(** The [domains] the pool was created with (workers + caller). *)
-
-val run : t -> count:int -> (worker:int -> int -> unit) -> unit
-(** [run p ~count f] executes [f ~worker i] for every [i] in
-    [0 .. count - 1], distributed over the pool; [worker] is the executing
-    worker's index in [0 .. size - 1] (stable across waves, usable as an
-    index into per-domain scratch).  Returns when every claimed job has
-    finished.  Re-raises the smallest-index job exception, if any.
-    @raise Invalid_argument after {!shutdown}. *)
+val create : domains:int -> unit -> t
+(** [create ~domains ()] spawns [domains - 1] worker domains.
+    @raise Invalid_argument if [domains < 1]. *)
 
 val map : t -> count:int -> (worker:int -> int -> 'a) -> 'a array
-(** [map p ~count f] is {!run} collecting results: element [i] of the
-    returned array is [f ~worker i].  Same exception semantics as {!run}. *)
+(** [map p ~count f] executes [f ~worker i] for every [i] in
+    [0 .. count - 1], distributed over the pool, and returns the results:
+    element [i] is [f ~worker i].  [worker] is the executing worker's index
+    in [0 .. domains - 1] (stable across waves, usable as an index into
+    per-domain scratch).  Returns when every claimed job has finished.
+    Re-raises the smallest-index job exception, if any.
+    @raise Invalid_argument after {!shutdown}. *)
 
 val shutdown : t -> unit
 (** Terminates and joins the worker domains.  Idempotent.  Subsequent
-    {!run}/{!map} calls raise [Invalid_argument]. *)
+    {!map} calls raise [Invalid_argument]. *)

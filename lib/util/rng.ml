@@ -6,13 +6,7 @@ let of_name name = make (Hashtbl.hash name)
 
 let int t bound = Random.State.int t bound
 
-let int_in t lo hi =
-  assert (lo <= hi);
-  lo + Random.State.int t (hi - lo + 1)
-
 let float t bound = Random.State.float t bound
-
-let bool t = Random.State.bool t
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
@@ -21,10 +15,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choose t a =
-  assert (Array.length a > 0);
-  a.(Random.State.int t (Array.length a))
 
 let sample_distinct t k n =
   (* A negative [k] would count the rejection loop below down past 0
@@ -52,10 +42,3 @@ let sample_distinct t k n =
     shuffle t a;
     Array.to_list (Array.sub a 0 k)
   end
-
-let split t i =
-  if i < 0 then invalid_arg "Rng.split: negative stream index";
-  (* Consumes one draw from the parent, so derivation order matters; the
-     mix constants keep child 0 from replaying the parent's stream. *)
-  let base = Random.State.bits t in
-  Random.State.make [| base; i; 0x6c078965; base lxor (i * 0x9e3779b9) |]

@@ -1,28 +1,6 @@
-let sum l = List.fold_left ( +. ) 0. l
-
 let mean = function
   | [] -> 0.
-  | l -> sum l /. float_of_int (List.length l)
-
-let mean_arr a =
-  if Array.length a = 0 then 0.
-  else Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a)
-
-let stddev l =
-  match l with
-  | [] | [ _ ] -> 0.
-  | _ ->
-      let m = mean l in
-      let sq = List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. l in
-      sqrt (sq /. float_of_int (List.length l))
-
-let minimum = function
-  | [] -> invalid_arg "Stats.minimum: empty"
-  | x :: rest -> List.fold_left min x rest
-
-let maximum = function
-  | [] -> invalid_arg "Stats.maximum: empty"
-  | x :: rest -> List.fold_left max x rest
+  | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
 let percent_vs x reference =
   if reference = 0. then 0. else 100. *. (x -. reference) /. reference

@@ -3,20 +3,7 @@
 val mean : float list -> float
 (** Arithmetic mean; 0. on the empty list. *)
 
-val mean_arr : float array -> float
-
-val stddev : float list -> float
-(** Population standard deviation; 0. on lists shorter than 2. *)
-
-val minimum : float list -> float
-(** @raise Invalid_argument on the empty list. *)
-
-val maximum : float list -> float
-(** @raise Invalid_argument on the empty list. *)
-
 val percent_vs : float -> float -> float
 (** [percent_vs x reference] is the signed percent difference
     [100 * (x - reference) / reference] — the normalization used throughout
     the paper's Table 1 (negative = improvement). *)
-
-val sum : float list -> float

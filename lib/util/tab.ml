@@ -68,6 +68,4 @@ let to_string t =
 
 let print t = print_string (to_string t ^ "\n")
 
-let fmt_f x = Printf.sprintf "%.2f" x
-
 let fmt_signed x = Printf.sprintf "%+.2f" x

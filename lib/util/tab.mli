@@ -23,9 +23,6 @@ val to_string : t -> string
 val print : t -> unit
 (** [to_string] followed by a newline on stdout. *)
 
-val fmt_f : float -> string
-(** Two-decimal fixed formatting used for percent columns. *)
-
 val fmt_signed : float -> string
-(** Like [fmt_f] but with an explicit sign, matching the paper's +/-
-    improvement columns. *)
+(** Two-decimal fixed formatting with an explicit sign, matching the
+    paper's +/- improvement columns. *)

@@ -116,7 +116,7 @@ let test_protocol_parse_eco () =
       | F.Router.Eco.Retime_net (name, src, sinks) ->
           Alcotest.(check string) "retime name" "b" name;
           Alcotest.(check bool) "retime source" true
-            (F.Netlist.equal_pin src (pin 1 4 F.Rrg.South 0));
+            (src = pin 1 4 F.Rrg.South 0);
           Alcotest.(check int) "retime sinks" 1 (List.length sinks)
       | _ -> Alcotest.fail "second delta is not a retime");
       (match d3 with
@@ -149,8 +149,13 @@ let test_protocol_parse_rest () =
   bad {|{"cmd":"eco","deltas":[{"op":"retime","name":"b","source":"bogus","sinks":[]}]}|};
   bad {|{"cmd":"checkpoint","restore":"one"}|};
   Alcotest.(check bool) "mode names roundtrip" true
-    (S.Protocol.mode_of_name (S.Protocol.mode_name F.Router.Negotiated)
-    = Some F.Router.Negotiated)
+    (match
+       parse_line
+         (Printf.sprintf {|{"cmd":"route","circuit":"x","width":4,"mode":"%s"}|}
+            (S.Protocol.mode_name F.Router.Negotiated))
+     with
+    | Ok (S.Protocol.Route r) -> r.S.Protocol.mode = F.Router.Negotiated
+    | _ -> false)
 
 let test_routing_digest_invariance () =
   let circuit = tiny_circuit () in
@@ -531,6 +536,58 @@ let test_server_survives_hangup () =
   Thread.join th;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
+(* A request line over the 1 MiB cap gets an error reply and a closed
+   connection, so no peer can make the daemon buffer without bound; the
+   daemon keeps serving other connections. *)
+let test_server_rejects_oversized_line () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fr_serve_long_%d.sock" (Unix.getpid ()))
+  in
+  let server = S.Server.create ~socket:path in
+  let th = Thread.create S.Server.serve_forever server in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let line = String.make (2 * 1024 * 1024) '[' ^ "\n" in
+  (* The daemon stops reading at the cap and closes, so the tail of this
+     write may be refused. *)
+  let rec send off =
+    if off < String.length line then
+      match Unix.write_substring fd line off (String.length line - off) with
+      | n -> send (off + n)
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+  in
+  send 0;
+  let ic = Unix.in_channel_of_descr fd in
+  let reply = input_line ic in
+  (match S.Json.of_string reply with
+  | Ok j ->
+      Alcotest.(check bool) "error reply" true (Option.bind (field "ok" j) S.Json.bool = Some false);
+      Alcotest.(check bool) "names the cap" true
+        (match Option.bind (field "error" j) S.Json.str with
+        | Some e -> String.starts_with ~prefix:"request line longer than 1048576 bytes" e
+        | None -> false)
+  | Error e -> Alcotest.failf "reply is not JSON: %s" e);
+  (* A closed connection reads as end of input, or as a reset when the
+     daemon left the rest of the line unread. *)
+  Alcotest.(check bool) "connection closed" true
+    (match input_line ic with
+    | _ -> false
+    | exception (End_of_file | Sys_error _) -> true);
+  close_in ic;
+  let client = S.Client.connect ~socket:path in
+  let request cmd =
+    match S.Client.request client (S.Json.Obj [ ("cmd", S.Json.Str cmd) ]) with
+    | Ok resp -> expect_ok resp
+    | Error e -> Alcotest.failf "framing failure: %s" e
+  in
+  Alcotest.(check bool) "a new connection's stats still answers" true
+    (Option.bind (field "session" (request "stats")) S.Json.bool = Some false);
+  ignore (request "shutdown");
+  S.Client.close client;
+  Thread.join th;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
 (* A long-lived daemon must not grow with every connection it has served:
    each connection's thread leaves the live set when it ends. *)
 let test_server_forgets_finished_connections () =
@@ -675,6 +732,8 @@ let () =
         [
           Alcotest.test_case "socket roundtrip" `Quick test_server_roundtrip;
           Alcotest.test_case "survives a client that hangs up" `Quick test_server_survives_hangup;
+          Alcotest.test_case "rejects an over-long request line" `Quick
+            test_server_rejects_oversized_line;
           Alcotest.test_case "forgets finished connections" `Quick
             test_server_forgets_finished_connections;
           Alcotest.test_case "concurrent ECO clients reach a fixpoint" `Quick

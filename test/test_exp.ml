@@ -108,16 +108,14 @@ let test_paper_data_lookup () =
 
 let test_paper_data_complete () =
   List.iter
-    (fun (level, w, rows) ->
-      Alcotest.(check int) (level ^ " has 8 rows") 8 (List.length rows);
-      Alcotest.(check bool) (level ^ " weight sane") true (w >= 1.0 && w <= 1.6);
-      let kmb = List.find (fun r -> r.E.Paper_data.alg = "KMB") rows in
-      Alcotest.(check (float 1e-9)) "KMB reference" 0. kmb.E.Paper_data.wire5)
-    E.Paper_data.table1;
-  Alcotest.(check bool) "ratios transcribed" true
-    (E.Paper_data.table2_ratio_cge = 1.22
-    && E.Paper_data.table3_ratio_sega = 1.26
-    && E.Paper_data.table3_ratio_gbp = 1.17)
+    (fun level ->
+      List.iter
+        (fun alg ->
+          match E.Paper_data.table1_row ~level ~alg with
+          | Some r -> if alg = "KMB" then Alcotest.(check (float 1e-9)) "KMB reference" 0. r.E.Paper_data.wire5
+          | None -> Alcotest.failf "no %s row at level %s" alg level)
+        [ "KMB"; "ZEL"; "IKMB"; "IZEL"; "DJKA"; "DOM"; "PFA"; "IDOM" ])
+    [ "none"; "low"; "medium" ]
 
 (* ------------------------------------------------------------------ *)
 (* Router tables (small, fast configurations)                          *)
@@ -126,11 +124,11 @@ let test_paper_data_complete () =
 let test_min_width_term1 () =
   let spec = Option.get (Fr_fpga.Circuits.find_spec "term1") in
   let config = Fr_fpga.Router.config_with ~max_passes:6 () in
-  match E.Router_tables.min_width ~config spec with
-  | Some (w, stats) ->
+  match E.Router_tables.table3 ~config ~specs:[ spec ] () with
+  | [ { E.Router_tables.measured = Some w; wirelength; _ } ] ->
       Alcotest.(check bool) (Printf.sprintf "width %d in [5,12]" w) true (w >= 5 && w <= 12);
-      Alcotest.(check int) "all nets routed" 88 (List.length stats.Fr_fpga.Router.routed)
-  | None -> Alcotest.fail "term1 should route"
+      Alcotest.(check bool) "routed wirelength reported" true (wirelength > 0.)
+  | _ -> Alcotest.fail "term1 should route"
 
 let test_table_renderers () =
   (* Rendering accepts rows with and without measurements. *)

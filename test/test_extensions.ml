@@ -185,7 +185,7 @@ let prop_mehlhorn_close_to_kmb =
       let g, net = random_instance seed ~n:25 ~m:60 ~k:5 in
       let terminals = C.Net.terminals net in
       let cache = G.Dist_cache.create g in
-      let mk = C.Mehlhorn.cost g ~terminals in
+      let mk = G.Tree.cost g (C.Mehlhorn.solve g ~terminals) in
       let kk = C.Kmb.cost cache ~terminals in
       (* Both are 2-approximations of the same optimum. *)
       mk <= (2. *. kk) +. 1e-6 && kk <= (2. *. mk) +. 1e-6)

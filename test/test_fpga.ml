@@ -6,6 +6,8 @@ module C = Fr_core
 module F = Fr_fpga
 module Rng = Fr_util.Rng
 
+let degree g u = G.Gstate.fold_adj g u (fun d _ _ _ -> d + 1) 0
+
 let small_arch ?(w = 4) () = F.Arch.xc4000 ~rows:4 ~cols:5 ~channel_width:w
 
 (* A tiny 3-net circuit on the 4x5 array. *)
@@ -34,21 +36,11 @@ let test_arch_presets () =
   Alcotest.(check int) "4000 fs" 3 a4.F.Arch.fs;
   Alcotest.(check int) "4000 fc = W" 12 a4.F.Arch.fc
 
-let test_arch_with_width () =
-  let a = F.Arch.xc3000 ~rows:5 ~cols:5 ~channel_width:10 in
-  let a' = F.Arch.with_channel_width a 5 in
-  Alcotest.(check int) "W" 5 a'.F.Arch.channel_width;
-  Alcotest.(check int) "fc recomputed" 3 a'.F.Arch.fc;
-  Alcotest.(check int) "rows preserved" 5 a'.F.Arch.rows
-
 let test_arch_rejects () =
-  Alcotest.check_raises "bad fc" (Invalid_argument "Arch.make: fc outside 1..W") (fun () ->
-      ignore
-        (F.Arch.make ~series:F.Arch.Series_4000 ~rows:2 ~cols:2 ~channel_width:4 ~fs:3 ~fc:5 ()));
+  Alcotest.check_raises "bad width" (Invalid_argument "Arch.make: channel_width < 1") (fun () ->
+      ignore (F.Arch.xc3000 ~rows:2 ~cols:2 ~channel_width:0));
   Alcotest.check_raises "bad rows" (Invalid_argument "Arch.make: non-positive array size")
-    (fun () ->
-      ignore
-        (F.Arch.make ~series:F.Arch.Series_4000 ~rows:0 ~cols:2 ~channel_width:4 ~fs:3 ~fc:2 ()))
+    (fun () -> ignore (F.Arch.xc4000 ~rows:0 ~cols:2 ~channel_width:4))
 
 (* ------------------------------------------------------------------ *)
 (* Rrg                                                                *)
@@ -84,7 +76,7 @@ let test_rrg_pin_fanout_fc () =
   (* fc = W on the 4000 series: each pin must reach exactly W wires. *)
   let rrg = F.Rrg.build (small_arch ~w:4 ()) in
   let p = F.Rrg.pin rrg ~row:1 ~col:2 ~side:F.Rrg.North ~slot:0 in
-  Alcotest.(check int) "pin degree = fc" 4 (G.Gstate.degree rrg.F.Rrg.graph p);
+  Alcotest.(check int) "pin degree = fc" 4 (degree rrg.F.Rrg.graph p);
   (* all neighbors lie in the channel segment north of block (1,2): H(2,2) *)
   G.Gstate.iter_adj rrg.F.Rrg.graph p (fun _ v _ ->
       match F.Rrg.kind rrg v with
@@ -96,7 +88,7 @@ let test_rrg_fc_less_than_w () =
   (* fc = 6 *)
   let rrg = F.Rrg.build arch in
   let p = F.Rrg.pin rrg ~row:0 ~col:0 ~side:F.Rrg.North ~slot:0 in
-  Alcotest.(check int) "pin degree = fc = 6" 6 (G.Gstate.degree rrg.F.Rrg.graph p)
+  Alcotest.(check int) "pin degree = fc = 6" 6 (degree rrg.F.Rrg.graph p)
 
 let test_rrg_switch_flexibility () =
   (* Interior wire of a 4000-series device (fs=3): at each of its two
@@ -423,10 +415,10 @@ let test_max_path_unspanned_sink_raises () =
   let weight e = G.Gstate.weight g e in
   Alcotest.(check (float 1e-9))
     "spanned sinks measured" 2.
-    (F.Router.max_path_of_tree ~weight g tree ~net_src:0 ~sinks:[ 1; 2 ]);
+    (G.Tree.max_path_length ~weight g tree ~src:0 ~sinks:[ 1; 2 ]);
   Alcotest.check_raises "unspanned sink raises"
-    (Invalid_argument "Router.max_path_of_tree: sink 3 not spanned by tree") (fun () ->
-      ignore (F.Router.max_path_of_tree ~weight g tree ~net_src:0 ~sinks:[ 2; 3 ]))
+    (Invalid_argument "Tree.max_path_length: sink 3 not in tree") (fun () ->
+      ignore (G.Tree.max_path_length ~weight g tree ~src:0 ~sinks:[ 2; 3 ]))
 
 let test_router_min_channel_width () =
   let circuit = tiny_circuit () in
@@ -447,11 +439,10 @@ let test_router_min_channel_width () =
         | Error _ -> ()
       end
 
-(* The bisection is confined to [1, max_width]: a cap equal to the true
-   minimum is still found (the gallop's clamped probe sequence attempts
-   max_width itself before giving up), a cap one below the minimum fails
-   the whole bracket, and a start above the cap is clamped rather than
-   trusted. *)
+(* The gallop gives up at [start + 15]: with an architecture that never
+   routes (W=1 fails the tiny circuit, whatever width is asked for), the
+   probes climb from [start] with doubling steps and end on the cap
+   itself.  A [start] above the minimum bisects down to it. *)
 let test_router_min_width_respects_cap () =
   let circuit = tiny_circuit () in
   let arch_of_width w = F.Arch.xc4000 ~rows:4 ~cols:5 ~channel_width:w in
@@ -460,18 +451,18 @@ let test_router_min_width_respects_cap () =
     | Some (w, _) -> w
     | None -> Alcotest.fail "tiny circuit should route"
   in
-  (match F.Router.min_channel_width ~arch_of_width ~circuit ~start:1 ~max_width:wmin () with
-  | Some (w, _) -> Alcotest.(check int) "cap = minimum is found" wmin w
-  | None -> Alcotest.fail "cap equal to the minimum must succeed");
-  if wmin > 1 then (
-    match F.Router.min_channel_width ~arch_of_width ~circuit ~start:1 ~max_width:(wmin - 1) () with
-    | Some (w, _) -> Alcotest.failf "reported width %d beyond cap %d" w (wmin - 1)
-    | None -> ());
-  (match
-     F.Router.min_channel_width ~arch_of_width ~circuit ~start:(wmin + 9) ~max_width:wmin ()
-   with
-  | Some (w, _) -> Alcotest.(check int) "start above cap is clamped" wmin w
-  | None -> Alcotest.fail "clamped start must still find the cap width");
+  let probes = ref [] in
+  let never_routes w =
+    probes := w :: !probes;
+    arch_of_width 1
+  in
+  (match F.Router.min_channel_width ~arch_of_width:never_routes ~circuit ~start:3 () with
+  | Some (w, _) -> Alcotest.failf "reported width %d on an unroutable architecture" w
+  | None -> ());
+  Alcotest.(check (list int)) "probes stop at start + 15" [ 3; 4; 6; 10; 18 ] (List.rev !probes);
+  (match F.Router.min_channel_width ~arch_of_width ~circuit ~start:(wmin + 9) () with
+  | Some (w, _) -> Alcotest.(check int) "start above the minimum bisects down" wmin w
+  | None -> Alcotest.fail "a routable start must find the minimum");
   Alcotest.check_raises "start < 1"
     (Invalid_argument "Router.min_channel_width: start must be >= 1") (fun () ->
       ignore (F.Router.min_channel_width ~arch_of_width ~circuit ~start:0 ()))
@@ -635,34 +626,12 @@ let test_router_mixed_criticality () =
       Alcotest.(check bool) "critical net routed as a tree" true
         (G.Tree.is_tree rrg.F.Rrg.graph crit.F.Router.tree)
 
-let test_rrg_jog_penalty () =
-  (* With a heavy jog penalty, an L-shaped connection costs extra turns:
-     route from a pin on the west edge to a pin two rows up; compare base
-     vs penalized shortest-path costs. *)
-  let arch = small_arch ~w:4 () in
-  let plain = F.Rrg.build arch in
-  let bendy = F.Rrg.build ~jog_penalty:2.0 arch in
-  let cost rrg =
-    let a = F.Rrg.pin rrg ~row:0 ~col:0 ~side:F.Rrg.South ~slot:0 in
-    let b = F.Rrg.pin rrg ~row:3 ~col:4 ~side:F.Rrg.North ~slot:0 in
-    G.Dijkstra.dist (G.Dijkstra.run rrg.F.Rrg.graph ~src:a) b
-  in
-  let c0 = cost plain and c1 = cost bendy in
-  Alcotest.(check bool)
-    (Printf.sprintf "penalized (%.1f) > plain (%.1f)" c1 c0)
-    true (c1 > c0);
-  (* A diagonal route needs at least one turn: the gap is at least one
-     penalty unit. *)
-  Alcotest.(check bool) "at least one jog paid" true (c1 >= c0 +. 2.0);
-  Alcotest.check_raises "negative penalty" (Invalid_argument "Rrg.build: negative jog penalty")
-    (fun () -> ignore (F.Rrg.build ~jog_penalty:(-1.) arch))
-
 (* §4.8 soundness: the RRG's future-cost bound must be admissible
    (h(v) never exceeds the true remaining distance to the nearest target,
    at every node, for any target set) and consistent (h drops by at most
-   the edge weight across every enabled edge) — in the base-cost state,
-   with jog penalties, and after negotiated-congestion pricing has
-   multiplied the edge weights. *)
+   the edge weight across every enabled edge) — in the base-cost state
+   and after negotiated-congestion pricing has multiplied the edge
+   weights. *)
 let prop_rrg_future_cost_sound =
   QCheck.Test.make ~name:"future_cost admissible + consistent" ~count:20
     QCheck.(int_range 0 1000)
@@ -670,9 +639,8 @@ let prop_rrg_future_cost_sound =
       let rng = Rng.make seed in
       let rows = 2 + Rng.int rng 3 and cols = 2 + Rng.int rng 3 in
       let w = 2 + Rng.int rng 3 in
-      let jog = if Rng.bool rng then 0.5 *. float_of_int (1 + Rng.int rng 3) else 0. in
-      let mk = if Rng.bool rng then F.Arch.xc4000 else F.Arch.xc3000 in
-      let rrg = F.Rrg.build ~jog_penalty:jog (mk ~rows ~cols ~channel_width:w) in
+      let mk = if Random.State.bool rng then F.Arch.xc4000 else F.Arch.xc3000 in
+      let rrg = F.Rrg.build (mk ~rows ~cols ~channel_width:w) in
       let g = rrg.F.Rrg.graph in
       let n = G.Gstate.num_nodes g in
       let targets =
@@ -719,12 +687,8 @@ let prop_rrg_geometry_matches_kind =
     (fun seed ->
       let rng = Rng.make seed in
       let w = 1 + Rng.int rng 5 in
-      let arch =
-        F.Arch.make ~pin_slots:(1 + Rng.int rng 3)
-          ~series:(if Rng.bool rng then F.Arch.Series_4000 else F.Arch.Series_3000)
-          ~rows:(1 + Rng.int rng 5) ~cols:(1 + Rng.int rng 5) ~channel_width:w
-          ~fs:(1 + Rng.int rng 6) ~fc:(1 + Rng.int rng w) ()
-      in
+      let mk = if Random.State.bool rng then F.Arch.xc4000 else F.Arch.xc3000 in
+      let arch = mk ~rows:(1 + Rng.int rng 5) ~cols:(1 + Rng.int rng 5) ~channel_width:w in
       let rrg = F.Rrg.build arch in
       let n = G.Gstate.num_nodes rrg.F.Rrg.graph in
       let decoded v =
@@ -736,7 +700,7 @@ let prop_rrg_geometry_matches_kind =
       for v = 0 to n - 1 do
         if F.Rrg.pos rrg v <> decoded v then QCheck.Test.fail_reportf "pos differs at node %d" v
       done;
-      let scale = F.Rrg.min_unit_cost rrg in
+      let scale = rrg.F.Rrg.min_unit_cost in
       if scale <> 1.0 then QCheck.Test.fail_reportf "min_unit_cost %g, expected 1" scale;
       let reference targets v =
         let x, y = decoded v in
@@ -790,23 +754,12 @@ let test_render_occupancy () =
       Alcotest.(check bool) "summary mentions nets" true
         (String.length summary > 0 && stats.F.Router.passes >= 1)
 
-let test_render_net_map () =
-  let circuit = tiny_circuit () in
-  let rrg = F.Rrg.build (small_arch ()) in
-  match F.Router.route rrg circuit with
-  | Error _ -> Alcotest.fail "should route"
-  | Ok stats ->
-      let r = List.hd stats.F.Router.routed in
-      let map = F.Render.net_map rrg r.F.Router.tree in
-      Alcotest.(check bool) "net marked" true (String.contains map '#')
-
 let () =
   Alcotest.run "fr_fpga"
     [
       ( "arch",
         [
           Alcotest.test_case "presets" `Quick test_arch_presets;
-          Alcotest.test_case "with_channel_width" `Quick test_arch_with_width;
           Alcotest.test_case "rejects" `Quick test_arch_rejects;
         ] );
       ( "rrg",
@@ -856,7 +809,6 @@ let () =
           Alcotest.test_case "mismatched circuit" `Quick test_router_rejects_mismatched_circuit;
           Alcotest.test_case "congestion pressure" `Quick test_router_congestion_pressure;
           Alcotest.test_case "mixed criticality" `Quick test_router_mixed_criticality;
-          Alcotest.test_case "jog penalty" `Quick test_rrg_jog_penalty;
           QCheck_alcotest.to_alcotest prop_rrg_future_cost_sound;
           QCheck_alcotest.to_alcotest prop_rrg_geometry_matches_kind;
           Alcotest.test_case "term1 integration" `Slow test_router_benchmark_integration;
@@ -864,6 +816,5 @@ let () =
       ( "render",
         [
           Alcotest.test_case "occupancy map" `Quick test_render_occupancy;
-          Alcotest.test_case "net map" `Quick test_render_net_map;
         ] );
     ]

@@ -1,7 +1,8 @@
 (* Tests for tools/frdomcheck: the fixture workers flag (or stay clean)
    exactly as designed, the seeded race is reported with its full call
-   chain, allowlisting by qualified name works, and the real tree proves
-   race-free under the checked-in allowlist. *)
+   chain, allowlisting by qualified name works, the dead-export rule flags
+   exactly the exports no other unit uses, and the real tree is clean
+   under the checked-in allowlist. *)
 
 module C = Frdomcheck_lib.Check
 module S = Frdomcheck_lib.Summary
@@ -98,6 +99,54 @@ let test_allowlist_unused_entry_is_a_finding () =
            r.C.findings))
 
 (* ------------------------------------------------------------------ *)
+(* Dead exports                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let run_exports ?allowlist_path () = C.run ?allowlist_path ~dirs:[ "frdomcheck_exports" ] ()
+
+let dead (r : C.report) =
+  List.filter_map
+    (fun (f : LL.Finding.t) ->
+      if String.equal f.LL.Finding.rule "dead-export" then
+        Some (Filename.basename f.LL.Finding.file, f.LL.Finding.line)
+      else None)
+    r.C.findings
+
+let test_dead_exports_flagged () =
+  let r = run_exports () in
+  Alcotest.(check (list (pair string int)))
+    "the export used only inside its unit and the unused one, at their .mli lines"
+    [ ("fx_export.mli", 6); ("fx_export.mli", 9) ]
+    (dead r);
+  Alcotest.(check bool)
+    "named by qualified name" true
+    (List.exists (about "Frdom_exports.Fx_export.internal") r.C.findings
+    && List.exists (about "Frdom_exports.Fx_export.unused") r.C.findings);
+  Alcotest.(check int) "nothing else" 2 (List.length r.C.findings)
+
+let test_dead_export_allowlisted () =
+  with_temp_file "dead-export Frdom_exports.Fx_export.unused kept as a fixture hook\n"
+    (fun path ->
+      let r = run_exports ~allowlist_path:path () in
+      Alcotest.(check (list (pair string int))) "only the other one left" [ ("fx_export.mli", 6) ] (dead r);
+      Alcotest.(check int) "entry consumed" 1 r.C.allowlisted;
+      Alcotest.(check int) "no other finding" 1 (List.length r.C.findings))
+
+let test_dead_export_unused_entry () =
+  with_temp_file
+    "dead-export Frdom_exports.Fx_export.internal fixture\n\
+     dead-export Frdom_exports.Fx_export.unused fixture\n\
+     dead-export Frdom_exports.Fx_export.used Fx_user calls it, so this matches nothing\n"
+    (fun path ->
+      let r = run_exports ~allowlist_path:path () in
+      Alcotest.(check (list string))
+        "the entry for a live export is the only finding" [ "allowlist-unused" ]
+        (List.map (fun (f : LL.Finding.t) -> f.LL.Finding.rule) r.C.findings);
+      Alcotest.(check bool)
+        "and it names the export" true
+        (List.exists (about "Frdom_exports.Fx_export.used") r.C.findings))
+
+(* ------------------------------------------------------------------ *)
 (* The effects.json manifest                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -132,10 +181,17 @@ let test_manifest () =
 let test_real_tree_clean () =
   let r =
     C.run ~allowlist_path:"../tools/frdomcheck/allowlist"
-      ~dirs:[ "../lib"; "../bin"; "../bench" ] ()
+      ~dirs:[ "../lib"; "../bin"; "../bench"; "../perfbench"; "../examples" ]
+      ()
   in
+  (* The executables are the dead-export rule's users: without their cmts
+     every export only they call would be reported, so the run must have
+     loaded them. *)
+  List.iter
+    (fun unit -> Alcotest.(check bool) (unit ^ " loaded") true (List.mem unit r.C.units))
+    [ "bin/fpga_route.ml"; "bench/main.ml"; "perfbench/bench.ml"; "examples/quickstart.ml" ];
   Alcotest.(check (list string))
-    "no findings on lib/, bin/, bench/" []
+    "no findings on lib/, bin/, bench/, perfbench/, examples/" []
     (List.map LL.Finding.to_string r.C.findings);
   Alcotest.(check int) "the router's solve job is the only root" 1 r.C.roots;
   Alcotest.(check bool) "a real number of functions analyzed" true (r.C.functions > 400);
@@ -160,6 +216,12 @@ let () =
             test_allowlist_discharges;
           Alcotest.test_case "unused entry is a finding" `Quick
             test_allowlist_unused_entry_is_a_finding;
+        ] );
+      ( "dead-export",
+        [
+          Alcotest.test_case "flags exports no other unit uses" `Quick test_dead_exports_flagged;
+          Alcotest.test_case "allowlisted by qualified name" `Quick test_dead_export_allowlisted;
+          Alcotest.test_case "unused entry is a finding" `Quick test_dead_export_unused_entry;
         ] );
       ("manifest", [ Alcotest.test_case "effects.json" `Quick test_manifest ]);
       ("project", [ Alcotest.test_case "real tree race-free" `Quick test_real_tree_clean ]);

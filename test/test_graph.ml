@@ -74,9 +74,9 @@ let test_heap_empty () =
   Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty heap") (fun () ->
       ignore (G.Heap.pop h));
   G.Heap.push h 1. 0. 1;
-  Alcotest.(check int) "size" 1 (G.Heap.size h);
-  G.Heap.clear h;
-  Alcotest.(check bool) "cleared" true (G.Heap.is_empty h)
+  Alcotest.(check bool) "non-empty" false (G.Heap.is_empty h);
+  Alcotest.(check int) "pop" 1 (G.Heap.pop h);
+  Alcotest.(check bool) "drained" true (G.Heap.is_empty h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
@@ -107,7 +107,7 @@ let prop_heap_interleaved =
       for i = 0 to steps - 1 do
         if Rng.int rng 3 < 2 || !model = [] then begin
           let p = Rng.float rng 10. in
-          let prio = if Rng.bool rng then Float.round p else p in
+          let prio = if Random.State.bool rng then Float.round p else p in
           let tie = float_of_int (Rng.int rng 3) in
           G.Heap.push h prio tie i;
           model := List.sort key_order ((prio, tie, i) :: !model)
@@ -120,7 +120,6 @@ let prop_heap_interleaved =
               model := rest
           | [] -> ()
       done;
-      if G.Heap.size h <> List.length !model then QCheck.Test.fail_report "size mismatch";
       drain_heap h = List.map (fun (_, _, x) -> x) !model)
 
 let test_heap_growth () =
@@ -130,30 +129,7 @@ let test_heap_growth () =
   for i = 99 downto 0 do
     G.Heap.push h (float_of_int i) 0. i
   done;
-  Alcotest.(check int) "size after growth" 100 (G.Heap.size h);
   Alcotest.(check (list int)) "order after growth" (List.init 100 Fun.id) (drain_heap h)
-
-let test_heap_clear_retains_capacity () =
-  let h = G.Heap.create ~capacity:2 () in
-  for i = 0 to 99 do
-    G.Heap.push h (float_of_int i) 0. i
-  done;
-  let cap = G.Heap.capacity h in
-  Alcotest.(check bool) "grew" true (cap >= 100);
-  G.Heap.clear h;
-  Alcotest.(check int) "capacity retained" cap (G.Heap.capacity h);
-  Alcotest.(check bool) "emptied" true (G.Heap.is_empty h);
-  (* Refilling to the same size must not reallocate. *)
-  for i = 0 to 99 do
-    G.Heap.push h (float_of_int i) 0. i
-  done;
-  Alcotest.(check int) "no realloc on refill" cap (G.Heap.capacity h);
-  Alcotest.(check int) "still ordered" 0 (G.Heap.pop h);
-  (* Reuse in a disjoint priority range after a clear. *)
-  G.Heap.clear h;
-  G.Heap.push h 1000.5 0. 7;
-  G.Heap.push h 999. 0. 8;
-  Alcotest.(check (list int)) "min after reuse" [ 8; 7 ] (drain_heap h)
 
 (* ------------------------------------------------------------------ *)
 (* Dsu                                                                *)
@@ -164,16 +140,33 @@ let test_dsu () =
   Alcotest.(check int) "initial classes" 5 (G.Dsu.count d);
   Alcotest.(check bool) "union 0 1" true (G.Dsu.union d 0 1);
   Alcotest.(check bool) "union again" false (G.Dsu.union d 0 1);
-  Alcotest.(check bool) "same" true (G.Dsu.same d 0 1);
-  Alcotest.(check bool) "not same" false (G.Dsu.same d 0 2);
+  Alcotest.(check int) "one class merged" 4 (G.Dsu.count d);
   ignore (G.Dsu.union d 2 3);
   ignore (G.Dsu.union d 1 3);
-  Alcotest.(check bool) "transitively same" true (G.Dsu.same d 0 2);
+  Alcotest.(check bool) "transitively same" false (G.Dsu.union d 0 2);
   Alcotest.(check int) "classes" 2 (G.Dsu.count d)
 
 (* ------------------------------------------------------------------ *)
 (* Wgraph                                                             *)
 (* ------------------------------------------------------------------ *)
+
+let degree g u = G.Gstate.fold_adj g u (fun d _ _ _ -> d + 1) 0
+
+(* The builder's edge store starts at its [edge_capacity] and doubles past
+   it; every edge must come through [freeze] with its id, endpoints and
+   weight intact. *)
+let test_wgraph_edge_store_grows () =
+  let n = 100 in
+  let b = G.Wgraph.create ~edge_capacity:2 n in
+  for i = 0 to n - 2 do
+    Alcotest.(check int) "dense ids" i (G.Wgraph.add_edge b i (i + 1) (float_of_int i))
+  done;
+  let g = G.Gstate.of_builder b in
+  Alcotest.(check int) "edges" (n - 1) (G.Gstate.num_edges g);
+  for e = 0 to n - 2 do
+    Alcotest.(check bool) "endpoints" true (G.Gstate.endpoints g e = (e, e + 1));
+    Alcotest.(check (float 0.)) "weight" (float_of_int e) (G.Gstate.weight g e)
+  done
 
 let test_wgraph_basic () =
   let g, e01, _, _, _, _ = diamond () in
@@ -182,7 +175,7 @@ let test_wgraph_basic () =
   Alcotest.(check (float 1e-9)) "weight" 1. (G.Gstate.weight g e01);
   Alcotest.(check bool) "endpoints" true (G.Gstate.endpoints g e01 = (0, 1));
   Alcotest.(check int) "other_end" 1 (G.Gstate.other_end g e01 0);
-  Alcotest.(check int) "degree 1" 3 (G.Gstate.degree g 1)
+  Alcotest.(check int) "degree 1" 3 (degree g 1)
 
 let test_wgraph_rejects () =
   let g = G.Wgraph.create 3 in
@@ -195,12 +188,13 @@ let test_wgraph_rejects () =
 
 let test_wgraph_disable () =
   let g, _, e02, _, _, _ = diamond () in
+  let cp = G.Gstate.checkpoint g in
   G.Gstate.disable_node g 2;
   Alcotest.(check int) "degree drops" 1 (G.Gstate.fold_adj g 0 (fun d _ _ _ -> d + 1) 0);
   Alcotest.(check bool) "edge to disabled node hidden" true
     (G.Gstate.fold_adj g 0 (fun acc e _ _ -> acc && e <> e02) true);
-  G.Gstate.enable_node g 2;
-  Alcotest.(check int) "node restored" 2 (G.Gstate.degree g 0)
+  G.Gstate.rollback g cp;
+  Alcotest.(check int) "node restored" 2 (degree g 0)
 
 let test_wgraph_version_and_weights () =
   let g, e01, _, _, _, _ = diamond () in
@@ -208,14 +202,6 @@ let test_wgraph_version_and_weights () =
   G.Gstate.add_weight g e01 0.5;
   Alcotest.(check (float 1e-9)) "incremented" 1.5 (G.Gstate.weight g e01);
   Alcotest.(check bool) "version bumped" true (G.Gstate.version g > v0)
-
-let test_wgraph_find_edge () =
-  let g, _, _, _, _, e12 = diamond () in
-  Alcotest.(check bool) "find parallel-min" true (G.Gstate.find_edge g 1 2 = Some e12);
-  Alcotest.(check bool) "absent" true (G.Gstate.find_edge g 0 3 = None);
-  (* parallel edge with smaller weight wins (fresh graph: edges are frozen) *)
-  let g' = graph 3 [ (0, 1, 1.); (1, 2, 0.5); (1, 2, 0.25) ] in
-  Alcotest.(check bool) "prefers lighter parallel" true (G.Gstate.find_edge g' 1 2 = Some 2)
 
 let test_mean_edge_weight () =
   let b = G.Wgraph.create 3 in
@@ -409,8 +395,11 @@ let test_tree_metrics () =
   Alcotest.(check bool) "is tree" true (G.Tree.is_tree g t);
   Alcotest.(check (list int)) "nodes" [ 0; 1; 2; 3 ] (G.Tree.nodes g t);
   Alcotest.(check bool) "spans" true (G.Tree.spans g t [ 0; 3 ]);
-  Alcotest.(check (float 1e-9)) "path length" 2.5 (G.Tree.path_length g t ~src:0 ~dst:3);
-  Alcotest.(check (float 1e-9)) "max path" 2.5 (G.Tree.max_path_length g t ~src:0 ~sinks:[ 1; 3 ])
+  let weight = G.Gstate.weight g in
+  Alcotest.(check (float 1e-9)) "path length" 2.5 (G.Tree.max_path_length ~weight g t ~src:0 ~sinks:[ 3 ]);
+  Alcotest.(check (float 1e-9)) "max path" 2.5 (G.Tree.max_path_length ~weight g t ~src:0 ~sinks:[ 1; 3 ]);
+  Alcotest.(check (float 1e-9)) "edge weight override" 3.
+    (G.Tree.max_path_length ~weight:(fun _ -> 1.) g t ~src:0 ~sinks:[ 1; 3 ])
 
 let test_tree_cycle_detection () =
   let g, e01, e02, _, _, e12 = diamond () in
@@ -474,14 +463,24 @@ let test_grid_distances_rectilinear () =
 
 let test_grid_edge_lookup () =
   let gr = G.Grid.create ~width:3 ~height:3 () in
-  let e = G.Grid.horizontal_edge gr ~x:0 ~y:0 in
-  let u, v = G.Gstate.endpoints gr.G.Grid.graph e in
+  let g = gr.G.Grid.graph in
+  (* the edges out of a node, as (neighbor, edge) pairs *)
+  let edges_from u = G.Gstate.fold_adj g u (fun acc e v _ -> (v, e) :: acc) [] in
+  let edge a b =
+    match List.assoc_opt b (edges_from a) with
+    | Some e -> e
+    | None -> Alcotest.failf "no grid edge %d-%d" a b
+  in
+  let e = edge (G.Grid.node gr ~x:0 ~y:0) (G.Grid.node gr ~x:1 ~y:0) in
   Alcotest.(check bool) "horizontal endpoints" true
-    ((u, v) = (G.Grid.node gr ~x:0 ~y:0, G.Grid.node gr ~x:1 ~y:0));
-  let e' = G.Grid.vertical_edge gr ~x:2 ~y:1 in
-  let u', v' = G.Gstate.endpoints gr.G.Grid.graph e' in
+    (G.Gstate.endpoints g e = (G.Grid.node gr ~x:0 ~y:0, G.Grid.node gr ~x:1 ~y:0));
+  let e' = edge (G.Grid.node gr ~x:2 ~y:1) (G.Grid.node gr ~x:2 ~y:2) in
   Alcotest.(check bool) "vertical endpoints" true
-    ((u', v') = (G.Grid.node gr ~x:2 ~y:1, G.Grid.node gr ~x:2 ~y:2))
+    (G.Gstate.endpoints g e' = (G.Grid.node gr ~x:2 ~y:1, G.Grid.node gr ~x:2 ~y:2));
+  Alcotest.(check int) "corner degree" 2 (List.length (edges_from (G.Grid.node gr ~x:0 ~y:0)));
+  Alcotest.(check int) "center degree" 4 (List.length (edges_from (G.Grid.node gr ~x:1 ~y:1)));
+  Alcotest.(check bool) "no diagonal" true
+    (List.assoc_opt (G.Grid.node gr ~x:1 ~y:1) (edges_from (G.Grid.node gr ~x:0 ~y:0)) = None)
 
 let test_grid_bad_args () =
   Alcotest.check_raises "empty grid" (Invalid_argument "Grid.create: empty grid") (fun () ->
@@ -607,7 +606,7 @@ let prop_dijkstra_stop_rule =
       let g = G.Random_graph.connected rng ~n ~m:(3 * n) ~wmin:0.2 ~wmax:5. in
       let src = Rng.int rng n in
       let future =
-        if Rng.bool rng then None
+        if Random.State.bool rng then None
         else begin
           (* 0.6 x the distance to a landmark: admissible and consistent
              toward any target set. *)
@@ -639,7 +638,7 @@ let prop_dijkstra_stop_rule =
       (* A duplicated first target, and sometimes the source. *)
       let ts =
         match pick () with
-        | t :: _ as l -> (t :: l) @ if Rng.bool rng then [ src ] else []
+        | t :: _ as l -> (t :: l) @ if Random.State.bool rng then [ src ] else []
         | [] -> []
       in
       let r = G.Dijkstra.run ~targets:ts ?future_cost:future g ~src in
@@ -800,14 +799,14 @@ let prop_frontier_matches_lazy_reference =
       let src = Rng.int rng n in
       (* The exact distance to a landmark is a consistent heuristic. *)
       let h =
-        if Rng.bool rng then None
+        if Random.State.bool rng then None
         else begin
           let back = G.Dijkstra.run g ~src:(Rng.int rng n) in
           Some (fun v -> G.Dijkstra.dist back v)
         end
       in
       let region =
-        if Rng.bool rng then None
+        if Random.State.bool rng then None
         else begin
           let keep = Fr_util.Bitset.create n in
           for v = 0 to n - 1 do
@@ -821,7 +820,7 @@ let prop_frontier_matches_lazy_reference =
          if x <> src then G.Gstate.disable_node g x);
       let pick () =
         let l = List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng n) in
-        l @ if Rng.bool rng then l else []
+        l @ if Random.State.bool rng then l else []
       in
       let ref_s = lazy_run ?region ?h g ~src in
       let first = if Rng.int rng 5 = 0 then None else Some (pick ()) in
@@ -855,7 +854,7 @@ let prop_frontier_matches_lazy_reference =
       (* Resumed lookups: extends with duplicate targets, and accessors,
          which settle on demand. *)
       for step = 1 to 3 do
-        if Rng.bool rng then begin
+        if Random.State.bool rng then begin
           let ts = pick () in
           G.Dijkstra.extend r ~targets:ts;
           lazy_lookup ref_s (Some ts);
@@ -984,7 +983,7 @@ let test_gstate_checkpoint_basics () =
   let v0 = G.Gstate.version g in
   (* No-op mutations (same value) write no journal entry and bump nothing. *)
   G.Gstate.set_weight g 0 1.;
-  G.Gstate.enable_node g 1;
+  G.Gstate.add_weight g 1 0.;
   Alcotest.(check int) "no-op keeps version" v0 (G.Gstate.version g);
   Alcotest.(check int) "no-op keeps journal empty" 0 (G.Gstate.journal_depth g);
   let cp0 = G.Gstate.checkpoint g in
@@ -1024,11 +1023,10 @@ let prop_gstate_rollback_restores =
       let g = G.Random_graph.connected rng ~n:12 ~m:30 ~wmin:0.5 ~wmax:4. in
       let ne = G.Gstate.num_edges g and nn = G.Gstate.num_nodes g in
       let mutate () =
-        match Rng.int rng 4 with
+        match Rng.int rng 3 with
         | 0 -> G.Gstate.set_weight g (Rng.int rng ne) (Rng.float rng 5.)
         | 1 -> G.Gstate.add_weight g (Rng.int rng ne) (Rng.float rng 2.)
-        | 2 -> G.Gstate.disable_node g (Rng.int rng nn)
-        | _ -> G.Gstate.enable_node g (Rng.int rng nn)
+        | _ -> G.Gstate.disable_node g (Rng.int rng nn)
       in
       let snapshot () =
         (Array.init ne (G.Gstate.weight g), Array.init nn (G.Gstate.node_enabled g))
@@ -1104,7 +1102,6 @@ let prop_rollback_across_cost_epochs =
       let cp = G.Gstate.checkpoint g in
       let depth0 = G.Gstate.journal_depth g in
       let cm = run g in
-      let epochs = G.Cost_model.epoch cm in
       let w1 = Array.init ne (G.Gstate.weight g) in
       let acct1 = acct cm in
       G.Gstate.rollback g cp;
@@ -1116,8 +1113,8 @@ let prop_rollback_across_cost_epochs =
       let g2 = build seed in
       let cm2 = run g2 in
       let replayed = Array.init (G.Gstate.num_edges g2) (G.Gstate.weight g2) = w1 in
-      let replayed_acct = acct cm2 = acct1 && G.Cost_model.epoch cm2 = epochs in
-      epochs >= 1 && restored_w && restored_d && acct_kept
+      let replayed_acct = acct cm2 = acct1 in
+      restored_w && restored_d && acct_kept
       && G.Gstate.journal_depth g = depth0
       && replayed && replayed_acct)
 
@@ -1130,7 +1127,6 @@ let () =
           Alcotest.test_case "strict (prio, tie, seq) order" `Quick test_heap_two_key_order;
           Alcotest.test_case "empty/clear" `Quick test_heap_empty;
           Alcotest.test_case "growth past capacity" `Quick test_heap_growth;
-          Alcotest.test_case "clear retains capacity" `Quick test_heap_clear_retains_capacity;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
           QCheck_alcotest.to_alcotest prop_heap_interleaved;
         ] );
@@ -1147,7 +1143,7 @@ let () =
           Alcotest.test_case "rejects bad edges" `Quick test_wgraph_rejects;
           Alcotest.test_case "disable/enable" `Quick test_wgraph_disable;
           Alcotest.test_case "versioning & weights" `Quick test_wgraph_version_and_weights;
-          Alcotest.test_case "find_edge" `Quick test_wgraph_find_edge;
+          Alcotest.test_case "edge store grows past capacity" `Quick test_wgraph_edge_store_grows;
           Alcotest.test_case "mean edge weight" `Quick test_mean_edge_weight;
         ] );
       ( "dijkstra",

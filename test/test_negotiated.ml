@@ -66,8 +66,9 @@ let test_history_monotone () =
 
 let test_effective_cost_formula () =
   let g, e01, e12, _ = path_fixture () in
-  let params = { CM.default_params with present_factor = 0.5; history_factor = 0.4 } in
-  let cm = CM.create ~params g in
+  (* the model's constants: present factor 0.5 growing 1.3x per
+     escalation, history step 0.4, capacity 1 *)
+  let cm = CM.create g in
   (* two nets on node 1, one on node 2, none elsewhere *)
   CM.use_nodes cm [ 1 ];
   CM.use_nodes cm [ 1 ];
@@ -82,10 +83,7 @@ let test_effective_cost_formula () =
   let expect01 = 1. *. (1. +. (0.5 *. (p0 +. p1))) *. (1. +. (0.5 *. h1)) in
   let expect12 = 1. *. (1. +. (0.5 *. (p1 +. p2))) *. (1. +. (0.5 *. h1)) in
   Alcotest.(check (float 1e-9)) "edge 0-1 priced" expect01 (G.Gstate.weight g e01);
-  Alcotest.(check (float 1e-9)) "edge 1-2 priced" expect12 (G.Gstate.weight g e12);
-  Alcotest.(check int) "epoch advanced" 1 (CM.epoch cm);
-  CM.restore_base cm;
-  Alcotest.(check (float 1e-9)) "base restored" 1. (G.Gstate.weight g e01)
+  Alcotest.(check (float 1e-9)) "edge 1-2 priced" expect12 (G.Gstate.weight g e12)
 
 let test_apply_invalidates_caches () =
   let g, _, _, _ = path_fixture () in
@@ -102,14 +100,11 @@ let test_apply_invalidates_caches () =
     "stale cache recomputes against prices" true
     (G.Dist_cache.dist cache ~src:0 ~dst:3 > 3.)
 
-let test_create_rejects_views_and_bad_params () =
+let test_create_rejects_views () =
   let g, _, _, _ = path_fixture () in
   Alcotest.check_raises "read-only view"
     (Invalid_argument "Cost_model.create: read-only view") (fun () ->
-      ignore (CM.create (G.Gstate.read_only_view g)));
-  Alcotest.check_raises "bad growth"
-    (Invalid_argument "Cost_model.create: present_growth must be >= 1") (fun () ->
-      ignore (CM.create ~params:{ CM.default_params with present_growth = 0.5 } g))
+      ignore (CM.create (G.Gstate.read_only_view g)))
 
 (* ------------------------------------------------------------------ *)
 (* candidates_for thinning bounds (stride bugfix)                     *)
@@ -131,7 +126,7 @@ let test_candidate_thinning_bounds () =
     [ 1; 2; 3; 10; 100; 999; total - 1; total; total + 1 ]
 
 (* ------------------------------------------------------------------ *)
-(* max_path_of_tree on a deep path-shaped tree (stack bugfix)         *)
+(* Tree.max_path_length on a deep path-shaped tree                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_max_path_deep_tree () =
@@ -140,11 +135,9 @@ let test_max_path_deep_tree () =
   let edges = List.init (n - 1) (fun i -> G.Wgraph.add_edge b i (i + 1) 1.) in
   let g = G.Gstate.of_builder b in
   let tree = G.Tree.of_edges edges in
-  (* A recursive DFS overflows the stack around this depth; the explicit
-     stack must return the exact path length. *)
-  let d =
-    F.Router.max_path_of_tree ~weight:(fun _ -> 1.) g tree ~net_src:0 ~sinks:[ n - 1; n / 2 ]
-  in
+  (* OCaml 5 grows the stack on demand, so the recursive traversal must
+     return the exact length on a path this deep. *)
+  let d = G.Tree.max_path_length ~weight:(fun _ -> 1.) g tree ~src:0 ~sinks:[ n - 1; n / 2 ] in
   Alcotest.(check (float 1e-9)) "deep path length" (float_of_int (n - 1)) d
 
 (* ------------------------------------------------------------------ *)
@@ -247,7 +240,7 @@ let () =
           Alcotest.test_case "history monotone" `Quick test_history_monotone;
           Alcotest.test_case "effective cost formula" `Quick test_effective_cost_formula;
           Alcotest.test_case "apply invalidates caches" `Quick test_apply_invalidates_caches;
-          Alcotest.test_case "create guards" `Quick test_create_rejects_views_and_bad_params;
+          Alcotest.test_case "create guards" `Quick test_create_rejects_views;
         ] );
       ( "hot_path_fixes",
         [

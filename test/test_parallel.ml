@@ -17,7 +17,6 @@ let test_pool_each_job_once () =
       Fun.protect
         ~finally:(fun () -> P.shutdown pool)
         (fun () ->
-          Alcotest.(check int) "size" domains (P.size pool);
           let n = 1000 in
           (* Each index is claimed by exactly one worker, so a plain
              increment per index is race-free; any double execution shows
@@ -26,19 +25,20 @@ let test_pool_each_job_once () =
           let workers_seen = Array.make domains false in
           (* The other workers hold their jobs until the caller has run
              one, so the caller's share does not hinge on winning a race
-             for the first chunks on a loaded machine.  A caller that
+             for the first jobs on a loaded machine.  A caller that
              blocked instead of working would leave them waiting out the
              deadline and fail the participation check below. *)
           let caller_ran = Atomic.make false in
           let deadline = Unix.gettimeofday () +. 10. in
-          P.run pool ~count:n (fun ~worker i ->
-              if worker = 0 then Atomic.set caller_ran true
-              else
-                while (not (Atomic.get caller_ran)) && Unix.gettimeofday () < deadline do
-                  Domain.cpu_relax ()
-                done;
-              counts.(i) <- counts.(i) + 1;
-              workers_seen.(worker) <- true);
+          ignore
+            (P.map pool ~count:n (fun ~worker i ->
+                 if worker = 0 then Atomic.set caller_ran true
+                 else
+                   while (not (Atomic.get caller_ran)) && Unix.gettimeofday () < deadline do
+                     Domain.cpu_relax ()
+                   done;
+                 counts.(i) <- counts.(i) + 1;
+                 workers_seen.(worker) <- true));
           Array.iteri
             (fun i c ->
               if c <> 1 then Alcotest.failf "job %d ran %d times (domains=%d)" i c domains)
@@ -66,11 +66,10 @@ let test_pool_exception_surfaces () =
         (fun () ->
           Alcotest.check_raises "job exception re-raised" (Failure "boom 17")
             (fun () ->
-              P.run pool ~count:50 (fun ~worker:_ i ->
-                  if i = 17 then failwith "boom 17"));
+              ignore (P.map pool ~count:50 (fun ~worker:_ i -> if i = 17 then failwith "boom 17")));
           (* The pool survives a failed wave and keeps working. *)
           let ran = Array.make 20 0 in
-          P.run pool ~count:20 (fun ~worker:_ i -> ran.(i) <- ran.(i) + 1);
+          ignore (P.map pool ~count:20 (fun ~worker:_ i -> ran.(i) <- ran.(i) + 1));
           Alcotest.(check bool)
             "usable after a raising wave" true
             (Array.for_all (( = ) 1) ran))
@@ -93,9 +92,9 @@ let test_pool_shutdown () =
   P.shutdown pool;
   P.shutdown pool;
   (* idempotent *)
-  Alcotest.check_raises "run after shutdown"
-    (Invalid_argument "Pool.run: pool is shut down") (fun () ->
-      P.run pool ~count:1 (fun ~worker:_ _ -> ()))
+  Alcotest.check_raises "map after shutdown"
+    (Invalid_argument "Pool.map: pool is shut down") (fun () ->
+      ignore (P.map pool ~count:1 (fun ~worker:_ _ -> ())))
 
 (* ------------------------------------------------------------------ *)
 (* Read-only Gstate views                                             *)
@@ -121,7 +120,7 @@ let test_view_mutators_raise () =
     Alcotest.check_raises what (Invalid_argument ("Gstate." ^ what ^ ": read-only view")) f
   in
   raises "set_weight" (fun () -> G.Gstate.set_weight v e01 9.);
-  raises "set_node" (fun () -> G.Gstate.disable_node v 0);
+  raises "disable_node" (fun () -> G.Gstate.disable_node v 0);
   let cp = G.Gstate.checkpoint v in
   raises "rollback" (fun () -> G.Gstate.rollback v cp);
   raises "commit" (fun () -> G.Gstate.commit v cp)

@@ -1,43 +1,8 @@
 (* Unit and property tests for the fr_util substrate. *)
 
-module Vec = Fr_util.Vec
 module Rng = Fr_util.Rng
 module Stats = Fr_util.Stats
 module Tab = Fr_util.Tab
-
-let test_vec_push_get () =
-  let v = Vec.create () in
-  for i = 0 to 99 do
-    Vec.push v (i * i)
-  done;
-  Alcotest.(check int) "length" 100 (Vec.length v);
-  Alcotest.(check int) "get 7" 49 (Vec.get v 7);
-  Vec.set v 7 0;
-  Alcotest.(check int) "set 7" 0 (Vec.get v 7)
-
-let test_vec_bounds () =
-  let v = Vec.of_list [ 1; 2; 3 ] in
-  Alcotest.check_raises "get out of bounds" (Invalid_argument "Vec.get: index out of bounds")
-    (fun () -> ignore (Vec.get v 3));
-  Alcotest.check_raises "set out of bounds" (Invalid_argument "Vec.set: index out of bounds")
-    (fun () -> Vec.set v 3 0)
-
-let test_vec_conversions () =
-  let v = Vec.of_list [ 3; 1; 4; 1; 5 ] in
-  Alcotest.(check (list int)) "to_list" [ 3; 1; 4; 1; 5 ] (Vec.to_list v);
-  Alcotest.(check (array int)) "to_array" [| 3; 1; 4; 1; 5 |] (Vec.to_array v);
-  Vec.clear v;
-  Alcotest.(check int) "clear" 0 (Vec.length v);
-  Alcotest.(check (array int)) "empty to_array" [||] (Vec.to_array v)
-
-let test_vec_iterators () =
-  let v = Vec.of_list [ 1; 2; 3; 4 ] in
-  Alcotest.(check int) "fold" 10 (Vec.fold_left ( + ) 0 v);
-  let acc = ref [] in
-  Vec.iteri (fun i x -> acc := (i, x) :: !acc) v;
-  Alcotest.(check int) "iteri count" 4 (List.length !acc);
-  Alcotest.(check bool) "exists" true (Vec.exists (fun x -> x = 3) v);
-  Alcotest.(check bool) "not exists" false (Vec.exists (fun x -> x = 9) v)
 
 let test_rng_determinism () =
   let a = Rng.make 42 and b = Rng.make 42 in
@@ -70,30 +35,14 @@ let test_rng_sample_distinct () =
             (String.sub msg 0 (String.length "Rng.sample_distinct:")))
     [ (-3, 100); (-1, 0); (11, 10); (1, 0) ]
 
-let test_rng_int_in () =
-  let rng = Rng.make 3 in
-  for _ = 1 to 200 do
-    let x = Rng.int_in rng 2 5 in
-    Alcotest.(check bool) "bounds" true (x >= 2 && x <= 5)
-  done
-
 let test_stats_basic () =
   Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean [ 1.; 2.; 3.; 4. ]);
-  Alcotest.(check (float 1e-9)) "mean empty" 0. (Stats.mean []);
-  Alcotest.(check (float 1e-9)) "min" 1. (Stats.minimum [ 3.; 1.; 2. ]);
-  Alcotest.(check (float 1e-9)) "max" 3. (Stats.maximum [ 3.; 1.; 2. ]);
-  Alcotest.(check (float 1e-9)) "sum" 6. (Stats.sum [ 1.; 2.; 3. ]);
-  Alcotest.(check (float 1e-9)) "mean_arr" 2. (Stats.mean_arr [| 1.; 2.; 3. |])
+  Alcotest.(check (float 1e-9)) "mean empty" 0. (Stats.mean [])
 
 let test_stats_percent () =
   Alcotest.(check (float 1e-9)) "percent +" 25. (Stats.percent_vs 5. 4.);
   Alcotest.(check (float 1e-9)) "percent -" (-20.) (Stats.percent_vs 4. 5.);
   Alcotest.(check (float 1e-9)) "percent zero ref" 0. (Stats.percent_vs 4. 0.)
-
-let test_stats_stddev () =
-  Alcotest.(check (float 1e-9)) "stddev constant" 0. (Stats.stddev [ 2.; 2.; 2. ]);
-  Alcotest.(check (float 1e-9)) "stddev pair" 1. (Stats.stddev [ 1.; 3. ]);
-  Alcotest.(check (float 1e-9)) "stddev singleton" 0. (Stats.stddev [ 5. ])
 
 let test_tab_render () =
   let t = Tab.create ~title:"T" ~header:[ "name"; "v" ] in
@@ -113,7 +62,6 @@ let test_tab_render () =
   Alcotest.(check bool) "padded short row" true (has "bb")
 
 let test_tab_fmt () =
-  Alcotest.(check string) "fmt_f" "3.14" (Tab.fmt_f 3.14159);
   Alcotest.(check string) "fmt_signed pos" "+1.50" (Tab.fmt_signed 1.5);
   Alcotest.(check string) "fmt_signed neg" "-1.50" (Tab.fmt_signed (-1.5))
 
@@ -140,24 +88,15 @@ let prop_shuffle_permutation =
 let () =
   Alcotest.run "fr_util"
     [
-      ( "vec",
-        [
-          Alcotest.test_case "push/get" `Quick test_vec_push_get;
-          Alcotest.test_case "bounds" `Quick test_vec_bounds;
-          Alcotest.test_case "conversions" `Quick test_vec_conversions;
-          Alcotest.test_case "iterators" `Quick test_vec_iterators;
-        ] );
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "sample_distinct" `Quick test_rng_sample_distinct;
-          Alcotest.test_case "int_in" `Quick test_rng_int_in;
         ] );
       ( "stats",
         [
           Alcotest.test_case "basic" `Quick test_stats_basic;
           Alcotest.test_case "percent" `Quick test_stats_percent;
-          Alcotest.test_case "stddev" `Quick test_stats_stddev;
         ] );
       ( "tab",
         [

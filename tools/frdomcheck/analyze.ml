@@ -2,7 +2,7 @@
 
    One [state] holds the whole-project view: summaries by qualified name,
    module-level values, the record-field implementation registry, and the
-   worker roots discovered at Fr_util.Pool.run/map (and Domain.spawn)
+   worker roots discovered at Fr_util.Pool.map (and Domain.spawn)
    call sites.  [Check] loads every cmt once, then calls [analyze_round]
    until no summary digest changes — an optimistic interprocedural
    fixpoint: a call to a not-yet-stable function uses last round's
@@ -666,7 +666,7 @@ and eval_apply ctx sum ~rty loc f args =
   | Texp_ident ((Path.Pdot _ as p), _, _)
     when (not (in_pool_unit ctx))
          && (match Names.of_path ~aliases:ctx.aliases p with
-            | "Fr_util.Pool.run" | "Fr_util.Pool.map" | "Domain.spawn" -> true
+            | "Fr_util.Pool.map" | "Domain.spawn" -> true
             | _ -> false) ->
       handle_spawn ctx sum ~loc (Names.of_path ~aliases:ctx.aliases p) args
   | _ ->
@@ -972,10 +972,10 @@ and charge_external ctx sum ~rty ~loc name (entry : Tables.entry) eargs =
     in
     { vroot; vfn = None }
 
-(* A spawn site (Fr_util.Pool.run/map, Domain.spawn) outside the Pool unit
+(* A spawn site (Fr_util.Pool.map, Domain.spawn) outside the Pool unit
    itself: the job argument is not folded into the caller — it becomes a
    worker root, checked independently by [Check].  The Pool implementation
-   is trusted runtime: inside it, run/map calls analyze normally. *)
+   is trusted runtime: inside it, calls analyze normally. *)
 and handle_spawn ctx sum ~loc fname args =
   let rec split acc = function
     | [] -> (List.rev acc, None)

@@ -2,7 +2,7 @@
    judge worker roots, and emit findings plus the effects.json manifest.
 
    The safety property checked: every function reachable from a worker
-   root (a closure handed to Fr_util.Pool.run/map or Domain.spawn, or a
+   root (a closure handed to Fr_util.Pool.map or Domain.spawn, or a
    function carrying [@frdomcheck.worker]) is at most ReadOnly — it may
    allocate and mutate its own fresh storage, but any write to a global,
    to a spawn-shared argument, or through an unknown-rooted value is a
@@ -16,7 +16,7 @@ module A = Analyze
 
 type report = {
   findings : Finding.t list;
-  units : int;
+  units : string list;  (* source files of the loaded .cmt units *)
   functions : int;
   roots : int;
   rounds : int;
@@ -28,27 +28,22 @@ type report = {
 (* cmt discovery                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let rec find_cmts acc dir =
+let rec find_files ~suffix acc dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> acc
   | entries ->
-      Array.sort compare entries;
       Array.fold_left
         (fun acc name ->
           let path = Filename.concat dir name in
-          if Sys.is_directory path then find_cmts acc path
-          else if Filename.check_suffix name ".cmt" then path :: acc
+          if Sys.is_directory path then find_files ~suffix acc path
+          else if Filename.check_suffix name suffix then path :: acc
           else acc)
         acc entries
 
-let load_units st dirs =
-  let cmts = List.sort compare (List.fold_left find_cmts [] dirs) in
-  List.filter_map
-    (fun path ->
-      match Cmt_format.read_cmt path with
-      | exception _ -> None
-      | cmt -> A.load_unit st cmt)
-    cmts
+let read_all ~suffix dirs =
+  List.sort compare (List.fold_left (find_files ~suffix) [] dirs)
+  |> List.filter_map (fun path ->
+         match Cmt_format.read_cmt path with exception _ -> None | cmt -> Some cmt)
 
 (* ------------------------------------------------------------------ *)
 (* Worker reachability                                                 *)
@@ -99,17 +94,9 @@ let root_kind_name = function
   | A.Root_named _ -> "named"
   | A.Root_opaque _ -> "opaque"
 
-let collect_findings st allow =
-  let allowlisted = ref 0 in
+let collect_findings st ~suppressed =
   let out = ref [] in
   let reported = Hashtbl.create 64 in
-  let suppressed ~rule ~key =
-    match allow with
-    | Some t when Suppress.suppresses_key t ~rule ~key ->
-        incr allowlisted;
-        true
-    | _ -> false
-  in
   let add ~key ~rule ~loc msg =
     if not (suppressed ~rule ~key) then out := finding_of ~loc ~rule ~message:msg :: !out
   in
@@ -172,7 +159,7 @@ let collect_findings st allow =
                         fsum.S.offenses)
                 members))
     roots;
-  (List.rev !out, !allowlisted)
+  List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* effects.json                                                        *)
@@ -241,7 +228,7 @@ let max_rounds = 50
 
 let run ?allowlist_path ?out_path ~dirs () =
   let st = A.create_state () in
-  let units = load_units st dirs in
+  let units = List.filter_map (A.load_unit st) (read_all ~suffix:".cmt" dirs) in
   let rounds = ref 0 in
   let continue_ = ref true in
   while !continue_ && !rounds < max_rounds do
@@ -260,9 +247,23 @@ let run ?allowlist_path ?out_path ~dirs () =
           (Some t, errs)
         else (None, [])
   in
-  let findings, allowlisted = collect_findings st allow in
+  let allowlisted = ref 0 in
+  let suppressed ~rule ~key =
+    match allow with
+    | Some t when Suppress.suppresses_key t ~rule ~key ->
+        incr allowlisted;
+        true
+    | _ -> false
+  in
+  let findings = collect_findings st ~suppressed in
+  let dead =
+    Exports.dead ~units ~cmtis:(read_all ~suffix:".cmti" dirs)
+    |> List.filter (fun (e : Exports.export) ->
+           not (suppressed ~rule:Exports.rule ~key:e.Exports.name))
+    |> List.map Exports.finding
+  in
   let unused = match allow with Some t -> Suppress.unused_findings t | None -> [] in
-  let findings = List.sort Finding.order (allow_errors @ findings @ unused) in
+  let findings = List.sort Finding.order (allow_errors @ findings @ dead @ unused) in
   (match out_path with
   | None -> ()
   | Some path ->
@@ -273,11 +274,11 @@ let run ?allowlist_path ?out_path ~dirs () =
       close_out oc);
   {
     findings;
-    units = List.length units;
+    units = List.map (fun u -> u.A.u_file) units;
     functions = Hashtbl.length st.A.summaries;
     roots = List.length !(st.A.roots);
     rounds = !rounds;
-    allowlisted;
+    allowlisted = !allowlisted;
     unmodeled =
       Hashtbl.fold (fun n () acc -> n :: acc) st.A.unmodeled [] |> List.sort compare;
   }

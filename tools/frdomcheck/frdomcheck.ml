@@ -65,7 +65,7 @@ let () =
     Printf.printf
       "frdomcheck: %d unit(s), %d function(s), %d worker root(s), %d round(s), %d \
        finding(s), %d allowlisted\n"
-      report.Check.units report.Check.functions report.Check.roots report.Check.rounds
+      (List.length report.Check.units) report.Check.functions report.Check.roots report.Check.rounds
       (List.length report.Check.findings)
       report.Check.allowlisted
   end;
