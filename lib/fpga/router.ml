@@ -963,11 +963,21 @@ let min_channel_width ?(config = default_config) ?(domains = 1) ~arch_of_width ~
     let rrg = Rrg.build (arch_of_width w) in
     match route ~config ~domains rrg circuit with Ok stats -> Some stats | Error _ -> None
   in
-  (* Feasibility is monotone in the channel width, so the answer is found by
-     bisecting between the last failing and the first succeeding width —
-     O(log) routes instead of one per width.  Infeasible probes stay cheap
-     thanks to the early-stall cutoff inside [route].  Invariant: [lo]
-     failed (0 = conceptual always-failing floor), [hi] succeeded. *)
+  (* Feasibility is assumed monotone in the width, and probes are ordered
+     by cost: a routable width finishes in about one pass, while a failing
+     one runs rip-up passes until the stall cutoff inside [route].  So from
+     a routable [start] the search steps down one width at a time and stops
+     at the first failure, which it pays for once; the answer is the last
+     width that routed (or 1).  Starting near the minimum, as every caller
+     does, that is a few routable probes and one failing one. *)
+  let rec step_down w best =
+    if w = 1 then Some (w, best)
+    else
+      match try_width (w - 1) with
+      | Some stats -> step_down (w - 1) stats
+      | None -> Some (w, best)
+  in
+  (* Invariant: [lo] failed, [hi] succeeded; bisect the gap between them. *)
   let rec bisect lo hi best =
     if hi - lo <= 1 then Some (hi, best)
     else begin
@@ -988,5 +998,5 @@ let min_channel_width ?(config = default_config) ?(domains = 1) ~arch_of_width ~
     | None -> if w >= max_width then None else gallop_up w (2 * step)
   in
   match try_width start with
-  | Some stats -> bisect 0 start stats
+  | Some stats -> step_down start stats
   | None -> gallop_up start 1

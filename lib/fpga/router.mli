@@ -173,10 +173,14 @@ val min_channel_width :
   unit ->
   (int * stats) option
 (** Smallest channel width at which the circuit routes completely,
-    assuming feasibility is monotone in the width: bisects between the last
-    failing and first succeeding width, galloping upward from [start] when
-    [start] itself fails.  The gallop's probes are clamped to
-    [start + 15] and always try that cap before giving up; [None] if even
+    assuming feasibility is monotone in the width, with the stats of the
+    answer's own route.  The answer routes and the width below it fails
+    (or the answer is 1).  A failing width costs several rip-up passes
+    and a routable one about one, so the probes are ordered to fail once:
+    when [start] routes, they step down [start - 1], [start - 2], ... to
+    the first failure.  When [start] fails, they gallop upward with
+    doubling steps, clamped to [start + 15], and bisect the last gap; the
+    cap itself is always tried before giving up, and [None] means even
     the cap fails.
     @raise Invalid_argument when [start < 1]. *)
 

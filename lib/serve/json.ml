@@ -215,10 +215,19 @@ let parse_number cur =
   let s = String.sub cur.text start (cur.pos - start) in
   match float_of_string_opt s with Some f -> Num f | None -> fail cur "bad number"
 
-let rec parse_value cur =
+(* The deepest array/object nesting a value may have.  The deepest
+   protocol request nests 4 levels; the cap bounds the parser's recursion,
+   so a line of brackets fails at its 513th byte instead of growing the
+   stack by one frame per byte. *)
+let max_depth = 512
+
+(* [depth] is the number of arrays and objects enclosing the value. *)
+let rec parse_value cur depth =
   skip_ws cur;
   match peek cur with
   | None -> fail cur "unexpected end of input"
+  | Some ('[' | '{') when depth >= max_depth ->
+      fail cur (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some 'n' -> literal cur "null" Null
   | Some 't' -> literal cur "true" (Bool true)
   | Some 'f' -> literal cur "false" (Bool false)
@@ -232,7 +241,7 @@ let rec parse_value cur =
       end
       else begin
         let rec items acc =
-          let v = parse_value cur in
+          let v = parse_value cur (depth + 1) in
           skip_ws cur;
           match peek cur with
           | Some ',' ->
@@ -258,7 +267,7 @@ let rec parse_value cur =
           let k = parse_string cur in
           skip_ws cur;
           expect cur ':';
-          let v = parse_value cur in
+          let v = parse_value cur (depth + 1) in
           (k, v)
         in
         let rec fields acc =
@@ -280,7 +289,7 @@ let rec parse_value cur =
 
 let of_string text =
   let cur = { text; pos = 0 } in
-  match parse_value cur with
+  match parse_value cur 0 with
   | v ->
       skip_ws cur;
       if cur.pos < String.length text then Error "trailing garbage after JSON value" else Ok v

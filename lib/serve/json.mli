@@ -19,7 +19,9 @@ val to_string : t -> string
     escape them), so a value is always exactly one protocol frame. *)
 
 val of_string : string -> (t, string) result
-(** Parse one complete value; trailing non-whitespace is an error. *)
+(** Parse one complete value; trailing non-whitespace is an error, and so
+    is nesting arrays and objects more than 512 levels deep, which bounds
+    the parser's stack and time on hostile input. *)
 
 val member : string -> t -> t option
 (** Field lookup; [None] on missing field or non-object. *)

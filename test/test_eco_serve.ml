@@ -73,6 +73,24 @@ let test_json_rejects () =
   bad "{\"a\" 1}";
   bad ""
 
+(* Nesting is capped at 512 levels, so a run of brackets is rejected at
+   the cap instead of recursing once per byte. *)
+let test_json_depth_cap () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  (match S.Json.of_string (nested 512) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "depth 512 rejected: %s" e);
+  Alcotest.(check bool) "depth 513 rejected" true (Result.is_error (S.Json.of_string (nested 513)));
+  let objects d = String.concat "" (List.init d (fun _ -> "{\"a\":")) ^ "0" ^ String.make d '}' in
+  Alcotest.(check bool) "objects count too" true
+    (Result.is_ok (S.Json.of_string (objects 512))
+    && Result.is_error (S.Json.of_string (objects 513)));
+  let t0 = Unix.gettimeofday () in
+  let r = S.Json.of_string (String.make (1 lsl 20) '[') in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "1 MiB of '[' rejected" true (Result.is_error r);
+  Alcotest.(check bool) (Printf.sprintf "in under 0.1 s (%.3f s)" dt) true (dt < 0.1)
+
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -588,6 +606,41 @@ let test_server_rejects_oversized_line () =
   Thread.join th;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
+(* A 1 MiB frame of '[', newline included, is inside the line cap: the
+   JSON depth cap answers it with a parse error at once, and the
+   connection stays open. *)
+let test_server_rejects_deep_nesting () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fr_serve_deep_%d.sock" (Unix.getpid ()))
+  in
+  let server = S.Server.create ~socket:path in
+  let th = Thread.create S.Server.serve_forever server in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let exchange line =
+    output_string oc line;
+    output_char oc '\n';
+    flush oc;
+    match S.Json.of_string (input_line ic) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "reply is not JSON: %s" e
+  in
+  let deep = exchange (String.make ((1 lsl 20) - 1) '[') in
+  Alcotest.(check bool) "error reply" true (Option.bind (field "ok" deep) S.Json.bool = Some false);
+  Alcotest.(check bool) "a JSON error at the depth cap" true
+    (match Option.bind (field "error" deep) S.Json.str with
+    | Some e -> String.starts_with ~prefix:"bad JSON: nesting deeper than 512" e
+    | None -> false);
+  let stats = expect_ok (exchange {|{"cmd":"stats"}|}) in
+  Alcotest.(check bool) "the same connection answers stats" true
+    (Option.bind (field "session" stats) S.Json.bool = Some false);
+  ignore (expect_ok (exchange {|{"cmd":"shutdown"}|}));
+  close_in ic;
+  Thread.join th;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
 (* A long-lived daemon must not grow with every connection it has served:
    each connection's thread leaves the live set when it ends. *)
 let test_server_forgets_finished_connections () =
@@ -712,6 +765,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects;
+          Alcotest.test_case "caps nesting depth" `Quick test_json_depth_cap;
         ] );
       ( "protocol",
         [
@@ -734,6 +788,8 @@ let () =
           Alcotest.test_case "survives a client that hangs up" `Quick test_server_survives_hangup;
           Alcotest.test_case "rejects an over-long request line" `Quick
             test_server_rejects_oversized_line;
+          Alcotest.test_case "answers a deeply nested line and keeps serving" `Quick
+            test_server_rejects_deep_nesting;
           Alcotest.test_case "forgets finished connections" `Quick
             test_server_forgets_finished_connections;
           Alcotest.test_case "concurrent ECO clients reach a fixpoint" `Quick

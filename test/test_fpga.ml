@@ -442,7 +442,8 @@ let test_router_min_channel_width () =
 (* The gallop gives up at [start + 15]: with an architecture that never
    routes (W=1 fails the tiny circuit, whatever width is asked for), the
    probes climb from [start] with doubling steps and end on the cap
-   itself.  A [start] above the minimum bisects down to it. *)
+   itself.  A [start] above the minimum steps down one width at a time
+   and pays for exactly one failing probe, the width below the minimum. *)
 let test_router_min_width_respects_cap () =
   let circuit = tiny_circuit () in
   let arch_of_width w = F.Arch.xc4000 ~rows:4 ~cols:5 ~channel_width:w in
@@ -452,17 +453,25 @@ let test_router_min_width_respects_cap () =
     | None -> Alcotest.fail "tiny circuit should route"
   in
   let probes = ref [] in
-  let never_routes w =
+  let recording arch_of_width w =
     probes := w :: !probes;
-    arch_of_width 1
+    arch_of_width w
   in
+  let never_routes = recording (fun _ -> arch_of_width 1) in
   (match F.Router.min_channel_width ~arch_of_width:never_routes ~circuit ~start:3 () with
   | Some (w, _) -> Alcotest.failf "reported width %d on an unroutable architecture" w
   | None -> ());
   Alcotest.(check (list int)) "probes stop at start + 15" [ 3; 4; 6; 10; 18 ] (List.rev !probes);
-  (match F.Router.min_channel_width ~arch_of_width ~circuit ~start:(wmin + 9) () with
-  | Some (w, _) -> Alcotest.(check int) "start above the minimum bisects down" wmin w
+  probes := [];
+  (match
+     F.Router.min_channel_width ~arch_of_width:(recording arch_of_width) ~circuit
+       ~start:(wmin + 9) ()
+   with
+  | Some (w, _) -> Alcotest.(check int) "start above the minimum steps down to it" wmin w
   | None -> Alcotest.fail "a routable start must find the minimum");
+  Alcotest.(check (list int)) "one width at a time, one failing probe"
+    (List.init 10 (fun i -> wmin + 9 - i) @ if wmin > 1 then [ wmin - 1 ] else [])
+    (List.rev !probes);
   Alcotest.check_raises "start < 1"
     (Invalid_argument "Router.min_channel_width: start must be >= 1") (fun () ->
       ignore (F.Router.min_channel_width ~arch_of_width ~circuit ~start:0 ()))

@@ -6,7 +6,10 @@ drives checkpoint / ECO / restore requests, and checks the differential
 contract through the canonical routing digests the protocol exposes:
 after an ECO round-trip back to the original netlist, the digest must
 equal the initial route's, from every vantage point (the eco response,
-a stats call on a second connection, and a from-scratch re-route).
+a stats call on a second connection, and a from-scratch re-route).  The
+second connection also sends a 1 MiB frame of '[' (newline included),
+which the JSON nesting cap must answer with an error within 0.25 s,
+leaving the connection able to answer stats.
 
 Usage: serve_smoke.py BINARY CIRCUIT_FILE [WIDTH]
 Exits non-zero (with a message) on any violation.
@@ -21,6 +24,10 @@ import tempfile
 import time
 
 
+# The daemon's request-line cap (lib/serve/server.ml's [max_line]).
+MAX_LINE = 1 << 20
+
+
 def die(msg):
     print(f"serve_smoke: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
@@ -32,15 +39,19 @@ class Client:
         self.sock.connect(path)
         self.buf = b""
 
-    def request(self, obj):
-        self.sock.sendall(json.dumps(obj).encode() + b"\n")
+    def exchange(self, line):
+        """Send one raw request line; return the reply, whatever it says."""
+        self.sock.sendall(line + b"\n")
         while b"\n" not in self.buf:
             chunk = self.sock.recv(65536)
             if not chunk:
                 die("connection closed mid-response")
             self.buf += chunk
-        line, self.buf = self.buf.split(b"\n", 1)
-        resp = json.loads(line)
+        reply, self.buf = self.buf.split(b"\n", 1)
+        return json.loads(reply)
+
+    def request(self, obj):
+        resp = self.exchange(json.dumps(obj).encode())
         if not resp.get("ok"):
             die(f"request {obj.get('cmd')} failed: {resp.get('error')}")
         return resp
@@ -99,6 +110,19 @@ def main():
         stats = c2.request({"cmd": "stats"})
         if stats.get("digest") != d0:
             die("stats digest differs across connections")
+
+        # A 1 MiB frame of '[', newline included, inside the line cap: the
+        # JSON depth cap must reject it at once, and the connection must
+        # keep serving.
+        t0 = time.monotonic()
+        deep = c2.exchange(b"[" * (MAX_LINE - 1))
+        elapsed = time.monotonic() - t0
+        if deep.get("ok") is not False or not deep.get("error", "").startswith("bad JSON"):
+            die(f"deeply nested line not rejected as bad JSON: {deep}")
+        if elapsed > 0.25:
+            die(f"deeply nested line took {elapsed:.2f} s to reject (limit 0.25 s)")
+        if c2.request({"cmd": "stats"}).get("digest") != d0:
+            die("stats after the deeply nested line lost the session")
         c2.close()
 
         # A from-scratch re-route of the same circuit must agree too.
