@@ -47,7 +47,7 @@ let int_within ?(hi = max_int) lo =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-(* Widths, pass caps, domain counts and start widths. *)
+(* Widths, pass caps and start widths. *)
 let positive_int = int_within 1
 
 (* One of the named [choices], spelled out in full: [Arg.enum] also takes
@@ -76,11 +76,14 @@ let passes_arg =
 
 let domains_arg =
   Arg.(
-    value & opt positive_int 1
+    value
+    & opt (int_within ~hi:Fr_util.Pool.max_domains 1) 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Worker domains for the speculative batch solves. The routed trees are \
-           bit-identical for every value; only the wall time changes.")
+          (Printf.sprintf
+             "Worker domains for the speculative batch solves, 1 to %d. The routed trees are \
+              bit-identical for every value; only the wall time changes."
+             Fr_util.Pool.max_domains))
 
 let mode_arg =
   Arg.(

@@ -273,8 +273,16 @@ let solve_net pool cfg rrg net ~restricted =
     | Tree_alg alg -> solve_tree_alg pool alg rrg net ~restricted
     | Two_pin_decomposition -> solve_two_pin pool rrg net ~restricted
 
+(* The RRG nodes of a net's pins, source first. *)
+let pin_nodes rrg net =
+  List.map
+    (fun p -> Rrg.pin rrg ~row:p.Netlist.row ~col:p.Netlist.col ~side:p.Netlist.side ~slot:p.Netlist.slot)
+    (Netlist.net_pins net)
+
 (* Commit a routed net: consume its resources and add congestion pressure
-   around the channel segments it used. *)
+   around the channel segments it used.  What it writes is a function of
+   the state, the net's pin nodes as a set and the tree's edges; nothing
+   else of the net enters. *)
 let commit rrg net tree =
   let g = rrg.Rrg.graph in
   let w = rrg.Rrg.arch.Arch.channel_width in
@@ -285,10 +293,7 @@ let commit rrg net tree =
   in
   (* Disable consumed wires and the net's own pins. *)
   List.iter (fun v -> if Rrg.is_wire rrg v then G.Gstate.disable_node g v) used_nodes;
-  List.iter
-    (fun p ->
-      G.Gstate.disable_node g (Rrg.pin rrg ~row:p.Netlist.row ~col:p.Netlist.col ~side:p.Netlist.side ~slot:p.Netlist.slot))
-    (Netlist.net_pins net);
+  List.iter (G.Gstate.disable_node g) (pin_nodes rrg net);
   (* Congestion: edges incident to the remaining free wires of each touched
      segment become more expensive, proportional to the new occupancy. *)
   let inc = congestion_increment /. float_of_int w in
@@ -464,15 +469,28 @@ let solve_all ~par_batches ctx cfg rrg nets =
 let peak_occupancy rrg =
   List.fold_left (fun acc seg -> Int.max acc (Rrg.segment_occupancy rrg seg)) 0 (Rrg.segments rrg)
 
-let check_route_args ~fname rrg circuit domains =
+(* Everything a route would trip over, checked before anything is
+   touched: a valid netlist, on the architecture's array, whose every pin
+   is one of the [pin_slots] slots the RRG builds per block side. *)
+let check_circuit ~fname rrg circuit =
   (match Netlist.validate circuit with
   | Ok () -> ()
   | Error msg -> invalid_arg (fname ^ ": " ^ msg));
-  if
-    circuit.Netlist.rows <> rrg.Rrg.arch.Arch.rows
-    || circuit.Netlist.cols <> rrg.Rrg.arch.Arch.cols
-  then invalid_arg (fname ^ ": circuit does not fit architecture");
-  if domains < 1 then invalid_arg (fname ^ ": domains must be >= 1")
+  let arch = rrg.Rrg.arch in
+  if circuit.Netlist.rows <> arch.Arch.rows || circuit.Netlist.cols <> arch.Arch.cols then
+    invalid_arg (fname ^ ": circuit does not fit architecture");
+  List.iter
+    (fun n ->
+      if List.exists (fun p -> p.Netlist.slot >= arch.Arch.pin_slots) (Netlist.net_pins n) then
+        invalid_arg
+          (Printf.sprintf "%s: net %s: pin slot out of range (the architecture has %d per side)"
+             fname n.Netlist.net_name arch.Arch.pin_slots))
+    circuit.Netlist.nets
+
+let check_route_args ~fname rrg circuit domains =
+  check_circuit ~fname rrg circuit;
+  if domains < 1 || domains > Fr_util.Pool.max_domains then
+    invalid_arg (Printf.sprintf "%s: domains must be in [1, %d]" fname Fr_util.Pool.max_domains)
 
 let make_workers domains rrg =
   let wrrg = Rrg.read_only_view rrg in
@@ -600,53 +618,65 @@ module Eco = struct
       e_closed = false;
     }
 
-  (* Run a batch sequence on the live state: per batch, one solve fan-out,
-     then landing in wave order.  Returns the landed batches' ledger and
-     the failed nets.  Rolling the journal back to a batch's mark and
-     re-running the schedule suffix from that batch reproduces exactly what
-     a full pass over the same schedule would have done from there. *)
-  let run_batches t ~par_batches ~par_conflicts batches =
+  (* Run one batch of a schedule on the live state: one solve fan-out, then
+     landing in wave order.  Returns the batch's ledger entry and its
+     failed nets. *)
+  let run_batch t ~par_batches ~par_conflicts b =
     let rrg = t.e_rrg and cfg = t.e_cfg and ctx = t.e_workers in
     let g = rrg.Rrg.graph in
-    let failed = ref [] in
-    let run_batch b =
-      let cp = G.Gstate.checkpoint g in
-      let landed = ref [] in
-      let land_tree net tree =
-        landed := land_net rrg t.e_base_w net tree :: !landed;
-        (* The commit just mutated weights/enables: every domain's entries
-           are stale. *)
-        invalidate_all ctx
-      in
-      let land_result net = function
-        | None ->
-            (* Failed against the frozen state on the *full* graph.  Commits
-               only disable resources within a pass, so the live state
-               offers a subset of the frozen one — no point re-solving. *)
-            failed := net.Netlist.net_name :: !failed
-        | Some tree ->
-            (* A speculative tree survives its batch-mates' commits iff
-               every resource it uses is still enabled; weight changes never
-               invalidate it (they only mean a fresh solve might have chosen
-               differently). *)
-            if G.Tree.uses_only_enabled g tree then land_tree net tree
-            else begin
-              (* A batch-mate committed first and took one of this tree's
-                 wires: re-solve against the live state, serially. *)
-              incr par_conflicts;
-              match attempt_serial ctx cfg rrg net with
-              | Some tree -> land_tree net tree
-              | None -> failed := net.Netlist.net_name :: !failed
-            end
-      in
-      let nets = Array.of_list (List.map fst b.members) in
-      Array.iteri
-        (fun i r -> land_result nets.(i) r)
-        (solve_all ~par_batches ctx cfg rrg nets);
-      { br_cp = cp; br_nets = Array.to_list nets; br_routed = List.rev !landed }
+    let cp = G.Gstate.checkpoint g in
+    let landed = ref [] and failed = ref [] in
+    let land_tree net tree =
+      landed := land_net rrg t.e_base_w net tree :: !landed;
+      (* The commit just mutated weights/enables: every domain's entries
+         are stale. *)
+      invalidate_all ctx
     in
-    let ledger = List.rev (List.fold_left (fun acc b -> run_batch b :: acc) [] batches) in
-    (ledger, List.rev !failed)
+    let land_result net = function
+      | None ->
+          (* Failed against the frozen state on the *full* graph.  Commits
+             only disable resources within a pass, so the live state offers
+             a subset of the frozen one — no point re-solving. *)
+          failed := net.Netlist.net_name :: !failed
+      | Some tree ->
+          (* A speculative tree survives its batch-mates' commits iff every
+             resource it uses is still enabled; weight changes never
+             invalidate it (they only mean a fresh solve might have chosen
+             differently). *)
+          if G.Tree.uses_only_enabled g tree then land_tree net tree
+          else begin
+            (* A batch-mate committed first and took one of this tree's
+               wires: re-solve against the live state, serially. *)
+            incr par_conflicts;
+            match attempt_serial ctx cfg rrg net with
+            | Some tree -> land_tree net tree
+            | None -> failed := net.Netlist.net_name :: !failed
+          end
+    in
+    let nets = Array.of_list (List.map fst b.members) in
+    Array.iteri (fun i r -> land_result nets.(i) r) (solve_all ~par_batches ctx cfg rrg nets);
+    ({ br_cp = cp; br_nets = Array.to_list nets; br_routed = List.rev !landed }, List.rev !failed)
+
+  (* Land a stored batch again, under a fresh journal mark, by committing
+     its trees in their order: on the state the batch first landed on, this
+     rebuilds the state it left, since a commit is deterministic. *)
+  let replay_batch t br =
+    let cp = G.Gstate.checkpoint t.e_rrg.Rrg.graph in
+    List.iter (fun r -> commit t.e_rrg r.net r.tree) br.br_routed;
+    invalidate_all t.e_workers;
+    { br with br_cp = cp }
+
+  (* Whether two batches' landings leave the same state from the same
+     start: net by net in commit order, the same pin nodes as a set and the
+     same tree edges, which is all a commit reads besides the state.  Which
+     pin is the source, and the net's name, do not enter. *)
+  let same_landing rrg a b =
+    let pins r = List.sort Int.compare (pin_nodes rrg r.net) in
+    List.equal
+      (fun x y ->
+        List.equal Int.equal x.tree.G.Tree.edges y.tree.G.Tree.edges
+        && List.equal Int.equal (pins x) (pins y))
+      a.br_routed b.br_routed
 
   (* Waves mode: rip-up passes with move-to-front ordering.  Pass 1 keeps
      what the ledger proves still valid and re-runs the rest; every later
@@ -654,17 +684,44 @@ module Eco = struct
      same inputs whatever pass 1 kept. *)
   let waves_route t circuit ~ripped ~reused ~par_batches ~par_conflicts =
     let g = t.e_rrg.Rrg.graph in
-    let rip net = Hashtbl.replace ripped net.Netlist.net_name () in
+    let tally tbl nets = List.iter (fun n -> Hashtbl.replace tbl n.Netlist.net_name ()) nets in
+    (* Run [batches] on the live state, which is the state the ledger
+       [stale] held at its first mark, walking [stale] alongside.  The state
+       at a mark is a function of the commits landed before it, in order.
+       So while every batch run so far has landed what [stale] stored at
+       its position, the live state is also the stored one at the next
+       mark; and a batch with the stored batch's nets, solving from the
+       same state (speculative solves read the frozen batch-start state,
+       conflict re-solves and commits the live one, all deterministic),
+       would land exactly what was stored, so it is replayed instead.  The
+       first landing that differs or fails drops the rest of the ledger,
+       and everything after it is solved; so does an empty ledger. *)
+    let run ~stale batches =
+      let rec go ledger failed stale = function
+        | [] -> (List.rev ledger, List.rev failed)
+        | b :: rest -> (
+            match stale with
+            | br :: stale' when batch_matches br b ->
+                tally reused br.br_nets;
+                go (replay_batch t br :: ledger) failed stale' rest
+            | _ -> (
+                let landed, lost = run_batch t ~par_batches ~par_conflicts b in
+                tally ripped landed.br_nets;
+                let failed = List.rev_append lost failed in
+                match stale with
+                | br :: stale' when lost = [] && same_landing t.e_rrg br landed ->
+                    go (landed :: ledger) failed stale' rest
+                | _ -> go (landed :: ledger) failed [] rest))
+      in
+      go [] [] stale batches
+    in
     let pass n order =
       let schedule = partition_wave t.e_cfg order in
       if n = 1 then begin
-        (* The landed state after any batch is a pure function of the
-           schedule prefix up to it (speculative solves read the frozen
-           batch-start state, conflict re-solves and commits read the live
-           one — all deterministic), so the longest prefix of the new
-           schedule that matches the ledger is already, verbatim, in the
-           graph.  Everything from the first mismatched batch on is rolled
-           back in one targeted journal rollback and re-run live; a fresh
+        (* The longest prefix of the new schedule that matches the ledger is
+           already, verbatim, in the graph.  Everything from the first
+           mismatched batch on is rolled back in one targeted journal
+           rollback and run again, next to the ledger's stale rest; a fresh
            session has no ledger and rolls nothing back. *)
         let rec split acc stored sched =
           match (stored, sched) with
@@ -674,20 +731,16 @@ module Eco = struct
         in
         let pre, stale, suffix = split [] t.e_batches schedule in
         (match stale with br :: _ -> G.Gstate.rollback g br.br_cp | [] -> ());
-        List.iter
-          (fun br -> List.iter (fun n -> Hashtbl.replace reused n.Netlist.net_name ()) br.br_nets)
-          pre;
-        List.iter (fun b -> List.iter (fun (n, _) -> rip n) b.members) suffix;
-        let landed, failed = run_batches t ~par_batches ~par_conflicts suffix in
+        List.iter (fun br -> tally reused br.br_nets) pre;
+        let landed, failed = run ~stale suffix in
         (pre @ landed, failed)
       end
       else begin
         Hashtbl.reset reused;
-        List.iter rip circuit.Netlist.nets;
         (* Each later pass rips the previous one up by rolling the journal
            back to the base — O(entries the pass wrote), not O(V+E). *)
         G.Gstate.rollback g t.e_cp0;
-        run_batches t ~par_batches ~par_conflicts schedule
+        run ~stale:[] schedule
       end
     in
     let rec loop n order ~best ~stalled =
@@ -863,14 +916,7 @@ module Eco = struct
     let g = t.e_rrg.Rrg.graph in
     G.Gstate.rollback g t.e_cp0;
     (match t.e_cfg.mode with
-    | Waves ->
-        t.e_batches <-
-          List.map
-            (fun br ->
-              let cp = G.Gstate.checkpoint g in
-              List.iter (fun r -> commit t.e_rrg r.net r.tree) br.br_routed;
-              { br with br_cp = cp })
-            t.e_batches
+    | Waves -> t.e_batches <- List.map (replay_batch t) t.e_batches
     | Negotiated -> List.iter (fun r -> commit t.e_rrg r.net r.tree) t.e_routed);
     invalidate_all t.e_workers
 
@@ -927,9 +973,7 @@ module Eco = struct
   let apply t deltas =
     if t.e_closed then invalid_arg "Router.Eco.apply: session closed";
     let circuit = List.fold_left edit_circuit t.e_circuit deltas in
-    (match Netlist.validate circuit with
-    | Ok () -> ()
-    | Error msg -> invalid_arg ("Router.Eco.apply: " ^ msg));
+    check_circuit ~fname:"Router.Eco.apply" t.e_rrg circuit;
     let res = reroute t circuit in
     (* An edited netlist that does not route leaves the pre-request routing
        in place, so the session stays usable. *)

@@ -161,8 +161,11 @@ val route :
     All work counters in {!stats} are per-call: calling [route] twice on
     the same (reusable) graph state reports each call's own work, not the
     state's lifetime totals.
-    @raise Invalid_argument when the circuit does not fit the RRG or does
-    not validate, or when [domains < 1]. *)
+    @raise Invalid_argument when the circuit does not validate, or does not
+    fit the RRG (another array size, or a pin slot at or above the
+    architecture's [pin_slots]), or when [domains] is not between 1 and
+    {!Fr_util.Pool.max_domains}; before any domain is spawned or the graph
+    is touched. *)
 
 val min_channel_width :
   ?config:config ->
@@ -194,15 +197,29 @@ val min_channel_width :
     followed by a re-route of the affected suffix against the live state
     on the session's persistent domain pool.
 
+    In waves mode that re-route stops solving as soon as it is back on the
+    stored schedule.  It runs the suffix one batch at a time beside the
+    stale ledger.  While every batch so far has landed what the ledger
+    stored at its position (net by net, the same pins as a set and the same
+    tree), the live state equals the stored one, so a following batch with
+    the stored batch's nets is replayed, its stored trees committed again,
+    instead of solved.  The first landing that differs, or a failed net,
+    ends the replay.  An edit that leaves its batch's trees as they were
+    therefore re-solves that one batch: a driver swap on a net routed by a
+    construction that reads only the terminal set (KMB, ZEL, IKMB, IZEL),
+    or the undo of an earlier edit.
+
     The contract is differential exactness, not best effort: after
     {!Eco.apply}, the maintained routing (trees, wirelength, pathlength,
     pass count, failure verdicts) is bit-identical to a from-scratch
     {!route} of the edited netlist with the same config — waves mode
-    because the kept schedule prefix is a pure function of the batch
-    sequence and later passes run the scratch loop verbatim, negotiated
-    mode because reused iteration-1 trees are pure functions of the base
-    state.  What the ECO path saves is the work for the kept prefix /
-    memoized solves, reported per request in {!Eco.eco_stats}. *)
+    because the state at a batch mark is a function of the commits landed
+    before it, in order (so the kept prefix and every replayed batch are
+    what a solve would land), and later passes run the scratch loop
+    verbatim; negotiated mode because reused iteration-1 trees are pure
+    functions of the base state.  What the ECO path saves is the work for
+    the kept prefix, the replayed batches and the memoized solves,
+    reported per request in {!Eco.eco_stats}. *)
 
 module Eco : sig
   type t
@@ -220,7 +237,11 @@ module Eco : sig
     stats : stats;  (** per-request router stats (counters are deltas) *)
     nets_total : int;  (** nets in the edited netlist *)
     nets_ripped : int;  (** nets this request ripped up and re-solved *)
-    nets_reused : int;  (** nets whose routing survived untouched *)
+    nets_reused : int;
+        (** nets this request did not solve: waves, those of the kept
+            prefix and of the replayed batches (none once a later pass
+            re-routes everything); negotiated, those served from the
+            iteration-1 memo and never re-solved *)
   }
 
   val create :
@@ -242,8 +263,9 @@ module Eco : sig
       width) the pre-request netlist and routing are restored, so the
       session remains usable.
       @raise Invalid_argument on a malformed delta (unknown or duplicate
-      net name, invalid pins, a pin already used by another net) or on a
-      closed session; the session is unchanged. *)
+      net name, invalid pins, a pin slot the RRG lacks, a pin already used
+      by another net) or on a closed session, before the session is
+      touched: it is unchanged and takes the next delta as before. *)
 
   val circuit : t -> Netlist.circuit
   (** The maintained netlist (reflects all applied deltas). *)

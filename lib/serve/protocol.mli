@@ -31,6 +31,8 @@ type route_req = {
   width : int;
   mode : Fr_fpga.Router.mode;
   domains : int;
+      (** default 1; a value not between 1 and {!Fr_util.Pool.max_domains}
+          is a parse error *)
   max_passes : int option;
 }
 

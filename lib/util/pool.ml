@@ -72,8 +72,15 @@ let rec worker_loop t ~worker last_gen =
     worker_loop t ~worker gen
   end
 
+(* The runtime allows 128 domains per process (Max_domains in
+   caml/domain.h).  At this cap two pools alive at once, as when a daemon
+   opens a session before closing the old one, spawn at most 126 domains
+   beside the main one. *)
+let max_domains = 64
+
 let create ~domains () =
-  if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
+  if domains < 1 || domains > max_domains then
+    invalid_arg (Printf.sprintf "Pool.create: domains must be in [1, %d]" max_domains);
   let t =
     {
       domains;

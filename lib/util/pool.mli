@@ -25,9 +25,16 @@
 
 type t
 
+val max_domains : int
+(** The largest [domains] {!create} accepts: 64.  The OCaml runtime caps a
+    process at 128 domains, so two pools of this size, alive at once, still
+    fit beside the main domain.  Anything that takes a domain count from
+    outside input (the CLI, the daemon's protocol) bounds it by this. *)
+
 val create : domains:int -> unit -> t
 (** [create ~domains ()] spawns [domains - 1] worker domains.
-    @raise Invalid_argument if [domains < 1]. *)
+    @raise Invalid_argument, before spawning anything, if [domains < 1] or
+    [domains > max_domains]. *)
 
 val map : t -> count:int -> (worker:int -> int -> 'a) -> 'a array
 (** [map p ~count f] executes [f ~worker i] for every [i] in

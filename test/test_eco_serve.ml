@@ -162,6 +162,12 @@ let test_protocol_parse_rest () =
   bad {|{"nocmd":1}|};
   bad {|{"cmd":"route","width":4}|};
   bad {|{"cmd":"route","circuit":"x","width":4,"mode":"psychic"}|};
+  (* Domain counts outside [1, Pool.max_domains] never reach a pool. *)
+  bad {|{"cmd":"route","circuit":"x","width":4,"domains":0}|};
+  bad
+    (Printf.sprintf {|{"cmd":"route","circuit":"x","width":4,"domains":%d}|}
+       (Fr_util.Pool.max_domains + 1));
+  bad {|{"cmd":"route","circuit":"x","width":4,"domains":100000}|};
   bad {|{"cmd":"eco"}|};
   bad {|{"cmd":"eco","deltas":[{"op":"warp"}]}|};
   bad {|{"cmd":"eco","deltas":[{"op":"retime","name":"b","source":"bogus","sinks":[]}]}|};
@@ -212,8 +218,8 @@ let eco_digest eco = S.Protocol.routing_digest (F.Router.Eco.routed eco)
    each session must hold the from-scratch route of its edited netlist,
    with the scratch route's quality; the rip-up accounting covers the
    netlist and, being part of the deterministic schedule, agrees across
-   domain counts.  Returns whether some step ripped fewer nets than the
-   netlist holds. *)
+   domain counts.  Returns each step's name with its [eco_stats] (the
+   first session's; every session's rip accounting equals it). *)
 let play_script ~config ~domains (circuit : F.Netlist.circuit) ~w script =
   let tag d s =
     Printf.sprintf "%s/%s/d%d: %s" circuit.F.Netlist.circuit_name
@@ -244,7 +250,7 @@ let play_script ~config ~domains (circuit : F.Netlist.circuit) ~w script =
           (tag d (step ^ " rip accounting = first session"))
           (es1.nets_ripped, es1.nets_reused) (es.nets_ripped, es.nets_reused))
       applied;
-    es1.F.Router.Eco.nets_ripped < es1.F.Router.Eco.nets_total
+    (step, es1)
   in
   let sessions =
     List.map
@@ -254,9 +260,9 @@ let play_script ~config ~domains (circuit : F.Netlist.circuit) ~w script =
       domains
   in
   ignore (check "create" sessions);
-  let partial =
-    List.fold_left
-      (fun partial (step, deltas) ->
+  let steps =
+    List.map
+      (fun (step, deltas) ->
         let applied =
           List.map
             (fun (d, eco, _) ->
@@ -265,11 +271,13 @@ let play_script ~config ~domains (circuit : F.Netlist.circuit) ~w script =
               | Error _ -> Alcotest.fail (tag d (step ^ " apply failed")))
             sessions
         in
-        check step applied || partial)
-      false script
+        check step applied)
+      script
   in
   List.iter (fun (_, eco, _) -> F.Router.Eco.close eco) sessions;
-  partial
+  steps
+
+let ripped steps step = (List.assoc step steps).F.Router.Eco.nets_ripped
 
 (* Every delta kind on the tiny circuit, in both modes, serial and on 2
    domains. *)
@@ -304,13 +312,35 @@ let last_first l =
   | last :: rest_rev -> last :: List.rev rest_rev
   | [] -> []
 
+let term1 () = F.Circuits.generate (Option.get (F.Circuits.find_spec "term1"))
+
+let net_named (circuit : F.Netlist.circuit) name =
+  List.find (fun n -> String.equal n.F.Netlist.net_name name) circuit.F.Netlist.nets
+
+(* A driver swap that keeps the pins: the first sink becomes the source and
+   the old source the last sink, as the benchmark's edit deck does; and
+   the retime that undoes it. *)
+let rotate (n : F.Netlist.net) =
+  match n.F.Netlist.sinks with
+  | s :: rest -> F.Router.Eco.Retime_net (n.F.Netlist.net_name, s, rest @ [ n.F.Netlist.source ])
+  | [] -> Alcotest.fail "net with no sinks"
+
+let unrotate (n : F.Netlist.net) =
+  F.Router.Eco.Retime_net (n.F.Netlist.net_name, n.F.Netlist.source, n.F.Netlist.sinks)
+
+(* A waves batch holds at most 8 nets (the router's batch cap). *)
+let par_batch = 8
+
 (* term1 at W=14 in waves mode on domains 1/2/4: a removal, an addition, a
    terminal change (retime) and a mixed request, all on nets near the end
    of the net order, where the waves schedule keeps an unchanged batch
    prefix — the locality the incremental path exists to exploit, so some
-   step must rip fewer nets than the netlist holds. *)
+   step must rip fewer nets than the netlist holds.  Then a driver swap on
+   the 11-pin n67, near the front of the order, and its undo: IKMB builds a
+   tree from the terminal set alone, so n67's batch lands what the ledger
+   stored and the rest of the schedule is replayed, not re-solved. *)
 let test_eco_term1_script () =
-  let circuit = F.Circuits.generate (Option.get (F.Circuits.find_spec "term1")) in
+  let circuit = term1 () in
   let nets = Array.of_list circuit.F.Netlist.nets in
   let n = Array.length nets in
   let a = nets.(n - 1) and b = nets.(n - 2) and m = nets.(n - 3) in
@@ -331,13 +361,44 @@ let test_eco_term1_script () =
       ( "mixed",
         [
           F.Router.Eco.Remove_net m.F.Netlist.net_name;
-          F.Router.Eco.Retime_net (b.F.Netlist.net_name, b.F.Netlist.source, b.F.Netlist.sinks);
+          unrotate b;
         ] );
+      ("rotate n67", [ rotate (net_named circuit "n67") ]);
+      ("restore n67", [ unrotate (net_named circuit "n67") ]);
     ]
   in
   let config = F.Router.config_with ~max_passes:8 () in
+  let steps = play_script ~config ~domains:[ 1; 2; 4 ] circuit ~w:14 script in
   Alcotest.(check bool) "some step ripped fewer nets than the total" true
-    (play_script ~config ~domains:[ 1; 2; 4 ] circuit ~w:14 script)
+    (List.exists
+       (fun (_, es) -> es.F.Router.Eco.nets_ripped < es.F.Router.Eco.nets_total)
+       steps);
+  List.iter
+    (fun step ->
+      let r = ripped steps step in
+      if r > par_batch then Alcotest.failf "%s ripped %d nets, more than one batch" step r)
+    [ "rotate n67"; "restore n67" ]
+
+(* Under IDOM, a source-rooted construction, a driver swap does change the
+   net's tree, so the landing differs from the ledger's and the rest of
+   the schedule must be solved again: every step equals scratch and rips
+   the nets the schedule suffix holds (pinned). *)
+let test_eco_term1_idom_rotations () =
+  let circuit = term1 () in
+  let n14 = net_named circuit "n14" and n29 = net_named circuit "n29" in
+  let script =
+    [
+      ("rotate n14", [ rotate n14 ]);
+      ("restore n14", [ unrotate n14 ]);
+      ("rotate n29", [ rotate n29 ]);
+      ("restore n29", [ unrotate n29 ]);
+    ]
+  in
+  let config = F.Router.config_with ~alg:Fr_core.Routing_alg.idom ~max_passes:8 () in
+  let steps = play_script ~config ~domains:[ 1; 2 ] circuit ~w:14 script in
+  List.iter
+    (fun (step, expected) -> Alcotest.(check int) (step ^ " nets ripped") expected (ripped steps step))
+    [ ("rotate n14", 58); ("restore n14", 58); ("rotate n29", 44); ("restore n29", 44) ]
 
 let test_eco_invalid_deltas_leave_session () =
   let circuit = tiny_circuit () in
@@ -374,6 +435,42 @@ let test_eco_invalid_deltas_leave_session () =
   Alcotest.(check string) "still differential" (scratch_digest (F.Router.Eco.circuit eco) ~w:6)
     (eco_digest eco);
   F.Router.Eco.close eco
+
+(* term1's blocks have 2 pin slots per side, so a slot-2 pin names no RRG
+   node.  The apply that brings one in raises before it touches anything,
+   so the session's next edit still equals a scratch route; a scratch route
+   and a new session reject the pin the same way. *)
+let test_eco_rejects_missing_pin_slot () =
+  let circuit = term1 () in
+  let n67 = net_named circuit "n67" in
+  let bad = { n67.F.Netlist.source with F.Netlist.slot = 2 } in
+  let expect_invalid what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  in
+  let eco, _ = eco_create circuit ~w:14 in
+  expect_invalid "apply" (fun () ->
+      F.Router.Eco.apply eco [ F.Router.Eco.Retime_net ("n67", bad, n67.F.Netlist.sinks) ]);
+  (match F.Router.Eco.apply eco [ rotate (net_named circuit "n86") ] with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "the edit after the rejected one did not route");
+  Alcotest.(check string) "next edit = scratch" (scratch_digest (F.Router.Eco.circuit eco) ~w:14)
+    (eco_digest eco);
+  F.Router.Eco.close eco;
+  let with_bad =
+    {
+      circuit with
+      F.Netlist.nets =
+        List.map
+          (fun n ->
+            if String.equal n.F.Netlist.net_name "n67" then { n with F.Netlist.source = bad } else n)
+          circuit.F.Netlist.nets;
+    }
+  in
+  let rrg = F.Rrg.build (arch_of circuit 14) in
+  expect_invalid "route" (fun () -> F.Router.route rrg with_bad);
+  expect_invalid "create" (fun () -> F.Router.Eco.create ~domains:2 rrg with_bad)
 
 let test_eco_failed_apply_restores_session () =
   (* A 1-track session holding just net b; growing it to the full tiny
@@ -779,6 +876,10 @@ let () =
         [
           Alcotest.test_case "differential deltas" `Quick test_eco_differential_deltas;
           Alcotest.test_case "term1 script, domains 1/2/4" `Slow test_eco_term1_script;
+          Alcotest.test_case "term1 IDOM rotations re-solve, domains 1/2" `Slow
+            test_eco_term1_idom_rotations;
+          Alcotest.test_case "pin slot the RRG lacks rejected" `Quick
+            test_eco_rejects_missing_pin_slot;
           Alcotest.test_case "invalid deltas rejected" `Quick test_eco_invalid_deltas_leave_session;
           Alcotest.test_case "failed apply restores" `Quick test_eco_failed_apply_restores_session;
         ] );

@@ -96,6 +96,23 @@ let test_pool_shutdown () =
     (Invalid_argument "Pool.map: pool is shut down") (fun () ->
       ignore (P.map pool ~count:1 (fun ~worker:_ _ -> ())))
 
+(* A domain count outside [1, max_domains] is rejected before anything
+   spawns, by the pool and by the router (whose check runs before its pool
+   starts).  Only rejected counts are tried here: the runtime's limit of
+   128 domains per process makes a real over-cap spawn unsafe to test. *)
+let test_pool_domain_cap () =
+  let msg = Printf.sprintf "Pool.create: domains must be in [1, %d]" P.max_domains in
+  List.iter
+    (fun domains ->
+      Alcotest.check_raises (string_of_int domains) (Invalid_argument msg) (fun () ->
+          ignore (P.create ~domains ())))
+    [ 0; P.max_domains + 1 ];
+  let spec = Option.get (F.Circuits.find_spec "term1") in
+  let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:14) in
+  Alcotest.check_raises "router"
+    (Invalid_argument (Printf.sprintf "Router.route: domains must be in [1, %d]" P.max_domains))
+    (fun () -> ignore (F.Router.route ~domains:(P.max_domains + 1) rrg (F.Circuits.generate spec)))
+
 (* ------------------------------------------------------------------ *)
 (* Read-only Gstate views                                             *)
 (* ------------------------------------------------------------------ *)
@@ -210,6 +227,7 @@ let () =
           Alcotest.test_case "job exceptions surface" `Quick test_pool_exception_surfaces;
           Alcotest.test_case "pool reused across waves" `Quick test_pool_reuse_across_waves;
           Alcotest.test_case "shutdown semantics" `Quick test_pool_shutdown;
+          Alcotest.test_case "domain counts outside [1, max_domains] rejected" `Quick test_pool_domain_cap;
         ] );
       ( "views",
         [

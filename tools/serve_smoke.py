@@ -6,10 +6,20 @@ drives checkpoint / ECO / restore requests, and checks the differential
 contract through the canonical routing digests the protocol exposes:
 after an ECO round-trip back to the original netlist, the digest must
 equal the initial route's, from every vantage point (the eco response,
-a stats call on a second connection, and a from-scratch re-route).  The
-second connection also sends a 1 MiB frame of '[' (newline included),
-which the JSON nesting cap must answer with an error within 0.25 s,
-leaving the connection able to answer stats.
+a stats call on a second connection, and a from-scratch re-route).
+
+It also checks:
+- a driver swap on the highest-fanout net (the first sink becomes the
+  source) keeps every tree under the default IKMB, so it re-solves one
+  batch at most (8 nets) and keeps the digest, and so does its undo;
+- an eco that names a pin slot the routing graph lacks (slot 2) gets an
+  error reply and leaves the session usable: a rotation of the last
+  two-pin net still answers with the session digest;
+- a route request asking for more domains than the cap (64) gets an
+  error reply, and the session survives it;
+- on a second connection, a 1 MiB frame of '[' (newline included), which
+  the JSON nesting cap must answer with an error within 0.25 s, leaving
+  the connection able to answer stats.
 
 Usage: serve_smoke.py BINARY CIRCUIT_FILE [WIDTH]
 Exits non-zero (with a message) on any violation.
@@ -26,6 +36,10 @@ import time
 
 # The daemon's request-line cap (lib/serve/server.ml's [max_line]).
 MAX_LINE = 1 << 20
+
+# A waves batch holds at most this many nets (lib/fpga/router.ml's
+# [par_batch]).
+PAR_BATCH = 8
 
 
 def die(msg):
@@ -55,6 +69,19 @@ class Client:
         if not resp.get("ok"):
             die(f"request {obj.get('cmd')} failed: {resp.get('error')}")
         return resp
+
+    def retime(self, name, pins):
+        """Retime net `name` to `pins`, source first; return the raw reply."""
+        return self.exchange(
+            json.dumps(
+                {
+                    "cmd": "eco",
+                    "deltas": [
+                        {"op": "retime", "name": name, "source": pins[0], "sinks": pins[1:]}
+                    ],
+                }
+            ).encode()
+        )
 
     def close(self):
         self.sock.close()
@@ -104,6 +131,45 @@ def main():
         restored = c.request({"cmd": "checkpoint", "restore": cp})
         if restored["digest"] != d0:
             die("restore digest differs from the initial route")
+
+        # A driver swap on the highest-fanout net, and its undo: the swap
+        # keeps the net's pins and, under IKMB, its tree, so the re-route
+        # solves the net's batch and replays the rest of the schedule.
+        nets = [l.split()[1:] for l in circuit.splitlines() if l.startswith("net ")]
+        hub, *hub_pins = max(nets, key=len)
+        for what, pins in (("rotation", hub_pins[1:] + hub_pins[:1]), ("undo", hub_pins)):
+            resp = c.retime(hub, pins)
+            if not resp.get("ok"):
+                die(f"{what} of {hub} failed: {resp.get('error')}")
+            if resp["nets_ripped"] > PAR_BATCH:
+                die(f"{what} of {hub} ripped {resp['nets_ripped']} nets, more than one batch")
+            if resp["digest"] != d0:
+                die(f"{what} of {hub} changed the digest")
+
+        # A pin slot the routing graph lacks is rejected before anything is
+        # touched, so the next valid edit still routes and keeps the digest.
+        row, col, side, _ = hub_pins[0].split(",")
+        bad = c.retime(hub, [f"{row},{col},{side},2"] + hub_pins[1:])
+        if bad.get("ok") is not False:
+            die(f"a slot-2 pin on {hub} was not rejected: {bad}")
+        pair, *pair_pins = [n for n in nets if len(n) == 3][-1]
+        after = c.retime(pair, pair_pins[::-1])
+        if not after.get("ok") or after.get("digest") != d0:
+            die(f"rotation of {pair} after the rejected edit: {after}")
+        if c.retime(pair, pair_pins).get("digest") != d0:
+            die(f"undoing the rotation of {pair} changed the digest")
+
+        # More domains than the cap is an error reply, not a spawn.  Never
+        # send this line to a daemon built without the cap.
+        greedy = c.exchange(
+            json.dumps(
+                {"cmd": "route", "circuit": circuit, "width": width, "domains": 100000}
+            ).encode()
+        )
+        if greedy.get("ok") is not False:
+            die(f"a route asking for 100000 domains was not rejected: {greedy}")
+        if c.request({"cmd": "stats"}).get("digest") != d0:
+            die("the session did not survive the rejected route")
 
         # A second connection sees the same session and the same digest.
         c2 = Client(sock_path)
