@@ -259,17 +259,27 @@ let run_route_file file width series alg passes mode domains render =
   | Error msg ->
       Printf.printf "cannot parse %s: %s\n" file msg;
       2
-  | Ok circuit ->
+  | Ok circuit -> (
       let arch =
         match series with
         | F.Arch.Series_3000 -> F.Arch.xc3000
         | F.Arch.Series_4000 -> F.Arch.xc4000
       in
-      let rrg =
-        F.Rrg.build
-          (arch ~rows:circuit.F.Netlist.rows ~cols:circuit.F.Netlist.cols ~channel_width:width)
-      in
-      route_and_report rrg circuit alg passes mode domains render
+      (* A netlist that parses may still not fit: an empty array, a pin off
+         the array, a pin shared by two nets, a slot the architecture lacks.
+         The architecture and the router reject those with Invalid_argument
+         before routing anything. *)
+      match
+        let rrg =
+          F.Rrg.build
+            (arch ~rows:circuit.F.Netlist.rows ~cols:circuit.F.Netlist.cols ~channel_width:width)
+        in
+        route_and_report rrg circuit alg passes mode domains render
+      with
+      | code -> code
+      | exception Invalid_argument msg ->
+          Printf.printf "cannot route %s: %s\n" file msg;
+          2)
 
 let route_file_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST_FILE") in

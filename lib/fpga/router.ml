@@ -120,12 +120,12 @@ let move_to_front failed order =
   front @ back
 
 (* ------------------------------------------------------------------ *)
-(* Shared distance caches                                              *)
+(* Per-net routing                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* The net's bounding box, widened by the margin, as one bit per node:
-   the restriction every search of the footprint's cache tests, and the
-   filter [candidates_for] applies.  Built once per footprint from the
+   the restriction every search of a restricted solve tests, and the
+   filter [candidates_for] applies.  Built once per solve attempt from the
    precomputed geometry, so the searches test one bit per scanned edge. *)
 let bbox_region rrg net =
   let c0, r0, c1, r1 = Netlist.bounding_box net in
@@ -141,54 +141,6 @@ let bbox_region rrg net =
     if x >= x0 && x <= x1 && y >= y0 && y <= y1 then Fr_util.Bitset.set region v true
   done;
   region
-
-(* One [Dist_cache] per restriction footprint, shared by every net with
-   that footprint and persisting across passes.  A restricted search is
-   fully determined by the net's bounding box (plus the constant margin),
-   so the box is the key.  Entries are invalidated — not rebuilt — when a
-   commit mutates the graph, and the counters accumulate over the whole
-   [route] call, which is exactly the before/after work metric the bench
-   reports. *)
-type cache_key =
-  | Full
-  | Bbox of int * int * int * int
-
-type cache_pool = {
-  caches : (cache_key, G.Dist_cache.t) Hashtbl.t;
-  pool_graph : G.Gstate.t;
-}
-
-let make_pool g = { caches = Hashtbl.create 32; pool_graph = g }
-
-let pool_cache pool rrg net ~restricted =
-  let key =
-    if restricted then begin
-      let c0, r0, c1, r1 = Netlist.bounding_box net in
-      Bbox (c0, r0, c1, r1)
-    end
-    else Full
-  in
-  match Hashtbl.find_opt pool.caches key with
-  | Some cache -> cache
-  | None ->
-      let restrict = if restricted then Some (bbox_region rrg net) else None in
-      let cache = G.Dist_cache.create ?restrict pool.pool_graph in
-      Hashtbl.add pool.caches key cache;
-      cache
-
-let pool_invalidate pool = Hashtbl.iter (fun _ c -> G.Dist_cache.invalidate c) pool.caches
-
-let pool_runs pool = Hashtbl.fold (fun _ c acc -> acc + G.Dist_cache.runs c) pool.caches 0
-
-let pool_settled pool =
-  Hashtbl.fold (fun _ c acc -> acc + G.Dist_cache.settled_nodes c) pool.caches 0
-
-let pool_h_evals pool =
-  Hashtbl.fold (fun _ c acc -> acc + G.Dist_cache.future_cost_evals c) pool.caches 0
-
-(* ------------------------------------------------------------------ *)
-(* Per-net routing                                                     *)
-(* ------------------------------------------------------------------ *)
 
 (* Candidate Steiner nodes: wire nodes inside the region (the bounding
    box), thinned to at most [cap]. *)
@@ -214,40 +166,45 @@ let candidates_for rrg ~cap region =
     List.filteri (fun i _ -> i mod stride = 0) !acc
   end
 
-(* One heuristic per net, over all its terminals: a lower bound to the
-   nearest of a superset is still a lower bound to any queried subset, so
-   every targeted query the construction makes through this cache shares
-   it (and the per-net identity keys the cache entries, see Dist_cache). *)
-let set_net_heuristic cache rrg (cnet : C.Net.t) =
-  G.Dist_cache.set_future_cost cache
-    (Some (Rrg.future_cost rrg ~targets:(cnet.C.Net.source :: cnet.C.Net.sinks)))
+(* A fresh cache for one search scope of a solve attempt, over the graph
+   the attempt was handed, recorded in [made] so the attempt can report
+   its work.  [future_cost] is fixed for the cache's life. *)
+let new_cache made ?restrict rrg future_cost =
+  let cache = G.Dist_cache.create ?restrict ~future_cost rrg.Rrg.graph in
+  made := cache :: !made;
+  cache
 
-let solve_tree_alg pool alg rrg net ~restricted =
+(* One cache per net, goal-directed by one bound over all its terminals: a
+   lower bound to the nearest of a superset is still a lower bound to any
+   queried subset, so every targeted query the construction makes shares
+   it. *)
+let solve_tree_alg made alg rrg net ~restricted =
   let cnet = Netlist.rrg_net rrg net in
-  let cache = pool_cache pool rrg net ~restricted in
-  set_net_heuristic cache rrg cnet;
-  let candidates = candidates_for rrg ~cap:max_candidates (G.Dist_cache.restriction cache) in
+  let restrict = if restricted then Some (bbox_region rrg net) else None in
+  let cache =
+    new_cache made ?restrict rrg
+      (Rrg.future_cost rrg ~targets:(cnet.C.Net.source :: cnet.C.Net.sinks))
+  in
+  let candidates = candidates_for rrg ~cap:max_candidates restrict in
   alg.C.Routing_alg.solve ~candidates cache ~net:cnet
 
 (* The CGE/SEGA/GBP-style baseline: each source-sink connection is routed
    as an independent two-pin net on its own wires.  Each connection is a
-   single-target query, so in targeted mode the search stops at its sink;
-   claiming a connection's wires bumps the graph version, which makes the
-   shared cache recompute for the next sink exactly as a fresh run would. *)
-let solve_two_pin pool rrg net ~restricted =
+   single-target query, so in targeted mode the search stops at its sink. *)
+let solve_two_pin made rrg net ~restricted =
   let g = rrg.Rrg.graph in
   let cnet = Netlist.rrg_net rrg net in
   let src = cnet.C.Net.source in
-  let cache = pool_cache pool rrg net ~restricted in
+  let restrict = if restricted then Some (bbox_region rrg net) else None in
   (* The wires claimed per connection are released wholesale by rolling the
      journal back to this mark — no per-node bookkeeping. *)
   let cp = G.Gstate.checkpoint g in
   let route_sink edges sink =
-    (* Per-sink heuristic: each connection is a pure point-to-point
-       search, the sharpest case for goal-direction.  Claiming the
-       previous connection's wires bumped the graph version, so no
-       frontier survives between sinks anyway. *)
-    G.Dist_cache.set_future_cost cache (Some (Rrg.future_cost rrg ~targets:[ sink ]));
+    (* A cache per connection, under a per-sink bound: each connection is a
+       pure point-to-point search, the sharpest case for goal-direction.
+       Claiming the previous connection's wires bumped the graph version,
+       so no frontier could have survived between sinks anyway. *)
+    let cache = new_cache made ?restrict rrg (Rrg.future_cost rrg ~targets:[ sink ]) in
     let r = G.Dist_cache.result_for cache ~src ~targets:[ sink ] in
     if not (G.Dijkstra.reachable r sink) then begin
       G.Gstate.rollback g cp;
@@ -265,13 +222,13 @@ let solve_two_pin pool rrg net ~restricted =
   G.Gstate.rollback g cp;
   G.Tree.of_edges edges
 
-let solve_net pool cfg rrg net ~restricted =
+let solve_net made cfg rrg net ~restricted =
   let critical = match cfg.critical_strategy with Some p -> p net | None -> false in
-  if critical then solve_tree_alg pool critical_alg rrg net ~restricted
+  if critical then solve_tree_alg made critical_alg rrg net ~restricted
   else
     match cfg.strategy with
-    | Tree_alg alg -> solve_tree_alg pool alg rrg net ~restricted
-    | Two_pin_decomposition -> solve_two_pin pool rrg net ~restricted
+    | Tree_alg alg -> solve_tree_alg made alg rrg net ~restricted
+    | Two_pin_decomposition -> solve_two_pin made rrg net ~restricted
 
 (* The RRG nodes of a net's pins, source first. *)
 let pin_nodes rrg net =
@@ -395,58 +352,64 @@ let partition_wave cfg order =
 (* The solve fan-out                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Worker-domain context: the pool plus a read-only RRG view and, per
-   executing domain, distance caches of its own.  Caches are never shared
-   across domains (Dist_cache is not thread-safe); the graph view is
-   shared read-only.  Worker 0 is the calling domain, so [dcaches.(0)]
-   also serves every serial solve.  A 1-domain pool spawns nothing and
-   runs its waves inline. *)
-type workers = {
-  wpool : Fr_util.Pool.t;
-  wrrg : Rrg.t;
-  dcaches : cache_pool array;
+(* The search work of solve attempts: Dijkstra runs, settled nodes and
+   heuristic evaluations, summed over the caches they created. *)
+type work = {
+  runs : int;
+  settled : int;
+  h_evals : int;
 }
 
-(* Drop every domain's stale search results.  A lookup would drop a stale
-   entry lazily, but a worker's pool is only looked up again under the
-   same footprint, which in negotiated mode (only conflicted nets
-   re-solve) is often never, so its dead frontiers would stay alive.
-   Called on the main domain at serial points between pool waves, when no
-   worker touches its caches. *)
-let invalidate_all ctx = Array.iter pool_invalidate ctx.dcaches
+let no_work = { runs = 0; settled = 0; h_evals = 0 }
 
-(* Restricted solve first, full-graph retry on failure (unchanged). *)
-let attempt caches cfg rrg net =
+let add_work a b =
+  { runs = a.runs + b.runs; settled = a.settled + b.settled; h_evals = a.h_evals + b.h_evals }
+
+(* Restricted solve first, full-graph retry on failure.  Every cache the
+   attempt creates is its own, so its work is a function of the net and
+   the state alone; it counts the work of a try that failed too. *)
+let attempt cfg rrg net =
+  let made = ref [] in
   let go restricted =
-    match solve_net caches cfg rrg net ~restricted with
+    match solve_net made cfg rrg net ~restricted with
     | tree -> Some tree
     | exception C.Routing_err.Unroutable _ -> None
   in
-  match go true with Some t -> Some t | None -> go false
+  let tree = match go true with Some t -> Some t | None -> go false in
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 !made in
+  ( tree,
+    {
+      runs = sum G.Dist_cache.runs;
+      settled = sum G.Dist_cache.settled_nodes;
+      h_evals = sum G.Dist_cache.future_cost_evals;
+    } )
 
 (* The speculative-solve worker body, a named module-level function
    partial-applied at the Pool.map site.  Everything a worker touches is
    an explicit parameter: frdomcheck checks this as the worker root, and
-   the allowlist carries the ownership argument for the per-worker dcaches
-   (ctx.dcaches.(worker) is indexed by the worker's own id, so the writes
-   the analysis sees on [ctx] never cross domains). *)
-let solve_job ctx cfg nets ~worker i = attempt ctx.dcaches.(worker) cfg ctx.wrrg nets.(i)
-  [@@frdomcheck.worker]
+   the allowlist carries the ownership argument for the writes it sees
+   (they land in caches the attempt itself created over the read-only
+   view [rrg]). *)
+let solve_job cfg rrg nets i = attempt cfg rrg nets.(i) [@@frdomcheck.worker]
 
-(* A serial solve: on the main domain, whose caches are worker 0's, and
-   against the live RRG (two-pin nets claim wires through its journal). *)
-let attempt_serial ctx cfg rrg net = attempt ctx.dcaches.(0) cfg rrg net
+(* A serial solve, on the main domain against the live RRG (two-pin nets
+   claim wires through its journal), its work added to [work]. *)
+let attempt_serial ~work cfg rrg net =
+  let tree, w = attempt cfg rrg net in
+  work := add_work !work w;
+  tree
 
 (* Solve [nets] against the current state, results in input order — one
-   waves batch or one negotiated iteration.  The nets that solve as pure
-   reads of the frozen state fan out over the pool when there are two or
-   more, and each such fan-out counts in [par_batches] whatever the domain
-   count; the serial-only two-pin nets, which claim wires through the live
-   journal while solving (and roll back when done), then solve in order on
-   the main domain. *)
-let solve_all ~par_batches ctx cfg rrg nets =
+   waves batch or one negotiated iteration — adding their work to [work]
+   on the main domain.  The nets that solve as pure reads of the frozen
+   state fan out over [pool], against the read-only [view], when there are
+   two or more, and each such fan-out counts in [par_batches] whatever the
+   domain count; the serial-only two-pin nets, which claim wires through
+   the live journal while solving (and roll back when done), then solve
+   in order on the main domain. *)
+let solve_all ~par_batches ~work pool view cfg rrg nets =
   let results = Array.make (Array.length nets) None in
-  let solve_here i = results.(i) <- attempt_serial ctx cfg rrg nets.(i) in
+  let solve_here i = results.(i) <- attempt_serial ~work cfg rrg nets.(i) in
   let serial, frozen =
     List.partition (fun i -> serial_only cfg nets.(i)) (List.init (Array.length nets) Fun.id)
   in
@@ -455,8 +418,12 @@ let solve_all ~par_batches ctx cfg rrg nets =
   if count >= 2 then begin
     incr par_batches;
     let jobs = Array.map (Array.get nets) frozen in
-    let solved = Fr_util.Pool.map ctx.wpool ~count (solve_job ctx cfg jobs) in
-    Array.iteri (fun k r -> results.(frozen.(k)) <- r) solved
+    let solved = Fr_util.Pool.map pool ~count (solve_job cfg view jobs) in
+    Array.iteri
+      (fun k (tree, w) ->
+        results.(frozen.(k)) <- tree;
+        work := add_work !work w)
+      solved
   end
   else Array.iter solve_here frozen;
   List.iter solve_here serial;
@@ -492,14 +459,6 @@ let check_route_args ~fname rrg circuit domains =
   if domains < 1 || domains > Fr_util.Pool.max_domains then
     invalid_arg (Printf.sprintf "%s: domains must be in [1, %d]" fname Fr_util.Pool.max_domains)
 
-let make_workers domains rrg =
-  let wrrg = Rrg.read_only_view rrg in
-  {
-    wpool = Fr_util.Pool.create ~domains ();
-    wrrg;
-    dcaches = Array.init domains (fun _ -> make_pool wrrg.Rrg.graph);
-  }
-
 (* ------------------------------------------------------------------ *)
 (* The routing session: the router's one engine                        *)
 (* ------------------------------------------------------------------ *)
@@ -532,7 +491,9 @@ module Eco = struct
     e_cfg : config;
     e_base_w : float array;
     e_cp0 : G.Gstate.checkpoint;
-    e_workers : workers;
+    e_pool : Fr_util.Pool.t;
+    e_view : Rrg.t;  (* the read-only view worker solves read *)
+    e_domains : int;
     mutable e_circuit : Netlist.circuit;
     mutable e_batches : batch_rec list;
     mutable e_routed : routed_net list;
@@ -548,46 +509,26 @@ module Eco = struct
     nets_reused : int;
   }
 
-  (* Work counters summed over every domain's cache pools, snapshotted at
-     each request's entry so the session reports per-request deltas rather
-     than lifetime totals. *)
-  type counters = {
-    c_runs : int;
-    c_settled : int;
-    c_h_evals : int;
-    c_mut : int;
-    c_rb : int;
-  }
-
-  let snapshot_counters t =
+  (* [base] holds the graph's lifetime journal counters at the request's
+     entry, so the session reports per-request deltas; [work] is this
+     request's own search work. *)
+  let mk_stats t ~base:(mutations0, rollbacks0) ~work ~par_batches ~par_conflicts routed n =
     let g = t.e_rrg.Rrg.graph in
-    let sum f = Array.fold_left (fun a p -> a + f p) 0 t.e_workers.dcaches in
-    {
-      c_runs = sum pool_runs;
-      c_settled = sum pool_settled;
-      c_h_evals = sum pool_h_evals;
-      c_mut = G.Gstate.mutations g;
-      c_rb = G.Gstate.rollbacks g;
-    }
-
-  let mk_stats t ~base ~par_batches ~par_conflicts routed n =
-    let g = t.e_rrg.Rrg.graph in
-    let now = snapshot_counters t in
     {
       passes = n;
       routed;
       total_wirelength = List.fold_left (fun a r -> a +. r.wires_used) 0. routed;
       total_max_path = List.fold_left (fun a r -> a +. r.max_path) 0. routed;
       peak_occupancy = peak_occupancy t.e_rrg;
-      dijkstra_runs = now.c_runs - base.c_runs;
-      settled_nodes = now.c_settled - base.c_settled;
-      mutations = now.c_mut - base.c_mut;
-      rollbacks = now.c_rb - base.c_rb;
+      dijkstra_runs = !work.runs;
+      settled_nodes = !work.settled;
+      mutations = G.Gstate.mutations g - mutations0;
+      rollbacks = G.Gstate.rollbacks g - rollbacks0;
       journal_depth = G.Gstate.peak_journal_depth g;
-      domains = Array.length t.e_workers.dcaches;
+      domains = t.e_domains;
       par_batches = !par_batches;
       par_conflicts = !par_conflicts;
-      future_cost_evals = now.c_h_evals - base.c_h_evals;
+      future_cost_evals = !work.h_evals;
     }
 
   let terminal_key net =
@@ -609,7 +550,9 @@ module Eco = struct
       e_cfg = config;
       e_base_w = Array.init (G.Gstate.num_edges g) (G.Gstate.weight g);
       e_cp0 = G.Gstate.checkpoint g;
-      e_workers = make_workers domains rrg;
+      e_pool = Fr_util.Pool.create ~domains ();
+      e_view = Rrg.read_only_view rrg;
+      e_domains = domains;
       e_circuit = circuit;
       e_batches = [];
       e_routed = [];
@@ -621,17 +564,12 @@ module Eco = struct
   (* Run one batch of a schedule on the live state: one solve fan-out, then
      landing in wave order.  Returns the batch's ledger entry and its
      failed nets. *)
-  let run_batch t ~par_batches ~par_conflicts b =
-    let rrg = t.e_rrg and cfg = t.e_cfg and ctx = t.e_workers in
+  let run_batch t ~work ~par_batches ~par_conflicts b =
+    let rrg = t.e_rrg and cfg = t.e_cfg in
     let g = rrg.Rrg.graph in
     let cp = G.Gstate.checkpoint g in
     let landed = ref [] and failed = ref [] in
-    let land_tree net tree =
-      landed := land_net rrg t.e_base_w net tree :: !landed;
-      (* The commit just mutated weights/enables: every domain's entries
-         are stale. *)
-      invalidate_all ctx
-    in
+    let land_tree net tree = landed := land_net rrg t.e_base_w net tree :: !landed in
     let land_result net = function
       | None ->
           (* Failed against the frozen state on the *full* graph.  Commits
@@ -648,13 +586,15 @@ module Eco = struct
             (* A batch-mate committed first and took one of this tree's
                wires: re-solve against the live state, serially. *)
             incr par_conflicts;
-            match attempt_serial ctx cfg rrg net with
+            match attempt_serial ~work cfg rrg net with
             | Some tree -> land_tree net tree
             | None -> failed := net.Netlist.net_name :: !failed
           end
     in
     let nets = Array.of_list (List.map fst b.members) in
-    Array.iteri (fun i r -> land_result nets.(i) r) (solve_all ~par_batches ctx cfg rrg nets);
+    Array.iteri
+      (fun i r -> land_result nets.(i) r)
+      (solve_all ~par_batches ~work t.e_pool t.e_view cfg rrg nets);
     ({ br_cp = cp; br_nets = Array.to_list nets; br_routed = List.rev !landed }, List.rev !failed)
 
   (* Land a stored batch again, under a fresh journal mark, by committing
@@ -663,7 +603,6 @@ module Eco = struct
   let replay_batch t br =
     let cp = G.Gstate.checkpoint t.e_rrg.Rrg.graph in
     List.iter (fun r -> commit t.e_rrg r.net r.tree) br.br_routed;
-    invalidate_all t.e_workers;
     { br with br_cp = cp }
 
   (* Whether two batches' landings leave the same state from the same
@@ -682,7 +621,7 @@ module Eco = struct
      what the ledger proves still valid and re-runs the rest; every later
      pass is a full re-route from the session base, the same code on the
      same inputs whatever pass 1 kept. *)
-  let waves_route t circuit ~ripped ~reused ~par_batches ~par_conflicts =
+  let waves_route t circuit ~ripped ~reused ~work ~par_batches ~par_conflicts =
     let g = t.e_rrg.Rrg.graph in
     let tally tbl nets = List.iter (fun n -> Hashtbl.replace tbl n.Netlist.net_name ()) nets in
     (* Run [batches] on the live state, which is the state the ledger
@@ -705,7 +644,7 @@ module Eco = struct
                 tally reused br.br_nets;
                 go (replay_batch t br :: ledger) failed stale' rest
             | _ -> (
-                let landed, lost = run_batch t ~par_batches ~par_conflicts b in
+                let landed, lost = run_batch t ~work ~par_batches ~par_conflicts b in
                 tally ripped landed.br_nets;
                 let failed = List.rev_append lost failed in
                 match stale with
@@ -781,7 +720,7 @@ module Eco = struct
      memoized tree is exactly what a fresh solve would return); any net
      the loop solves is counted as ripped.  On [Error] the graph is rolled
      back to the base. *)
-  let negotiated_route t circuit ~ripped ~reused ~par_batches =
+  let negotiated_route t circuit ~ripped ~reused ~work ~par_batches =
     let rrg = t.e_rrg in
     let g = rrg.Rrg.graph in
     G.Gstate.rollback g t.e_cp0;
@@ -797,7 +736,8 @@ module Eco = struct
           Hashtbl.replace ripped nets.(i).Netlist.net_name ())
         active;
       let results =
-        solve_all ~par_batches t.e_workers t.e_cfg rrg (Array.map (Array.get nets) active)
+        solve_all ~par_batches ~work t.e_pool t.e_view t.e_cfg rrg
+          (Array.map (Array.get nets) active)
       in
       let missing = ref [] in
       Array.iteri
@@ -859,9 +799,6 @@ module Eco = struct
               (fun i -> G.Cost_model.release_nodes cm (G.Tree.nodes g trees.(i)))
               !conflicted;
             G.Cost_model.apply cm;
-            (* The apply bumped the graph version: every domain's entries
-               are stale, as in the waves mode. *)
-            invalidate_all t.e_workers;
             iterate (n + 1) ~active:(Array.of_list !conflicted) ~best ~stalled
           end
         end
@@ -886,17 +823,18 @@ module Eco = struct
     (* Per-call stats hygiene: the peak journal depth is a high-water mark
        on the state, and the state outlives this call. *)
     G.Gstate.reset_peak_journal_depth g;
-    let base = snapshot_counters t in
+    let base = (G.Gstate.mutations g, G.Gstate.rollbacks g) in
+    let work = ref no_work in
     let ripped = Hashtbl.create 64 and reused = Hashtbl.create 64 in
     let par_batches = ref 0 and par_conflicts = ref 0 in
     let res =
       match t.e_cfg.mode with
-      | Waves -> waves_route t circuit ~ripped ~reused ~par_batches ~par_conflicts
-      | Negotiated -> negotiated_route t circuit ~ripped ~reused ~par_batches
+      | Waves -> waves_route t circuit ~ripped ~reused ~work ~par_batches ~par_conflicts
+      | Negotiated -> negotiated_route t circuit ~ripped ~reused ~work ~par_batches
     in
     Result.map
       (fun (routed, n) ->
-        let stats = mk_stats t ~base ~par_batches ~par_conflicts routed n in
+        let stats = mk_stats t ~base ~work ~par_batches ~par_conflicts routed n in
         t.e_circuit <- circuit;
         t.e_routed <- routed;
         t.e_last <- Some stats;
@@ -917,13 +855,12 @@ module Eco = struct
     G.Gstate.rollback g t.e_cp0;
     (match t.e_cfg.mode with
     | Waves -> t.e_batches <- List.map (replay_batch t) t.e_batches
-    | Negotiated -> List.iter (fun r -> commit t.e_rrg r.net r.tree) t.e_routed);
-    invalidate_all t.e_workers
+    | Negotiated -> List.iter (fun r -> commit t.e_rrg r.net r.tree) t.e_routed)
 
   let close t =
     if not t.e_closed then begin
       t.e_closed <- true;
-      Fr_util.Pool.shutdown t.e_workers.wpool
+      Fr_util.Pool.shutdown t.e_pool
     end
 
   let create ?config ?domains rrg circuit =

@@ -26,11 +26,13 @@
     tree that lost a wire to an earlier commit of its own batch is
     re-solved on the spot against the live state (counted in
     [par_conflicts]).  [route ~domains:n] fans the speculative solves of
-    each batch out over [n] domains holding read-only graph views and
-    per-domain distance caches; because those solves are pure functions of
-    the frozen state and everything else is serial and order-fixed, the
-    routed result is bit-identical for every [domains] value — only the
-    wall time and the Dijkstra work counters change.
+    each batch out over [n] domains holding read-only graph views.  Every
+    solve creates its own distance caches and drops them when it returns,
+    so its search work, like its tree, is a pure function of the net and
+    the frozen state; everything else is serial and order-fixed.  The
+    routed result and every counter in {!stats} except [domains] are
+    therefore identical for every [domains] value; only the wall time
+    changes.
 
     {b Negotiated congestion} ([mode = Negotiated]) replaces the rip-up
     scheduling above with PathFinder-style Lagrangian pricing
@@ -100,7 +102,7 @@ type stats = {
   total_max_path : float;
   peak_occupancy : int;  (** max wires consumed in any channel segment *)
   dijkstra_runs : int;
-      (** Dijkstra searches started across all passes (shared-cache misses) *)
+      (** Dijkstra searches started across all passes (cache misses) *)
   settled_nodes : int;
       (** total nodes settled by those searches — the search layer's work
           metric *)
@@ -154,9 +156,9 @@ val route :
     entry value.
 
     [domains] (default 1) is the number of domains speculative batch
-    solves run on; the routed trees and all quality stats are identical
-    for every value (see the batching note above).  Worker domains are
-    spawned once per call and shut down before returning.
+    solves run on; the routed trees and every stat but [domains] are
+    identical for every value (see the batching note above).  Worker
+    domains are spawned once per call and shut down before returning.
 
     All work counters in {!stats} are per-call: calling [route] twice on
     the same (reusable) graph state reports each call's own work, not the
@@ -223,9 +225,9 @@ val min_channel_width :
 
 module Eco : sig
   type t
-  (** A routing session: the RRG, its live journal, persistent distance
-      caches and worker pool, the maintained routing, and the replay
-      ledger incremental requests roll back into. *)
+  (** A routing session: the RRG, its live journal and worker pool, the
+      maintained routing, and the replay ledger incremental requests roll
+      back into. *)
 
   type delta =
     | Add_net of Netlist.net  (** append a net (name must be fresh) *)

@@ -300,16 +300,16 @@ let future_cost t ~targets =
   let xs = Array.of_list (List.map (fun v -> fst (pos t v)) targets)
   and ys = Array.of_list (List.map (fun v -> snd (pos t v)) targets) in
   let k = Array.length xs in
-  G.Dijkstra.heuristic (fun v ->
-      if k = 0 then 0.
-      else begin
-        let x = node_x.(v) and y = node_y.(v) in
-        let best = ref infinity in
-        for i = 0 to k - 1 do
-          let d = abs_float (x -. xs.(i)) +. abs_float (y -. ys.(i)) in
-          if d < !best then best := d
-        done;
-        scale *. !best
-      end)
+  fun v ->
+    if k = 0 then 0.
+    else begin
+      let x = node_x.(v) and y = node_y.(v) in
+      let best = ref infinity in
+      for i = 0 to k - 1 do
+        let d = abs_float (x -. xs.(i)) +. abs_float (y -. ys.(i)) in
+        if d < !best then best := d
+      done;
+      scale *. !best
+    end
 
 let read_only_view t = { t with graph = G.Gstate.read_only_view t.graph }

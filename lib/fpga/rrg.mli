@@ -76,7 +76,7 @@ val pos : t -> int -> float * float
     [node_x]/[node_y], which hot loops may index directly.
     @raise Invalid_argument out of range. *)
 
-val future_cost : t -> targets:int list -> Fr_graph.Dijkstra.heuristic
+val future_cost : t -> targets:int list -> int -> float
 (** Admissible, consistent future-cost lower bound toward [targets]:
     Manhattan channel distance from {!pos} to the nearest target, scaled
     by [min_unit_cost].  Admissibility holds at every node for any

@@ -1,24 +1,5 @@
 module Bitset = Fr_util.Bitset
 
-(* A future-cost lower bound h carries an identity so caches can key
-   memoized frontiers on it: a frontier opened under one h must never be
-   resumed under another (the settled prefix would no longer be an
-   f-order prefix).  Ids come from a global atomic counter — they only
-   ever feed cache keys, never search results, so the process-global
-   state cannot perturb determinism across domains. *)
-type heuristic = {
-  hid : int;
-  hf : int -> float;
-}
-
-let heuristic_ids = Atomic.make 0
-
-let heuristic hf = { hid = Atomic.fetch_and_add heuristic_ids 1; hf }
-
-let heuristic_id h = h.hid
-
-let heuristic_eval h = h.hf
-
 (* Resumption state: everything needed to settle more nodes later.  The
    dist/parent arrays of the owning [result] are refined in place, so a
    partial run transparently *extends* into a full one.
@@ -46,7 +27,7 @@ type state = {
       (* one bit per node, consulted only when relaxing; the source,
          always allowed, settles before any relaxation *)
   edge_ok : (Gstate.edge -> bool) option;
-  future : heuristic option;
+  future : (int -> float) option;
   mutable h_evals : int;
   tag : int array;
   mutable epoch : int;
@@ -302,7 +283,7 @@ let drain r =
                 | None -> nd
                 | Some h ->
                     st.h_evals <- st.h_evals + 1;
-                    nd +. h.hf v
+                    nd +. h v
               in
               enqueue st ~queued:(dv < infinity) v f nd
             end
@@ -409,7 +390,7 @@ let run ?restrict ?edge_ok ?targets ?future_cost g ~src =
     | None -> 0.
     | Some h ->
         state.h_evals <- 1;
-        h.hf src
+        h src
   in
   enqueue state ~queued:false src f0 0.;
   (match targets with

@@ -25,7 +25,11 @@
     invariant argument is in DESIGN.md §4.8).  Relaxation canonicalizes
     equal-distance parents to the smallest edge id, which makes the
     shortest-path {e tree} a pure graph property: bit-identical whether or
-    not a heuristic is supplied.
+    not a heuristic is supplied.  The caller promises admissibility and
+    consistency; the search does not check them, the property tests in
+    the test tree do.  A resumed search keeps the [h] it was started
+    with, since only its own [h] keeps the settled prefix an f-order
+    prefix.
 
     {b Cost.}  The frontier is the search's own binary heap: parallel slot
     arrays for [(f, g, seq)] and the node, plus a per-node slot index, with
@@ -45,22 +49,6 @@
     Every accessor that takes a node raises
     [Invalid_argument "Dijkstra.<entry>: node out of range"] for a node
     outside [\[0, n)]. *)
-
-type heuristic
-(** A future-cost lower bound [h : node -> float] tagged with a process-
-    unique identity ({!heuristic_id}), so caches can refuse to resume a
-    frontier under a different [h]. *)
-
-val heuristic : (int -> float) -> heuristic
-(** Wrap a future-cost function, assigning it a fresh identity.  The
-    caller promises admissibility and consistency (see above); the search
-    does not check them — the property tests in the test tree do. *)
-
-val heuristic_id : heuristic -> int
-
-val heuristic_eval : heuristic -> int -> float
-(** Apply the wrapped bound to a node — for the property tests that check
-    admissibility and consistency of a producer's heuristic. *)
 
 type state
 (** Opaque resumption state (frontier queue, settled set, counters). *)
@@ -82,7 +70,7 @@ val run :
   ?restrict:Fr_util.Bitset.t ->
   ?edge_ok:(Gstate.edge -> bool) ->
   ?targets:int list ->
-  ?future_cost:heuristic ->
+  ?future_cost:(int -> float) ->
   Gstate.t ->
   src:int ->
   result
@@ -96,7 +84,8 @@ val run :
     search as soon as the last distinct unsettled listed node is settled
     (unreachable targets exhaust the search); duplicates and the source
     count once.  Without it the whole graph is settled.  [future_cost]
-    goal-directs the search (see above).
+    goal-directs the search (see above) for its whole life, resumptions
+    included.
     @raise Invalid_argument on a source outside the graph, or a [restrict]
     whose length is not the node count. *)
 
@@ -113,7 +102,7 @@ val extend_all : result -> unit
 
 val settled_count : result -> int
 (** Number of nodes settled so far — the unit of Dijkstra work that
-    {!Dist_cache} budgets and benchmarks report. *)
+    {!Dist_cache} counts and benchmarks report. *)
 
 val future_cost_evals : result -> int
 (** Heuristic evaluations performed by this search so far (0 when no

@@ -1,145 +1,87 @@
-(* Entries form an intrusive doubly-linked recency list threaded through
-   the table's values: the list head is the most recently touched entry,
-   the tail the least.  Touch (hit or insert) unlinks the entry and pushes
-   it to the head; eviction drops the tail — both O(1), where the previous
-   scheme scanned the whole table for the minimum LRU tick on every insert
-   at capacity, turning the miss path O(capacity) per miss under ECO
-   churn. *)
-type entry = {
-  key : int * int;
-  res : Dijkstra.result;
-  mutable prev : entry option;  (* neighbor toward the MRU head *)
-  mutable next : entry option;  (* neighbor toward the LRU tail *)
-}
-
-(* Entries are keyed by (source, heuristic id): a frontier opened under
-   one future-cost function is never resumed under another (or under
-   none), because only its own h keeps the settled prefix an f-order
-   prefix.  [no_heuristic] keys plain runs — including every complete
-   ([targets = None]) lookup, which bypasses the heuristic entirely so
-   full-distance-array consumers (ZEL/DJKA/BRBC/dominance/eval) always
-   see plain Dijkstra. *)
-let no_heuristic = -1
-
+(* Entries live in two tables keyed by source.  [directed] holds the
+   targeted lookups' frontiers, opened under the cache's future-cost
+   bound; [plain] holds the complete ([targets = None]) lookups, which
+   bypass the bound so full-distance-array consumers (ZEL/DJKA/BRBC/
+   dominance/eval) always see plain Dijkstra, and every lookup of a cache
+   created without a bound.  The bound is fixed at creation, so a
+   frontier is only ever resumed under the h it was opened with. *)
 type t = {
   g : Gstate.t;
   restrict : Fr_util.Bitset.t option;
+  future : (int -> float) option;
   targeted : bool;
-  capacity : int;
-  table : (int * int, entry) Hashtbl.t;
-  mutable head : entry option;  (* most recently touched *)
-  mutable tail : entry option;  (* least recently touched: next eviction *)
-  mutable future : Dijkstra.heuristic option;
+  plain : (int, Dijkstra.result) Hashtbl.t;
+  directed : (int, Dijkstra.result) Hashtbl.t;
   mutable stamp : int;
-  (* Monotone lifetime counters; survive invalidations and evictions. *)
+  (* Monotone lifetime counters; survive version drops. *)
   mutable runs : int;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
   mutable settled_gone : int;  (* settled nodes of dropped entries *)
   mutable h_evals_gone : int;  (* future-cost evals of dropped entries *)
 }
 
-let default_capacity = 1024
-
-let create ?restrict ?(targeted = true) ?(capacity = default_capacity) g =
-  if capacity < 1 then invalid_arg "Dist_cache.create: capacity must be >= 1";
+let create ?restrict ?future_cost ?(targeted = true) g =
   {
     g;
     restrict;
+    future = future_cost;
     targeted;
-    capacity;
-    table = Hashtbl.create 64;
-    head = None;
-    tail = None;
-    future = None;
+    plain = Hashtbl.create 16;
+    directed = Hashtbl.create 16;
     stamp = Gstate.version g;
     runs = 0;
     hits = 0;
     misses = 0;
-    evictions = 0;
     settled_gone = 0;
     h_evals_gone = 0;
   }
 
 let graph t = t.g
 
-let restriction t = t.restrict
+let drop_table t table =
+  Hashtbl.iter
+    (fun _ res ->
+      t.settled_gone <- t.settled_gone + Dijkstra.settled_count res;
+      t.h_evals_gone <- t.h_evals_gone + Dijkstra.future_cost_evals res)
+    table;
+  Hashtbl.reset table
 
-let set_future_cost t h = t.future <- h
-
-(* Recency-list plumbing.  [unlink] is safe on any live entry (head, tail
-   or middle); the option patterns decide which neighbor pointers to fix,
-   so no identity comparisons are needed. *)
-let unlink t e =
-  (match e.prev with Some p -> p.next <- e.next | None -> t.head <- e.next);
-  (match e.next with Some n -> n.prev <- e.prev | None -> t.tail <- e.prev);
-  e.prev <- None;
-  e.next <- None
-
-let push_front t e =
-  e.prev <- None;
-  e.next <- t.head;
-  (match t.head with Some h -> h.prev <- Some e | None -> t.tail <- Some e);
-  t.head <- Some e
-
-let touch t e =
-  unlink t e;
-  push_front t e
-
-let account_drop t e =
-  t.settled_gone <- t.settled_gone + Dijkstra.settled_count e.res;
-  t.h_evals_gone <- t.h_evals_gone + Dijkstra.future_cost_evals e.res
-
-let drop_all t =
-  Hashtbl.iter (fun _ e -> account_drop t e) t.table;
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None
-
-let invalidate t =
-  drop_all t;
-  t.stamp <- Gstate.version t.g
-
+(* A graph mutation since the entries were made drops them all. *)
 let refresh t =
   let ver = Gstate.version t.g in
-  if ver <> t.stamp then invalidate t
+  if ver <> t.stamp then begin
+    drop_table t t.plain;
+    drop_table t t.directed;
+    t.stamp <- ver
+  end
 
-let evict_lru t =
-  match t.tail with
-  | None -> ()
-  | Some victim ->
-      unlink t victim;
-      account_drop t victim;
-      Hashtbl.remove t.table victim.key;
-      t.evictions <- t.evictions + 1
+(* The table a lookup uses: goal-directed only when it is targeted and
+   the cache has a bound. *)
+let table_for t ~complete =
+  match t.future with Some _ when not complete -> t.directed | _ -> t.plain
 
 (* Look up (or run) the per-source result, bounded to [targets] when the
    cache is in targeted mode.  [targets = None] demands a complete result
-   and always runs plain (see [no_heuristic] above); targeted lookups use
-   the current future-cost function, whose id extends the key. *)
+   and always runs plain. *)
 let lookup t ~src ~targets =
   refresh t;
   let targets = if t.targeted then targets else None in
-  let future = match targets with None -> None | Some _ -> t.future in
-  let hid = match future with None -> no_heuristic | Some h -> Dijkstra.heuristic_id h in
-  let key = (src, hid) in
-  match Hashtbl.find_opt t.table key with
-  | Some e ->
+  let complete = Option.is_none targets in
+  let table = table_for t ~complete in
+  match Hashtbl.find_opt table src with
+  | Some res ->
       t.hits <- t.hits + 1;
-      touch t e;
       (match targets with
-      | None -> Dijkstra.extend_all e.res
-      | Some ts -> Dijkstra.extend e.res ~targets:ts);
-      e.res
+      | None -> Dijkstra.extend_all res
+      | Some ts -> Dijkstra.extend res ~targets:ts);
+      res
   | None ->
       t.misses <- t.misses + 1;
-      let res = Dijkstra.run ?restrict:t.restrict ?targets ?future_cost:future t.g ~src in
+      let future_cost = if complete then None else t.future in
+      let res = Dijkstra.run ?restrict:t.restrict ?targets ?future_cost t.g ~src in
       t.runs <- t.runs + 1;
-      if Hashtbl.length t.table >= t.capacity then evict_lru t;
-      let e = { key; res; prev = None; next = None } in
-      push_front t e;
-      Hashtbl.add t.table key e;
+      Hashtbl.add table src res;
       res
 
 let result t ~src = lookup t ~src ~targets:None
@@ -150,12 +92,10 @@ let dist t ~src ~dst = Dijkstra.dist (result_for t ~src ~targets:[ dst ]) dst
 
 let path_edges t ~src ~dst = Dijkstra.path_edges (result_for t ~src ~targets:[ dst ]) dst
 
-(* "Cached" means: the entry the next targeted lookup would use — keyed
-   under the current heuristic (plain when none is set) — is live. *)
+(* "Cached" means: the entry the next targeted lookup would use is live. *)
 let cached t src =
   refresh t;
-  let hid = match t.future with None -> no_heuristic | Some h -> Dijkstra.heuristic_id h in
-  Hashtbl.mem t.table (src, hid)
+  Hashtbl.mem (table_for t ~complete:(not t.targeted)) src
 
 let pick_cached_side t a b = if cached t a then (a, b) else if cached t b then (b, a) else (a, b)
 
@@ -173,10 +113,10 @@ let hits t = t.hits
 
 let misses t = t.misses
 
-let evictions t = t.evictions
+let live_sum t f =
+  let sum table acc = Hashtbl.fold (fun _ res acc -> acc + f res) table acc in
+  sum t.plain (sum t.directed 0)
 
-let settled_nodes t =
-  Hashtbl.fold (fun _ e acc -> acc + Dijkstra.settled_count e.res) t.table t.settled_gone
+let settled_nodes t = t.settled_gone + live_sum t Dijkstra.settled_count
 
-let future_cost_evals t =
-  Hashtbl.fold (fun _ e acc -> acc + Dijkstra.future_cost_evals e.res) t.table t.h_evals_gone
+let future_cost_evals t = t.h_evals_gone + live_sum t Dijkstra.future_cost_evals

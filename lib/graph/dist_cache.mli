@@ -1,5 +1,5 @@
-(** Memoized per-source Dijkstra results — the shared shortest-path
-    performance layer.
+(** Memoized per-source Dijkstra results — the shortest-path performance
+    layer of one net's construction.
 
     The iterated constructions (IGMST §3, IDOM §4.2) repeatedly need
     distances between terminals, Steiner candidates, and accepted Steiner
@@ -7,49 +7,46 @@
     single Dijkstra per terminal answers the Δ-scan for *every* candidate —
     the "factoring out common computations" the paper prescribes.
 
-    Three mechanisms keep the layer cheap:
+    Two mechanisms keep the layer cheap and correct:
 
     - {b Target-bounded queries.}  In targeted mode (the default),
       point-to-point queries run Dijkstra only until the requested nodes are
       settled and store the {e partial} result; a later query that needs a
       farther node transparently resumes the same search ({!Dijkstra.extend}).
-    - {b Versioned invalidation.}  Every entry is checked against
+    - {b Versioned entries.}  Every entry is checked against
       {!Gstate.version}; any weight or enable/disable mutation of the host
-      graph drops the whole table before the next query (see {!invalidate}
-      for the explicit form).
-    - {b LRU capacity bound.}  At most [capacity] per-source entries are
-      kept; inserting past the bound evicts the least-recently-used source.
+      graph drops the whole table before the next query.
 
-    {b Goal-direction.}  A future-cost lower bound installed with
-    {!set_future_cost} goal-directs every {e targeted} lookup.  Entries
-    are keyed by [(source, heuristic id)], so a frontier opened under one
-    heuristic is never resumed under a different one (or under none) —
-    only its own [h] keeps the settled prefix an f-order prefix.
+    A cache lives as long as one net's construction: the router creates
+    one per solve attempt (one per connection for two-pin nets) and drops
+    it when the attempt returns, so nothing bounds or evicts its entries.
+
+    {b Goal-direction.}  A future-cost lower bound given to {!create}
+    goal-directs every {e targeted} lookup, for the cache's whole life, so
+    a frontier is only ever resumed under the [h] it was opened with.
     Complete lookups ({!result}, [targets = None]) always run {e plain}
-    Dijkstra under a dedicated key: the KMB/ZEL distance-graph and
+    Dijkstra under entries of their own: the KMB/ZEL distance-graph and
     full-array consumers read exact distances at every index and gain
     nothing from goal-direction, so they bypass it entirely.
 
-    Hit/miss/eviction/settled-node counters expose the layer's behavior to
+    Hit/miss/settled-node counters expose the layer's behavior to
     benchmarks and tests.
 
-    {b Thread-safety audit} (for the parallel router).  A cache is {e not}
-    thread-safe: lookups mutate the table and recency list, and resuming a
-    memoized {!Dijkstra.result} refines its arrays in place.  The parallel
-    router therefore gives each worker domain its own cache over a shared
-    {!Gstate.read_only_view}; within one cache all mutation is owner-local,
-    and the underlying graph is only read, so concurrent waves are race-free.
-    Cache state never changes {e results}: a hit resumes the same search a
-    miss would start, and settled prefixes of a Dijkstra run are final
-    (with or without a heuristic), so per-domain caches with different
-    contents still return bit-identical distances and paths. *)
+    {b Thread safety.}  A cache is {e not} thread-safe: lookups mutate its
+    tables, and resuming a memoized {!Dijkstra.result} refines its arrays
+    in place.  The parallel router is race-free by ownership: each solve
+    creates its own caches over a shared {!Gstate.read_only_view}, so a
+    worker domain mutates only what it allocated, and the graph is only
+    read.  Cache state never changes {e results}: a hit resumes the same
+    search a miss would start, and settled prefixes of a Dijkstra run are
+    final (with or without a heuristic). *)
 
 type t
 
 val create :
   ?restrict:Fr_util.Bitset.t ->
+  ?future_cost:(int -> float) ->
   ?targeted:bool ->
-  ?capacity:int ->
   Gstate.t ->
   t
 (** [restrict] applies to every memoized Dijkstra run (candidate-pruning on
@@ -58,21 +55,15 @@ val create :
     rejects a bitset of another length).  The
     cache and its results share the bitset, so it must stay unchanged for
     the cache's lifetime; callers must ensure all nodes they query are
-    set.  [targeted] (default [true]) enables target-bounded partial runs;
-    [false] forces every run to settle the whole graph, the reference
-    tests hold targeted caches to.  [capacity] (default 1024) bounds
-    the number of cached sources; the least recently used is evicted.
-    @raise Invalid_argument if [capacity < 1]. *)
+    set.  [future_cost] is the admissible, consistent bound every
+    targeted lookup is goal-directed by (none: plain searches).  The
+    router passes one bound per net, over all its terminals, which stays
+    a lower bound for any subset of them it queries.  [targeted] (default
+    [true]) enables target-bounded partial runs; [false] forces every run
+    to settle the whole graph, the reference tests hold targeted caches
+    to. *)
 
 val graph : t -> Gstate.t
-
-val restriction : t -> Fr_util.Bitset.t option
-(** The [restrict] bitset given to {!create}, shared, not copied. *)
-
-val set_future_cost : t -> Dijkstra.heuristic option -> unit
-(** Install (or clear) the future-cost bound used by subsequent targeted
-    lookups.  The router sets a fresh per-net heuristic before each solve;
-    existing entries stay valid under their own keys. *)
 
 val result : t -> src:int -> Dijkstra.result
 (** The memoized single-source result, {e complete} (every reachable node
@@ -90,7 +81,7 @@ val dist : t -> src:int -> dst:int -> float
 
 val cached : t -> int -> bool
 (** Whether the entry the next targeted lookup for this source would use
-    (keyed under the currently installed heuristic, or plain when none) is
+    (goal-directed when the cache has a bound, plain otherwise) is
     currently valid. *)
 
 val dist_sym : t -> int -> int -> float
@@ -103,11 +94,6 @@ val path_edges_sym : t -> int -> int -> Gstate.edge list
 (** Shortest-path edge set between two nodes, served like {!dist_sym}
     (edge sets are orientation-independent). *)
 
-val invalidate : t -> unit
-(** Drop every entry and re-stamp at the graph's current version.  Version
-    checks make this automatic; the router calls it explicitly after
-    committing a net so the dependency is visible at the call site. *)
-
 val runs : t -> int
 (** Number of Dijkstra searches started (= misses) over the cache's
     lifetime. *)
@@ -117,12 +103,9 @@ val hits : t -> int
 
 val misses : t -> int
 
-val evictions : t -> int
-(** Entries dropped by the LRU capacity bound (not by invalidation). *)
-
 val settled_nodes : t -> int
 (** Total nodes settled by every search this cache ever ran, including
-    entries since evicted or invalidated — the search layer's work
+    entries since dropped by a graph mutation — the search layer's work
     metric. *)
 
 val future_cost_evals : t -> int

@@ -28,8 +28,12 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
+(* JSON has no infinities or NaN: a non-finite number renders as null,
+   so every rendered line parses again. *)
 let add_num buf f =
-  if Float.is_integer f && Float.abs f < 1e15 then Buffer.add_string buf (Printf.sprintf "%.0f" f)
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
+    Buffer.add_string buf (Printf.sprintf "%.0f" f)
   else Buffer.add_string buf (Printf.sprintf "%.17g" f)
 
 let rec add_value buf v =
@@ -213,7 +217,10 @@ let parse_number cur =
   in
   go ();
   let s = String.sub cur.text start (cur.pos - start) in
-  match float_of_string_opt s with Some f -> Num f | None -> fail cur "bad number"
+  match float_of_string_opt s with
+  | Some f when Float.is_finite f -> Num f
+  | Some _ -> raise (Bad (Printf.sprintf "number out of range at offset %d" start))
+  | None -> fail cur "bad number"
 
 (* The deepest array/object nesting a value may have.  The deepest
    protocol request nests 4 levels; the cap bounds the parser's recursion,

@@ -16,12 +16,16 @@ type t =
 
 val to_string : t -> string
 (** Compact single-line rendering (no newlines, ever — emitted strings
-    escape them), so a value is always exactly one protocol frame. *)
+    escape them), so a value is always exactly one protocol frame.  JSON
+    has no infinities or NaN, so a non-finite [Num] renders as [null]. *)
 
 val of_string : string -> (t, string) result
 (** Parse one complete value; trailing non-whitespace is an error, and so
     is nesting arrays and objects more than 512 levels deep, which bounds
-    the parser's stack and time on hostile input. *)
+    the parser's stack and time on hostile input.  A number literal
+    outside the float range, such as [1e400], is an error ("number out
+    of range"), so every parsed value is finite and renders back to
+    itself: [of_string (to_string v) = Ok v].  Never raises. *)
 
 val member : string -> t -> t option
 (** Field lookup; [None] on missing field or non-object. *)

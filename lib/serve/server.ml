@@ -73,17 +73,22 @@ let handle_route t (r : Protocol.route_req) =
   match F.Netlist.of_string r.Protocol.circuit_text with
   | Error e -> Protocol.error (Printf.sprintf "bad circuit: %s" e)
   | Ok circuit -> (
-      let arch =
-        F.Arch.xc4000 ~rows:circuit.F.Netlist.rows ~cols:circuit.F.Netlist.cols
-          ~channel_width:r.Protocol.width
-      in
-      let rrg = F.Rrg.build arch in
       let config =
         match r.Protocol.max_passes with
         | Some p -> F.Router.config_with ~mode:r.Protocol.mode ~max_passes:p ()
         | None -> F.Router.config_with ~mode:r.Protocol.mode ()
       in
-      match F.Router.Eco.create ~config ~domains:r.Protocol.domains rrg circuit with
+      (* A circuit that does not fit — an empty array, a non-positive
+         width, pins the RRG lacks — is rejected with Invalid_argument by
+         the architecture, the RRG build or the session's argument check,
+         all before any session state changes. *)
+      match
+        let arch =
+          F.Arch.xc4000 ~rows:circuit.F.Netlist.rows ~cols:circuit.F.Netlist.cols
+            ~channel_width:r.Protocol.width
+        in
+        F.Router.Eco.create ~config ~domains:r.Protocol.domains (F.Rrg.build arch) circuit
+      with
       | Ok (eco, es) ->
           close_session t;
           t.session <-

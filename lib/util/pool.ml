@@ -4,12 +4,12 @@
    re-arm off a generation counter, so a pool created once at router entry
    amortizes domain spawn cost over every batch of every pass.  Work
    distribution is an atomic cursor over the index space: claiming is
-   wait-free and takes one index at a time.  The caller is worker 0 and
-   works its own share of the wave rather than blocking, so [domains = n]
-   means n executing domains, not n + 1. *)
+   wait-free and takes one index at a time.  The caller works its own
+   share of the wave rather than blocking, so [domains = n] means n
+   executing domains, not n + 1. *)
 
 type wave = {
-  job : worker:int -> int -> unit;
+  job : int -> unit;
   count : int;
   cursor : int Atomic.t;
   abort : bool Atomic.t;  (* set on first failure: stop claiming jobs *)
@@ -34,12 +34,12 @@ type t = {
    A job already claimed still runs after an abort; only new claims stop.
    Per-job exceptions are recorded, not propagated, so one domain's failure
    cannot cut another's job short. *)
-let work t ~worker w =
+let work t w =
   let rec loop () =
     if not (Atomic.get w.abort) then begin
       let i = Atomic.fetch_and_add w.cursor 1 in
       if i < w.count then begin
-        (try w.job ~worker i
+        (try w.job i
          with e ->
            let bt = Printexc.get_raw_backtrace () in
            Atomic.set w.abort true;
@@ -54,7 +54,7 @@ let work t ~worker w =
   in
   loop ()
 
-let rec worker_loop t ~worker last_gen =
+let rec worker_loop t last_gen =
   Mutex.lock t.m;
   while (not t.stop) && t.gen = last_gen do
     Condition.wait t.wake t.m
@@ -64,12 +64,12 @@ let rec worker_loop t ~worker last_gen =
     let gen = t.gen in
     let w = match t.wave with Some w -> w | None -> assert false in
     Mutex.unlock t.m;
-    work t ~worker w;
+    work t w;
     Mutex.lock t.m;
     w.live <- w.live - 1;
     if w.live = 0 then Condition.broadcast t.finished;
     Mutex.unlock t.m;
-    worker_loop t ~worker gen
+    worker_loop t gen
   end
 
 (* The runtime allows 128 domains per process (Max_domains in
@@ -95,8 +95,7 @@ let create ~domains () =
     }
   in
   t.workers <-
-    List.init (domains - 1) (fun k ->
-        Domain.spawn (fun () -> worker_loop t ~worker:(k + 1) 0));
+    List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));
   t
 
 (* One wave over [0 .. count - 1]: returns once every claimed job has
@@ -107,7 +106,7 @@ let run_wave t ~count f =
     (* Inline fast path: same job order a 1-worker wave would use, without
        touching the mutex or condition variables. *)
     for i = 0 to count - 1 do
-      f ~worker:0 i
+      f i
     done
   else begin
     let w =
@@ -125,7 +124,7 @@ let run_wave t ~count f =
     t.gen <- t.gen + 1;
     Condition.broadcast t.wake;
     Mutex.unlock t.m;
-    work t ~worker:0 w;
+    work t w;
     Mutex.lock t.m;
     while w.live > 0 do
       Condition.wait t.finished t.m
@@ -142,7 +141,7 @@ let map t ~count f =
   if t.shut then invalid_arg "Pool.map: pool is shut down";
   if count < 0 then invalid_arg "Pool.map: negative count";
   let out = Array.make count None in
-  run_wave t ~count (fun ~worker i -> out.(i) <- Some (f ~worker i));
+  run_wave t ~count (fun i -> out.(i) <- Some (f i));
   (* The wave returned normally, so every index executed and filled its
      slot. *)
   Array.map (function Some v -> v | None -> assert false) out

@@ -7,9 +7,11 @@
     every {!map} call ("wave") until {!shutdown}.
 
     Scheduling is a shared counter: workers (and the calling domain, which
-    participates as worker 0) repeatedly claim the next index from an
-    atomic cursor until the wave is exhausted.  Each submitted index is
-    executed exactly once, by exactly one worker.
+    works its own share of every wave) repeatedly claim the next index
+    from an atomic cursor until the wave is exhausted.  Each submitted
+    index is executed exactly once, by exactly one domain.  A job is told
+    only its index, not which domain runs it: a job that needs scratch
+    state allocates its own, so no domain ever touches another's.
 
     Exceptions raised by jobs are caught per-worker; after the wave
     completes, the recorded exception with the smallest index is re-raised
@@ -36,12 +38,10 @@ val create : domains:int -> unit -> t
     @raise Invalid_argument, before spawning anything, if [domains < 1] or
     [domains > max_domains]. *)
 
-val map : t -> count:int -> (worker:int -> int -> 'a) -> 'a array
-(** [map p ~count f] executes [f ~worker i] for every [i] in
-    [0 .. count - 1], distributed over the pool, and returns the results:
-    element [i] is [f ~worker i].  [worker] is the executing worker's index
-    in [0 .. domains - 1] (stable across waves, usable as an index into
-    per-domain scratch).  Returns when every claimed job has finished.
+val map : t -> count:int -> (int -> 'a) -> 'a array
+(** [map p ~count f] executes [f i] for every [i] in [0 .. count - 1],
+    distributed over the pool, and returns the results: element [i] is
+    [f i].  Returns when every claimed job has finished.
     Re-raises the smallest-index job exception, if any.
     @raise Invalid_argument after {!shutdown}. *)
 

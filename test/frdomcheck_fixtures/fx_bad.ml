@@ -4,4 +4,4 @@
 
 let table : (int, int) Hashtbl.t = Hashtbl.create 16
 let bump i = Hashtbl.replace table i (i * i)
-let drive pool = ignore (Fr_util.Pool.map pool ~count:4 (fun ~worker:_ i -> bump i))
+let drive pool = ignore (Fr_util.Pool.map pool ~count:4 (fun i -> bump i))

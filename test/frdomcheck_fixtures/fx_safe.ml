@@ -2,4 +2,4 @@
    must report nothing for this unit. *)
 
 let square i = i * i
-let drive pool = Fr_util.Pool.map pool ~count:8 (fun ~worker:_ i -> square i)
+let drive pool = Fr_util.Pool.map pool ~count:8 (fun i -> square i)

@@ -420,10 +420,7 @@ let prop_targeted_cache_identical_trees =
       let scale = [| 1.0; 0.6 |].(seed / 2 mod 2) in
       let h_evals = ref 0 in
       let goal_directed () =
-        let cache = G.Dist_cache.create g in
-        G.Dist_cache.set_future_cost cache
-          (Some (G.Dijkstra.heuristic (fun v -> scale *. G.Dijkstra.dist landmark v)));
-        cache
+        G.Dist_cache.create ~future_cost:(fun v -> scale *. G.Dijkstra.dist landmark v) g
       in
       let edges t = List.sort compare t.G.Tree.edges in
       let identical =
@@ -446,21 +443,6 @@ let prop_targeted_cache_identical_trees =
       in
       if !h_evals = 0 then QCheck.Test.fail_report "the heuristic was never evaluated";
       identical)
-
-(* A tight LRU bound forces evictions mid-construction; results must not
-   change (evicted sources are just recomputed). *)
-let prop_tiny_cache_identical_trees =
-  QCheck.Test.make ~name:"capacity-2 cache = unbounded cache" ~count:10
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let g, net = random_instance seed ~n:20 ~m:50 ~k:4 in
-      let edges t = List.sort compare t.G.Tree.edges in
-      List.for_all
-        (fun alg ->
-          let big = alg.C.Routing_alg.solve (G.Dist_cache.create g) ~net in
-          let tiny = alg.C.Routing_alg.solve (G.Dist_cache.create ~capacity:2 g) ~net in
-          edges big = edges tiny)
-        C.Routing_alg.all)
 
 let prop_idom_trace_decreasing =
   QCheck.Test.make ~name:"IDOM distance-graph cost strictly decreases" ~count:20
@@ -647,7 +629,6 @@ let () =
           Alcotest.test_case "unroutable" `Quick test_unroutable_arborescence;
           QCheck_alcotest.to_alcotest prop_all_algorithms_valid;
           QCheck_alcotest.to_alcotest prop_targeted_cache_identical_trees;
-          QCheck_alcotest.to_alcotest prop_tiny_cache_identical_trees;
           QCheck_alcotest.to_alcotest prop_idom_trace_decreasing;
           QCheck_alcotest.to_alcotest prop_steiner_cheaper_or_equal_arborescence_on_avg;
         ] );

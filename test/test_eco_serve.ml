@@ -91,6 +91,21 @@ let test_json_depth_cap () =
   Alcotest.(check bool) "1 MiB of '[' rejected" true (Result.is_error r);
   Alcotest.(check bool) (Printf.sprintf "in under 0.1 s (%.3f s)" dt) true (dt < 0.1)
 
+(* JSON has no infinities: a literal that overflows the float range is an
+   error, and a non-finite number renders as null, so every rendered line
+   parses again. *)
+let test_json_non_finite () =
+  (match S.Json.of_string "[1e400,-1e400]" with
+  | Error e -> Alcotest.(check string) "overflow rejected" "number out of range at offset 1" e
+  | Ok v -> Alcotest.failf "accepted %s" (S.Json.to_string v));
+  Alcotest.(check bool) "negative overflow rejected" true
+    (Result.is_error (S.Json.of_string "-1e400"));
+  Alcotest.(check bool) "underflow reads as zero" true
+    (S.Json.of_string "1e-400" = Ok (S.Json.Num 0.));
+  let line = S.Json.(to_string (Arr [ Num infinity; Num neg_infinity; Num nan; Num 1.5 ])) in
+  Alcotest.(check string) "non-finite renders as null" "[null,null,null,1.5]" line;
+  Alcotest.(check bool) "and parses again" true (Result.is_ok (S.Json.of_string line))
+
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -554,6 +569,29 @@ let test_server_roundtrip () =
   let bad = request (S.Json.Obj [ ("cmd", S.Json.Str "fly") ]) in
   Alcotest.(check bool) "unknown cmd rejected" true
     (Option.bind (field "ok" bad) S.Json.bool = Some false);
+  (* A route whose circuit does not fit (an empty array, a width of 0) is
+     answered in the architecture's own words, not as an internal error,
+     and the session it would have replaced keeps serving (the digest
+     checks below). *)
+  List.iter
+    (fun (what, text, width) ->
+      let resp =
+        request
+          (S.Json.Obj
+             [
+               ("cmd", S.Json.Str "route");
+               ("circuit", S.Json.Str text);
+               ("width", S.Json.of_int width);
+             ])
+      in
+      Alcotest.(check bool) (what ^ " rejected") true
+        (Option.bind (field "ok" resp) S.Json.bool = Some false);
+      let err = field_str "error" resp in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: a plain error (%s)" what err)
+        true
+        (String.starts_with ~prefix:"Arch.make: " err))
+    [ ("empty array", "circuit x 0 3\n", 6); ("width 0", F.Netlist.to_string circuit, 0) ];
   let cp = expect_ok (request (S.Json.Obj [ ("cmd", S.Json.Str "checkpoint") ])) in
   let cp_id = field_int "id" cp in
   let eco_resp =
@@ -854,6 +892,105 @@ let test_server_concurrent_eco_clients () =
   Thread.join th;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
+(* ------------------------------------------------------------------ *)
+(* Fuzz: every parser of outside input                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Seeds for the byte mutations: valid requests and netlists, plus the
+   inputs that found or guard past defects (a non-finite number, empty
+   input, nesting at and past the depth cap) and requests that mix valid
+   and invalid fields. *)
+let fuzz_seeds =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  let tiny = F.Netlist.to_string (tiny_circuit ()) in
+  [
+    "";
+    "[1e400,-1e400]";
+    nested 512;
+    nested 513;
+    S.Json.(
+      to_string
+        (Obj
+           [
+             ("cmd", Str "route");
+             ("circuit", Str tiny);
+             ("width", of_int 6);
+             ("mode", Str "negotiated");
+             ("domains", of_int 2);
+             ("max_passes", of_int 3);
+           ]));
+    {|{"cmd":"eco","deltas":[{"op":"add","net":"net d 3,0,S,0 3,1,S,0"},{"op":"remove","name":"b"},{"op":"retime","name":"a","source":"0,0,E,0","sinks":["2,3,W,0","3,1,N,0"]}]}|};
+    {|{"cmd":"stats"}|};
+    {|{"cmd":"checkpoint","restore":1}|};
+    {|{"cmd":"shutdown"}|};
+    {|{"cmd":"route","circuit":"circuit x 0 3","width":0,"domains":65,"mode":"waves"}|};
+    {|{"cmd":"eco","deltas":[{"op":"add","net":"net z 0,0,N,0 0,0,N,0"},{"op":"retime","name":"a","source":"0,0,Q,0","sinks":[7]},{"op":"fly"}]}|};
+    {|{"cmd":"checkpoint","restore":1.5e300,"cmd":"stats","s":"\ud83d\ude00\u0000"}|};
+    tiny;
+    "net a 0,0,N,0 1,1,S,0 2,2,W,1";
+  ]
+
+(* Bytes drawn mostly from the JSON and netlist alphabets, so random
+   input gets past the first token often. *)
+let fuzz_char =
+  let alphabet = "{}[]\":,.-+0123456789eEtrufalsn\\ \n\tcircuitnetNESW#" in
+  QCheck.Gen.(
+    frequency [ (1, char); (4, map (String.get alphabet) (int_bound (String.length alphabet - 1))) ])
+
+(* One byte edit at a position taken modulo the length: overwrite,
+   insert, delete, truncate, or duplicate a short span. *)
+let mutate s (kind, pos, c) =
+  let n = String.length s in
+  let i = if n = 0 then 0 else pos mod n in
+  match kind with
+  | 0 when n > 0 -> String.mapi (fun j d -> if j = i then c else d) s
+  | 1 | 0 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  | 2 when n > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+  | 3 -> String.sub s 0 i
+  | _ ->
+      let k = min (n - i) (1 + (Char.code c mod 16)) in
+      String.sub s 0 (i + k) ^ String.sub s i (n - i)
+
+let fuzz_input =
+  let open QCheck.Gen in
+  let random_bytes = string_size ~gen:fuzz_char (int_bound 300) in
+  let edits = list_size (int_range 1 8) (triple (int_bound 4) nat fuzz_char) in
+  let mutated = map2 (List.fold_left mutate) (oneofl fuzz_seeds) edits in
+  QCheck.make ~print:String.escaped (frequency [ (1, random_bytes); (3, mutated) ])
+
+(* A parser of outside input answers [Ok] or [Error] and raises nothing:
+   none of the four documents an exception. *)
+let total what f x =
+  match f x with
+  | Ok _ | Error _ -> true
+  | exception e -> QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+
+let fuzz_test ~name f =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |])
+    (QCheck.Test.make ~name ~count:3000 fuzz_input f)
+
+let prop_fuzz_json =
+  fuzz_test ~name:"Json.of_string total; parsed values round-trip" (fun s ->
+      total "Json.of_string" S.Json.of_string s
+      &&
+      match S.Json.of_string s with
+      | Error _ -> true
+      | Ok v -> (
+          match S.Json.of_string (S.Json.to_string v) with
+          | Ok v' when v' = v -> true
+          | _ -> QCheck.Test.fail_reportf "%s does not round-trip" (S.Json.to_string v)))
+
+let prop_fuzz_protocol =
+  fuzz_test ~name:"Protocol.parse_request total" (fun s ->
+      match S.Json.of_string s with
+      | Ok j -> total "Protocol.parse_request" S.Protocol.parse_request j
+      | Error _ -> true)
+
+let prop_fuzz_netlist =
+  fuzz_test ~name:"Netlist.of_string and net_of_string total" (fun s ->
+      total "Netlist.of_string" F.Netlist.of_string s
+      && List.for_all (total "Netlist.net_of_string" F.Netlist.net_of_string) (String.split_on_char '\n' s))
+
 let () =
   Alcotest.run "fr_serve"
     [
@@ -863,6 +1000,7 @@ let () =
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects;
           Alcotest.test_case "caps nesting depth" `Quick test_json_depth_cap;
+          Alcotest.test_case "no non-finite numbers" `Quick test_json_non_finite;
         ] );
       ( "protocol",
         [
@@ -896,4 +1034,5 @@ let () =
           Alcotest.test_case "concurrent ECO clients reach a fixpoint" `Quick
             test_server_concurrent_eco_clients;
         ] );
+      ("fuzz", [ prop_fuzz_json; prop_fuzz_protocol; prop_fuzz_netlist ]);
     ]

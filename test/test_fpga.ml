@@ -656,7 +656,7 @@ let prop_rrg_future_cost_sound =
         List.sort_uniq compare (List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng n))
       in
       let check state =
-        let h = G.Dijkstra.heuristic_eval (F.Rrg.future_cost rrg ~targets) in
+        let h = F.Rrg.future_cost rrg ~targets in
         let best = Array.make n infinity in
         List.iter
           (fun t ->
@@ -725,7 +725,7 @@ let prop_rrg_geometry_matches_kind =
       in
       List.iter
         (fun targets ->
-          let h = G.Dijkstra.heuristic_eval (F.Rrg.future_cost rrg ~targets) in
+          let h = F.Rrg.future_cost rrg ~targets in
           for v = 0 to n - 1 do
             if Int64.bits_of_float (h v) <> Int64.bits_of_float (reference targets v) then
               QCheck.Test.fail_reportf "future_cost differs at node %d" v

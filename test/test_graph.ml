@@ -308,7 +308,7 @@ let prop_astar_matches_plain =
       let t = n - 1 in
       let back = G.Dijkstra.run g ~src:t in
       let scale = [| 1.0; 0.6; 0.0 |].(seed mod 3) in
-      let h = G.Dijkstra.heuristic (fun v -> scale *. G.Dijkstra.dist back v) in
+      let h v = scale *. G.Dijkstra.dist back v in
       let plain = G.Dijkstra.run ~targets:[ t ] g ~src:0 in
       let astar =
         G.Dijkstra.run ~targets:[ t ] ~future_cost:h g ~src:0
@@ -611,7 +611,7 @@ let prop_dijkstra_stop_rule =
           (* 0.6 x the distance to a landmark: admissible and consistent
              toward any target set. *)
           let back = G.Dijkstra.run g ~src:(Rng.int rng n) in
-          Some (G.Dijkstra.heuristic (fun v -> 0.6 *. G.Dijkstra.dist back v))
+          Some (fun v -> 0.6 *. G.Dijkstra.dist back v)
         end
       in
       if Rng.int rng 3 = 0 then begin
@@ -619,7 +619,7 @@ let prop_dijkstra_stop_rule =
         if x <> src then G.Gstate.disable_node g x
       end;
       let full = G.Dijkstra.run ?future_cost:future g ~src in
-      let h v = match future with None -> 0. | Some f -> G.Dijkstra.heuristic_eval f v in
+      let h v = match future with None -> 0. | Some f -> f v in
       let reached = List.filter (G.Dijkstra.reachable full) (List.init n Fun.id) in
       let key v =
         let d = G.Dijkstra.dist full v in
@@ -824,11 +824,7 @@ let prop_frontier_matches_lazy_reference =
       in
       let ref_s = lazy_run ?region ?h g ~src in
       let first = if Rng.int rng 5 = 0 then None else Some (pick ()) in
-      let r =
-        G.Dijkstra.run ?restrict:region ?targets:first
-          ?future_cost:(Option.map G.Dijkstra.heuristic h)
-          g ~src
-      in
+      let r = G.Dijkstra.run ?restrict:region ?targets:first ?future_cost:h g ~src in
       lazy_lookup ref_s first;
       let check what =
         if G.Dijkstra.settled_count r <> ref_s.count then
@@ -880,15 +876,15 @@ let test_dijkstra_stale_resume_rejected () =
     (Invalid_argument "Dijkstra.extend: graph mutated since the run started") (fun () ->
       G.Dijkstra.extend r ~targets:[ 3 ])
 
-(* LRU eviction and graph mutations must never surface stale distances. *)
+(* Graph mutations must never surface stale distances. *)
 let prop_cache_never_stale =
-  QCheck.Test.make ~name:"LRU + version bumps never stale" ~count:40
+  QCheck.Test.make ~name:"version bumps never stale" ~count:40
     QCheck.(int_range 0 1000)
     (fun seed ->
       let rng = Rng.make seed in
       let n = 25 in
       let g = G.Random_graph.connected rng ~n ~m:(3 * n) ~wmin:0.5 ~wmax:4. in
-      let c = G.Dist_cache.create ~capacity:2 g in
+      let c = G.Dist_cache.create g in
       for step = 0 to 49 do
         (* Occasionally perturb a weight: bumps the version. *)
         if step mod 7 = 3 then begin
@@ -903,25 +899,8 @@ let prop_cache_never_stale =
       done;
       true)
 
-let test_dist_cache_lru_eviction () =
-  let g, _, _, _, _, _ = diamond () in
-  let c = G.Dist_cache.create ~capacity:2 g in
-  ignore (G.Dist_cache.result c ~src:0);
-  ignore (G.Dist_cache.result c ~src:1);
-  Alcotest.(check int) "no eviction yet" 0 (G.Dist_cache.evictions c);
-  ignore (G.Dist_cache.result c ~src:0);
-  (* 1 is now least-recently used; inserting 2 evicts it, not 0. *)
-  ignore (G.Dist_cache.result c ~src:2);
-  Alcotest.(check int) "one eviction" 1 (G.Dist_cache.evictions c);
-  Alcotest.(check bool) "0 survives" true (G.Dist_cache.cached c 0);
-  Alcotest.(check bool) "1 evicted" false (G.Dist_cache.cached c 1);
-  (* Re-querying the evicted source recomputes correctly. *)
-  Alcotest.(check (float 1e-9)) "recomputed" 1.5 (G.Dist_cache.dist c ~src:1 ~dst:3);
-  (* Lifetime settled-node counter includes evicted entries' work. *)
-  Alcotest.(check bool) "settled counter grows" true (G.Dist_cache.settled_nodes c >= 8)
-
 let test_dist_cache_targeted_counters () =
-  let g, _, _, _, _, _ = diamond () in
+  let g, e01, _, _, _, _ = diamond () in
   (* Targeted: a near target settles a prefix; full mode settles all 4. *)
   let ct = G.Dist_cache.create g in
   ignore (G.Dist_cache.dist ct ~src:0 ~dst:1);
@@ -937,42 +916,37 @@ let test_dist_cache_targeted_counters () =
   Alcotest.(check int) "still one run" 1 (G.Dist_cache.runs ct);
   (* The resumed entry's extra settling is accounted for. *)
   Alcotest.(check int) "resumed settle" 4 (G.Dist_cache.settled_nodes ct);
-  (* Explicit invalidation drops entries but keeps lifetime counters. *)
-  G.Dist_cache.invalidate ct;
+  (* A version bump drops the entries but keeps the lifetime counters. *)
+  G.Gstate.set_weight g e01 10.;
   Alcotest.(check bool) "dropped" false (G.Dist_cache.cached ct 0);
   Alcotest.(check int) "counters survive" 4 (G.Dist_cache.settled_nodes ct)
 
-(* Entries are keyed by (source, heuristic identity): a frontier opened
-   under one heuristic is never resumed under another, and complete
-   lookups are always plain. *)
+(* A cache's bound is fixed at creation: targeted lookups run under it,
+   so a frontier is only resumed under the h it was opened with, and
+   complete lookups are always plain, under entries of their own. *)
 let test_dist_cache_heuristic_keying () =
   let g, _, _, _, _, _ = diamond () in
-  let c = G.Dist_cache.create g in
-  let h1 = G.Dijkstra.heuristic (fun _ -> 0.) in
-  G.Dist_cache.set_future_cost c (Some h1);
+  let c = G.Dist_cache.create ~future_cost:(fun _ -> 0.) g in
   ignore (G.Dist_cache.result_for c ~src:0 ~targets:[ 3 ]);
-  Alcotest.(check bool) "h1 entry live" true (G.Dist_cache.cached c 0);
+  Alcotest.(check bool) "directed entry live" true (G.Dist_cache.cached c 0);
   Alcotest.(check int) "one run" 1 (G.Dist_cache.runs c);
   Alcotest.(check bool) "heuristic evaluated" true (G.Dist_cache.future_cost_evals c > 0);
-  (* Same source, no heuristic: a different key, so not cached. *)
-  G.Dist_cache.set_future_cost c None;
-  Alcotest.(check bool) "plain key absent" false (G.Dist_cache.cached c 0);
-  ignore (G.Dist_cache.result_for c ~src:0 ~targets:[ 3 ]);
-  Alcotest.(check int) "plain lookup reran" 2 (G.Dist_cache.runs c);
-  (* Re-installing h1 finds the original entry again and resumes it. *)
-  G.Dist_cache.set_future_cost c (Some h1);
-  Alcotest.(check bool) "h1 entry survives" true (G.Dist_cache.cached c 0);
-  ignore (G.Dist_cache.result_for c ~src:0 ~targets:[ 1 ]);
-  Alcotest.(check int) "no rerun under h1" 2 (G.Dist_cache.runs c);
-  (* A distinct heuristic object is a distinct key, even for the same
-     source and the same underlying function. *)
-  let h2 = G.Dijkstra.heuristic (fun _ -> 0.) in
-  G.Dist_cache.set_future_cost c (Some h2);
-  Alcotest.(check bool) "h2 key absent" false (G.Dist_cache.cached c 0);
-  (* Complete lookups bypass goal-direction entirely. *)
-  let r = G.Dist_cache.result c ~src:2 in
+  (* A complete lookup of the same source does not resume the
+     goal-directed frontier: it runs plain, under its own entry. *)
+  let r = G.Dist_cache.result c ~src:0 in
+  Alcotest.(check int) "complete lookup reran" 2 (G.Dist_cache.runs c);
   Alcotest.(check bool) "complete" true (G.Dijkstra.complete r);
-  Alcotest.(check int) "complete lookup is plain" 0 (G.Dijkstra.future_cost_evals r)
+  Alcotest.(check int) "complete lookup is plain" 0 (G.Dijkstra.future_cost_evals r);
+  (* A later targeted lookup resumes the goal-directed entry. *)
+  ignore (G.Dist_cache.result_for c ~src:0 ~targets:[ 1 ]);
+  Alcotest.(check int) "no rerun under the bound" 2 (G.Dist_cache.runs c);
+  Alcotest.(check int) "resumed as a hit" 1 (G.Dist_cache.hits c);
+  (* Without a bound, both kinds of lookup share one plain entry. *)
+  let p = G.Dist_cache.create g in
+  ignore (G.Dist_cache.result_for p ~src:0 ~targets:[ 3 ]);
+  ignore (G.Dist_cache.result p ~src:0);
+  Alcotest.(check int) "unbounded cache: one run" 1 (G.Dist_cache.runs p);
+  Alcotest.(check int) "unbounded cache: plain" 0 (G.Dist_cache.future_cost_evals p)
 
 (* ------------------------------------------------------------------ *)
 (* Gstate journal                                                     *)
@@ -1204,7 +1178,6 @@ let () =
           Alcotest.test_case "memoizes" `Quick test_dist_cache_memoizes;
           Alcotest.test_case "invalidation" `Quick test_dist_cache_invalidation;
           Alcotest.test_case "symmetric lookups" `Quick test_dist_cache_sym;
-          Alcotest.test_case "LRU eviction" `Quick test_dist_cache_lru_eviction;
           Alcotest.test_case "targeted counters" `Quick test_dist_cache_targeted_counters;
           Alcotest.test_case "heuristic keying" `Quick test_dist_cache_heuristic_keying;
           QCheck_alcotest.to_alcotest prop_cache_never_stale;

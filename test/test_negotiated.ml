@@ -217,9 +217,15 @@ let test_domain_determinism () =
     (fun domains ->
       let _, _, s = route_negotiated "term1" ~domains ~width:8 in
       check_term1_golden ~domains s;
-      Alcotest.(check int)
-        (Printf.sprintf "par_batches (domains=%d)" domains)
-        s1.F.Router.par_batches s.F.Router.par_batches;
+      let check_int field f =
+        Alcotest.(check int) (Printf.sprintf "%s (domains=%d)" field domains) (f s1) (f s)
+      in
+      check_int "par_batches" (fun s -> s.F.Router.par_batches);
+      (* Every solve creates its own distance caches, so the search work
+         does not depend on which domain ran it either. *)
+      check_int "dijkstra_runs" (fun s -> s.F.Router.dijkstra_runs);
+      check_int "settled_nodes" (fun s -> s.F.Router.settled_nodes);
+      check_int "future_cost_evals" (fun s -> s.F.Router.future_cost_evals);
       Alcotest.(check bool)
         (Printf.sprintf "trees bit-identical (domains=%d)" domains)
         true

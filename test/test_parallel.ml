@@ -22,29 +22,27 @@ let test_pool_each_job_once () =
              increment per index is race-free; any double execution shows
              up as a count <> 1. *)
           let counts = Array.make n 0 in
-          let workers_seen = Array.make domains false in
-          (* The other workers hold their jobs until the caller has run
+          (* The other domains hold their jobs until the caller has run
              one, so the caller's share does not hinge on winning a race
              for the first jobs on a loaded machine.  A caller that
              blocked instead of working would leave them waiting out the
              deadline and fail the participation check below. *)
+          let caller = (Domain.self () :> int) in
           let caller_ran = Atomic.make false in
           let deadline = Unix.gettimeofday () +. 10. in
           ignore
-            (P.map pool ~count:n (fun ~worker i ->
-                 if worker = 0 then Atomic.set caller_ran true
+            (P.map pool ~count:n (fun i ->
+                 if Int.equal (Domain.self () :> int) caller then Atomic.set caller_ran true
                  else
                    while (not (Atomic.get caller_ran)) && Unix.gettimeofday () < deadline do
                      Domain.cpu_relax ()
                    done;
-                 counts.(i) <- counts.(i) + 1;
-                 workers_seen.(worker) <- true));
+                 counts.(i) <- counts.(i) + 1));
           Array.iteri
             (fun i c ->
               if c <> 1 then Alcotest.failf "job %d ran %d times (domains=%d)" i c domains)
             counts;
-          Alcotest.(check bool)
-            "worker 0 (the caller) participated" true workers_seen.(0))
+          Alcotest.(check bool) "the caller participated" true (Atomic.get caller_ran))
         )
     [ 1; 2; 4 ]
 
@@ -53,7 +51,7 @@ let test_pool_map_in_order () =
   Fun.protect
     ~finally:(fun () -> P.shutdown pool)
     (fun () ->
-      let out = P.map pool ~count:100 (fun ~worker:_ i -> i * i) in
+      let out = P.map pool ~count:100 (fun i -> i * i) in
       Alcotest.(check int) "length" 100 (Array.length out);
       Array.iteri (fun i v -> Alcotest.(check int) "slot" (i * i) v) out)
 
@@ -66,10 +64,10 @@ let test_pool_exception_surfaces () =
         (fun () ->
           Alcotest.check_raises "job exception re-raised" (Failure "boom 17")
             (fun () ->
-              ignore (P.map pool ~count:50 (fun ~worker:_ i -> if i = 17 then failwith "boom 17")));
+              ignore (P.map pool ~count:50 (fun i -> if i = 17 then failwith "boom 17")));
           (* The pool survives a failed wave and keeps working. *)
           let ran = Array.make 20 0 in
-          ignore (P.map pool ~count:20 (fun ~worker:_ i -> ran.(i) <- ran.(i) + 1));
+          ignore (P.map pool ~count:20 (fun i -> ran.(i) <- ran.(i) + 1));
           Alcotest.(check bool)
             "usable after a raising wave" true
             (Array.for_all (( = ) 1) ran))
@@ -83,7 +81,7 @@ let test_pool_reuse_across_waves () =
     (fun () ->
       for wave = 1 to 5 do
         let n = 37 * wave in
-        let out = P.map pool ~count:n (fun ~worker:_ i -> i + wave) in
+        let out = P.map pool ~count:n (fun i -> i + wave) in
         Array.iteri (fun i v -> Alcotest.(check int) "reused wave" (i + wave) v) out
       done)
 
@@ -94,7 +92,7 @@ let test_pool_shutdown () =
   (* idempotent *)
   Alcotest.check_raises "map after shutdown"
     (Invalid_argument "Pool.map: pool is shut down") (fun () ->
-      ignore (P.map pool ~count:1 (fun ~worker:_ _ -> ())))
+      ignore (P.map pool ~count:1 (fun _ -> ())))
 
 (* A domain count outside [1, max_domains] is rejected before anything
    spawns, by the pool and by the router (whose check runs before its pool
@@ -160,8 +158,8 @@ let test_view_sees_base_mutations () =
 (* Router determinism across domain counts                            *)
 (* ------------------------------------------------------------------ *)
 
-let route_with_domains spec ~domains =
-  let config = F.Router.config_with ~alg:Fr_core.Routing_alg.ikmb ~max_passes:3 () in
+let route_with_domains ?(alg = Fr_core.Routing_alg.ikmb) spec ~domains =
+  let config = F.Router.config_with ~alg ~max_passes:3 () in
   let circuit = F.Circuits.generate spec in
   let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:14) in
   match F.Router.route ~config ~domains rrg circuit with
@@ -177,8 +175,9 @@ let canonical_trees stats =
     stats.F.Router.routed
   |> List.sort compare
 
-(* Everything quality-related must match; the Dijkstra work counters
-   legitimately differ (per-domain caches shard the shared cache). *)
+(* Everything quality-related must match, and so must the search work:
+   every solve creates its own distance caches, so its work is a function
+   of the net and the frozen state, whichever domain runs it. *)
 let quality stats =
   ( stats.F.Router.passes,
     stats.F.Router.total_wirelength,
@@ -186,6 +185,21 @@ let quality stats =
     stats.F.Router.peak_occupancy,
     stats.F.Router.par_batches,
     stats.F.Router.par_conflicts )
+
+let check_same_as_serial what ~serial ~domains par =
+  let check_int field f =
+    Alcotest.(check int) (Printf.sprintf "%s: %s (domains=%d)" what field domains) (f serial) (f par)
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "%s: stats record %d domains" what domains)
+    domains par.F.Router.domains;
+  if canonical_trees par <> canonical_trees serial then
+    Alcotest.failf "%s: %d-domain trees differ from serial" what domains;
+  if quality par <> quality serial then
+    Alcotest.failf "%s: %d-domain quality stats differ from serial" what domains;
+  check_int "dijkstra_runs" (fun s -> s.F.Router.dijkstra_runs);
+  check_int "settled_nodes" (fun s -> s.F.Router.settled_nodes);
+  check_int "future_cost_evals" (fun s -> s.F.Router.future_cost_evals)
 
 (* The serial route's quality, pinned: wirelength and total max path at
    W=14 (IKMB, 3 passes).  Any drift is a change to the routed trees. *)
@@ -204,18 +218,18 @@ let test_determinism_across_domains () =
       Alcotest.(check (float 0.)) (name ^ ": golden max path") max_path
         serial.F.Router.total_max_path;
       List.iter
-        (fun domains ->
-          let par = route_with_domains spec ~domains in
-          Alcotest.(check int)
-            (Printf.sprintf "%s: stats record %d domains" name domains)
-            domains par.F.Router.domains;
-          if canonical_trees par <> canonical_trees serial then
-            Alcotest.failf "%s: %d-domain trees differ from serial" name domains;
-          if quality par <> quality serial then
-            Alcotest.failf "%s: %d-domain quality stats differ from serial" name
-              domains)
+        (fun domains -> check_same_as_serial name ~serial ~domains (route_with_domains spec ~domains))
         [ 2; 4 ])
-    goldens
+    goldens;
+  (* ZEL reads complete plain distance arrays for its triples: the only
+     lookups two nets' solves could ever have shared. *)
+  let spec = Option.get (F.Circuits.find_spec "term1") in
+  let alg = Option.get (Fr_core.Routing_alg.by_name "ZEL") in
+  let serial = route_with_domains ~alg spec ~domains:1 in
+  List.iter
+    (fun domains ->
+      check_same_as_serial "term1 ZEL" ~serial ~domains (route_with_domains ~alg spec ~domains))
+    [ 2; 4 ]
 
 let () =
   Alcotest.run "parallel"

@@ -17,6 +17,9 @@ It also checks:
   two-pin net still answers with the session digest;
 - a route request asking for more domains than the cap (64) gets an
   error reply, and the session survives it;
+- a route whose circuit does not fit (header `circuit x 0 3`, or
+  `"width":0`) gets an error reply that is not an internal error, and the
+  session survives it;
 - on a second connection, a 1 MiB frame of '[' (newline included), which
   the JSON nesting cap must answer with an error within 0.25 s, leaving
   the connection able to answer stats.
@@ -170,6 +173,23 @@ def main():
             die(f"a route asking for 100000 domains was not rejected: {greedy}")
         if c.request({"cmd": "stats"}).get("digest") != d0:
             die("the session did not survive the rejected route")
+
+        # A circuit that does not fit is an error reply in the router's or
+        # the architecture's own words, not a crash reported as an internal
+        # error, and the session survives it.
+        for what, text, w in (
+            ("an empty array", "circuit x 0 3\n", width),
+            ("width 0", circuit, 0),
+        ):
+            unfit = c.exchange(
+                json.dumps({"cmd": "route", "circuit": text, "width": w}).encode()
+            )
+            if unfit.get("ok") is not False:
+                die(f"a route with {what} was not rejected: {unfit}")
+            if unfit.get("error", "internal error").startswith("internal error"):
+                die(f"a route with {what} got an internal error: {unfit.get('error')}")
+            if c.request({"cmd": "stats"}).get("digest") != d0:
+                die(f"the session did not survive the route with {what}")
 
         # A second connection sees the same session and the same digest.
         c2 = Client(sock_path)
