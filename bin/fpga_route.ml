@@ -120,30 +120,33 @@ let route_and_report rrg circuit alg passes mode domains render =
         f.F.Router.passes_tried;
       1
 
+(* A width whose routing graph the architecture rejects (above its
+   edge-slot cap) is a usage error too, reported before anything is
+   built; [k] runs on the architecture otherwise. *)
+let with_arch spec ~channel_width k =
+  match F.Circuits.arch_for spec ~channel_width with
+  | arch -> `Ok (k arch)
+  | exception Invalid_argument msg -> `Error (true, msg)
+
 let run_route spec width alg passes mode domains render =
-  let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:width) in
-  route_and_report rrg (F.Circuits.generate spec) alg passes mode domains render
+  with_arch spec ~channel_width:width (fun arch ->
+      route_and_report (F.Rrg.build arch) (F.Circuits.generate spec) alg passes mode domains render)
 
 let route_cmd =
   let render = Arg.(value & flag & info [ "render" ] ~doc:"Print the occupancy map.") in
   Cmd.v
     (Cmd.info "route" ~doc:"Route a benchmark circuit at a fixed channel width")
     Term.(
-      const run_route $ spec_arg $ width_arg $ alg_arg $ passes_arg $ mode_arg $ domains_arg
-      $ render)
+      ret
+        (const run_route $ spec_arg $ width_arg $ alg_arg $ passes_arg $ mode_arg $ domains_arg
+       $ render))
 
 (* ---------------- width ---------------- *)
 
-let run_width spec alg passes mode domains start =
+let sweep_width spec alg passes mode domains start =
   let circuit = F.Circuits.generate spec in
   let config = F.Router.config_with ~alg ~max_passes:passes ~mode () in
   let arch_of_width w = F.Circuits.arch_for spec ~channel_width:w in
-  let start =
-    match start with
-    | Some s -> s
-    | None -> (
-        match spec.F.Circuits.published.F.Circuits.ours_ikmb with Some w -> w | None -> 10)
-  in
   match F.Router.min_channel_width ~config ~domains ~arch_of_width ~circuit ~start () with
   | Some (w, stats) ->
       Printf.printf "%s: minimum channel width %d with %s (%d passes, wirelength %.0f)\n"
@@ -160,6 +163,15 @@ let run_width spec alg passes mode domains start =
       Printf.printf "%s: no feasible width found in the probed range\n" spec.F.Circuits.circuit;
       1
 
+let run_width spec alg passes mode domains start =
+  let start =
+    match start with
+    | Some s -> s
+    | None -> (
+        match spec.F.Circuits.published.F.Circuits.ours_ikmb with Some w -> w | None -> 10)
+  in
+  with_arch spec ~channel_width:start (fun _ -> sweep_width spec alg passes mode domains start)
+
 let width_cmd =
   let start =
     Arg.(
@@ -167,8 +179,7 @@ let width_cmd =
   in
   Cmd.v
     (Cmd.info "width" ~doc:"Find a circuit's minimum routable channel width")
-    Term.(
-      const run_width $ spec_arg $ alg_arg $ passes_arg $ mode_arg $ domains_arg $ start)
+    Term.(ret (const run_width $ spec_arg $ alg_arg $ passes_arg $ mode_arg $ domains_arg $ start))
 
 (* ---------------- table ---------------- *)
 

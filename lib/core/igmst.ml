@@ -74,6 +74,26 @@ let prim_into w ~n ~best ~in_tree out =
     out.(1) <- !longest
   end
 
+(* The members' distance graph, in the first [k] rows and columns of a
+   [k+1]-square matrix whose last row and column the scan fills with each
+   candidate, and the cost and longest edge of the members' MST.  The
+   weight between members [i < j] is [rows.(i).(members.(j))]. *)
+let member_mst ~members ~rows =
+  let k = Array.length members in
+  let size = k + 1 in
+  let w = Array.make_matrix size size 0. in
+  for i = 0 to k - 1 do
+    for j = i + 1 to k - 1 do
+      let d = rows.(i).(members.(j)) in
+      w.(i).(j) <- d;
+      w.(j).(i) <- d
+    done
+  done;
+  let best = Array.make size infinity and in_tree = Array.make size false in
+  let out = Array.make 2 0. in
+  prim_into w ~n:k ~best ~in_tree out;
+  (w, best, in_tree, out)
+
 (* The Δ proxy of every candidate: the MST cost of the distance graph over
    the members plus that candidate, kept when it beats the members alone
    by more than [improvement_eps], ranked by cost (stable, so equal costs
@@ -89,23 +109,21 @@ let prim_into w ~n ~best ~in_tree out =
    any other way in costs more than L.  So its run is the members' run
    with one non-negative term inserted, and rounded addition is monotone,
    so its cost is at least the members' cost.  Infinite distances fall out
-   of the same argument. *)
+   of the same argument.
+
+   The same argument bounds what the rows must hold.  Every edge of the
+   members' MST is at most L, and a candidate that passes the skip has
+   two links of at most L, so the edges of at most L connect the members
+   plus the candidate: every Prim pick is at most L, and an entry above L
+   decides no pick, tie or sum.  An entry is only compared with L or fed
+   to Prim, so a row may hold any value above L in place of a distance
+   above L — what a search settled below L leaves ({!quick_scan}). *)
 let rank_candidates ~members ~rows ~candidates =
   let k = Array.length members in
   if not (Int.equal (Array.length rows) k) then
     invalid_arg "Igmst.rank_candidates: one row per member";
+  let w, best, in_tree, out = member_mst ~members ~rows in
   let size = k + 1 in
-  let w = Array.make_matrix size size 0. in
-  for i = 0 to k - 1 do
-    for j = i + 1 to k - 1 do
-      let d = rows.(i).(members.(j)) in
-      w.(i).(j) <- d;
-      w.(j).(i) <- d
-    done
-  done;
-  let best = Array.make size infinity and in_tree = Array.make size false in
-  let out = Array.make 2 0. in
-  prim_into w ~n:k ~best ~in_tree out;
   let base = out.(0) and longest = out.(1) in
   let rec scan acc = function
     | [] -> List.rev acc
@@ -139,15 +157,22 @@ let rank_candidates ~members ~rows ~candidates =
    with the genuine heuristic so the accepted Steiner node always yields a
    true cost(H) improvement (keeping IGMST's performance guarantee).
 
-   Every distance read lands on a member or a candidate, so the per-member
-   queries are target-bounded to that set — the searches stop as soon as
-   the scan's inputs are settled instead of covering the whole graph. *)
+   The rows need only be exact up to the members' longest MST edge L
+   (see {!rank_candidates}), so each member search targets the members
+   alone and is then settled below L.  Both run plain, whatever bound the
+   cache has: a plain frontier settles in distance order, so "settled
+   below L" means every entry up to L is exact and every other is above
+   it.  Targeting the members does not reach L by itself: member i's row
+   gives the weight to member j > i, and j's own search, summed the other
+   way, can round to a slightly shorter distance and stop short. *)
 let quick_scan cache ~members ~candidates =
-  let targets = List.rev_append members candidates in
   let members = Array.of_list members in
+  let targets = Array.to_list members in
   let rows =
-    Array.map (fun m -> (G.Dist_cache.result_for cache ~src:m ~targets).G.Dijkstra.dist) members
+    Array.map (fun m -> (G.Dist_cache.plain_for cache ~src:m ~targets).G.Dijkstra.dist) members
   in
+  let _, _, _, out = member_mst ~members ~rows in
+  Array.iter (fun m -> G.Dist_cache.settle_below cache ~src:m out.(1)) members;
   rank_candidates ~members ~rows ~candidates
 
 (* The Fig 5 loop, returning the accepted Steiner set S.

@@ -56,7 +56,15 @@ val rank_candidates :
     whose score is below the members-only MST cost minus a 1e-7 margin,
     with their scores, stably sorted by score.  Candidates that provably
     cannot pass (second-smallest member distance above the members' longest
-    MST edge) are dropped without running Prim.
+    MST edge L) are dropped without running Prim.
+
+    {b Row contract.}  A row need only be exact up to L: wherever the true
+    distance exceeds L, any value above L ranks the same, bit for bit,
+    since such an entry decides no skip, Prim pick, tie or sum.  The
+    weights between members must be exact.  {!solve} builds its rows that
+    way: each member's plain search targets the members alone, then is
+    settled below L ({!Fr_graph.Dist_cache.settle_below}); no search is
+    extended toward the candidates.
     @raise Invalid_argument unless there is one row per member. *)
 
 val steiner_nodes :

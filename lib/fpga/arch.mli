@@ -27,12 +27,25 @@ type t = private {
   pin_slots : int;  (** pin nodes per block side (electrically distinct) *)
 }
 
+val edge_slots : t -> int
+(** The edge slots {!Rrg.build} preallocates: each intersection's 6 side
+    pairs times [W] times the tracks per side ({!per_side}), plus [fc] per
+    pin.  At most 2{^21} for any [t]: {!xc3000} and {!xc4000} reject a
+    larger graph before anything is allocated.  The cap is above six
+    times the 340,416 slots of z03 at W=27, a width no table reaches. *)
+
+val per_side : t -> int
+(** Target tracks a switch block offers each wire on each other side:
+    [⌈fs/3⌉], at least 1. *)
+
 val xc3000 : rows:int -> cols:int -> channel_width:int -> t
 (** [fs = 6], [fc = ⌈0.6·W⌉], two pin slots per block side.
-    @raise Invalid_argument on non-positive dimensions. *)
+    @raise Invalid_argument on non-positive dimensions, or when
+    {!edge_slots} would exceed its cap. *)
 
 val xc4000 : rows:int -> cols:int -> channel_width:int -> t
 (** [fs = 3], [fc = W], two pin slots per block side.
-    @raise Invalid_argument on non-positive dimensions. *)
+    @raise Invalid_argument on non-positive dimensions, or when
+    {!edge_slots} would exceed its cap. *)
 
 val describe : t -> string

@@ -169,22 +169,19 @@ let candidates_for rrg ~cap region =
 (* A fresh cache for one search scope of a solve attempt, over the graph
    the attempt was handed, recorded in [made] so the attempt can report
    its work.  [future_cost] is fixed for the cache's life. *)
-let new_cache made ?restrict rrg future_cost =
-  let cache = G.Dist_cache.create ?restrict ~future_cost rrg.Rrg.graph in
+let new_cache made ?restrict ?future_cost rrg =
+  let cache = G.Dist_cache.create ?restrict ?future_cost rrg.Rrg.graph in
   made := cache :: !made;
   cache
 
-(* One cache per net, goal-directed by one bound over all its terminals: a
-   lower bound to the nearest of a superset is still a lower bound to any
-   queried subset, so every targeted query the construction makes shares
-   it. *)
+(* One cache per net, with no future-cost bound: a tree construction's
+   searches run from several terminals toward sets of them, where a bound
+   to the nearest of all the net's terminals saved no time — what A*
+   pruned, its heuristic evaluations cost (DESIGN.md §4.8). *)
 let solve_tree_alg made alg rrg net ~restricted =
   let cnet = Netlist.rrg_net rrg net in
   let restrict = if restricted then Some (bbox_region rrg net) else None in
-  let cache =
-    new_cache made ?restrict rrg
-      (Rrg.future_cost rrg ~targets:(cnet.C.Net.source :: cnet.C.Net.sinks))
-  in
+  let cache = new_cache made ?restrict rrg in
   let candidates = candidates_for rrg ~cap:max_candidates restrict in
   alg.C.Routing_alg.solve ~candidates cache ~net:cnet
 
@@ -204,7 +201,7 @@ let solve_two_pin made rrg net ~restricted =
        pure point-to-point search, the sharpest case for goal-direction.
        Claiming the previous connection's wires bumped the graph version,
        so no frontier could have survived between sinks anyway. *)
-    let cache = new_cache made ?restrict rrg (Rrg.future_cost rrg ~targets:[ sink ]) in
+    let cache = new_cache made ?restrict ~future_cost:(Rrg.future_cost rrg ~targets:[ sink ]) rrg in
     let r = G.Dist_cache.result_for cache ~src ~targets:[ sink ] in
     if not (G.Dijkstra.reachable r sink) then begin
       G.Gstate.rollback g cp;

@@ -13,10 +13,14 @@
     Steiner-candidate scans are pruned to the net's bounding box plus 3
     blocks and thinned to at most 2500 candidates; if a net fails under
     pruning it is retried on the full graph before being counted as failed.
-    Every search is target-bounded and goal-directed by the admissible
-    Manhattan future-cost bound ({!Rrg.future_cost}); because relaxation
-    canonicalizes equal-distance parents (see {!Fr_graph.Dijkstra}), the
-    trees are those a full, plain search would give.
+    Every search is target-bounded.  The two-pin decomposition's
+    point-to-point searches are also goal-directed, each by the
+    admissible Manhattan future-cost bound to its sink
+    ({!Rrg.future_cost}); the tree constructions' searches run plain,
+    since a bound to the nearest of a net's terminals pruned about as much
+    work as its evaluations cost.  Because relaxation canonicalizes
+    equal-distance parents (see {!Fr_graph.Dijkstra}), the trees are
+    those a full, plain search would give either way.
 
     {b Batched waves and parallelism.}  Each pass partitions its wave,
     first-fit in wave order, into batches of nets with pairwise-disjoint
@@ -133,7 +137,8 @@ type stats = {
       (** speculative trees invalidated by a batch-mate's commit and
           re-solved serially *)
   future_cost_evals : int;
-      (** heuristic evaluations performed by the goal-directed searches *)
+      (** heuristic evaluations performed by the goal-directed searches
+          (the two-pin decomposition's; 0 for a tree construction) *)
 }
 
 type failure = {

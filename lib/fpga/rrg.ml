@@ -197,17 +197,10 @@ let wirelength t tree =
 let build arch =
   let r, c, w, s = dims arch in
   let n = n_hwires arch + n_vwires arch + n_pins arch in
-  let per_side_cap = max 1 ((arch.Arch.fs + 2) / 3) in
-  (* Upper bound on the edge count: every intersection joins at most 4
-     sides (6 pairs) with [w * per_side] edges each, and every pin fans out
-     to [fc] tracks. *)
-  let edge_capacity =
-    ((r + 1) * (c + 1) * 6 * w * per_side_cap) + (r * c * 4 * s * arch.Arch.fc)
-  in
-  let g = G.Wgraph.create ~edge_capacity n in
+  let g = G.Wgraph.create ~edge_capacity:(Arch.edge_slots arch) n in
   let wire_wire u v = ignore (G.Wgraph.add_edge g u v 1.0) in
   let pin_wire u v = ignore (G.Wgraph.add_edge g u v 0.5) in
-  let per_side = max 1 ((arch.Arch.fs + 2) / 3) in
+  let per_side = Arch.per_side arch in
   for x = 0 to c do
     for y = 0 to r do
       (* incident segment accessors, None when at the device boundary *)
@@ -292,8 +285,8 @@ let build arch =
    the triangle inequality, for every enabled edge.
    Both properties hold at every node for any target set, so the bound is
    valid for queries against any subset of [targets] (min over a superset
-   is still a lower bound) — the router builds one heuristic per net over
-   all its terminals and uses it for every query of that net's solve. *)
+   is still a lower bound).  The router builds one per two-pin connection,
+   toward its sink: point-to-point search is where it prunes. *)
 let future_cost t ~targets =
   let scale = t.min_unit_cost in
   let node_x = t.node_x and node_y = t.node_y in

@@ -82,10 +82,12 @@ val future_cost : t -> targets:int list -> int -> float
     by [min_unit_cost].  Admissibility holds at every node for any
     target set and survives every run-time repricing the router performs
     (Waves congestion adds, {!Fr_graph.Cost_model} multiplies by factors
-    >= 1, disabling removes paths), so one per-net
-    heuristic over all terminals is valid for every query of that net's
-    solve.  Verified by property test on seeded random architectures in
-    both base-cost and Cost_model-priced states. *)
+    >= 1, disabling removes paths), so a bound made once stays valid for
+    the life of the search it directs.  The router goal-directs each
+    connection of the two-pin decomposition by the bound to its one sink;
+    the tree constructions search plain.  Verified by property test on
+    seeded random architectures in both base-cost and Cost_model-priced
+    states. *)
 
 val wires_of_segment : t -> seg -> int list
 (** All W wire nodes of a channel segment (enabled or not). *)

@@ -352,6 +352,20 @@ let extend_from r ~what ~targets =
 
 let extend r ~targets = extend_from r ~what:"extend" ~targets
 
+(* A plain frontier's key is the true distance, so settling "below
+   [bound]" means popping while the head's key is under it.  Each step is
+   a one-target lookup of the head, so the drain, its order and its
+   counters are exactly those of the other resumptions. *)
+let extend_below r bound =
+  let st = r.state in
+  if Option.is_some st.future then invalid_arg "Dijkstra.extend_below: goal-directed search";
+  while st.qlen > 0 && Array.unsafe_get st.qf 0 < bound do
+    check_resumable st "extend_below";
+    begin_lookup st;
+    add_target st (Array.unsafe_get st.qnode 0);
+    drain r
+  done
+
 let initial_capacity = 64
 
 let run ?restrict ?edge_ok ?targets ?future_cost g ~src =

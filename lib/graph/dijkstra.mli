@@ -29,7 +29,10 @@
     consistency; the search does not check them, the property tests in
     the test tree do.  A resumed search keeps the [h] it was started
     with, since only its own [h] keeps the settled prefix an f-order
-    prefix.
+    prefix.  Only a plain search's settled prefix is a distance prefix,
+    so only a plain search can be settled to a distance
+    ({!extend_below}); the router goal-directs nothing but its two-pin
+    connections, where a point-to-point search is what [h] prunes.
 
     {b Cost.}  The frontier is the search's own binary heap: parallel slot
     arrays for [(f, g, seq)] and the node, plus a per-node slot index, with
@@ -99,6 +102,16 @@ val extend : result -> targets:int list -> unit
 
 val extend_all : result -> unit
 (** Resume until the search is exhausted (equivalent to a full run). *)
+
+val extend_below : result -> float -> unit
+(** [extend_below r bound] resumes a plain search until every node closer
+    than [bound] is settled.  Afterwards [r.dist] is final at every node
+    at most [bound] away, and above [bound] at every other node: a plain
+    search settles in nondecreasing distance, so the settled set is the
+    full run's settle order cut where the distance reaches [bound], plus
+    whatever an earlier lookup had settled beyond it.
+    @raise Invalid_argument under a [future_cost] (an f-ordered frontier
+    has no such cut), or if the graph was mutated since [run]. *)
 
 val settled_count : result -> int
 (** Number of nodes settled so far — the unit of Dijkstra work that

@@ -1,10 +1,12 @@
 (* Entries live in two tables keyed by source.  [directed] holds the
    targeted lookups' frontiers, opened under the cache's future-cost
-   bound; [plain] holds the complete ([targets = None]) lookups, which
-   bypass the bound so full-distance-array consumers (ZEL/DJKA/BRBC/
-   dominance/eval) always see plain Dijkstra, and every lookup of a cache
-   created without a bound.  The bound is fixed at creation, so a
-   frontier is only ever resumed under the h it was opened with. *)
+   bound; [plain] holds everything else: the complete ([targets = None])
+   lookups, which bypass the bound so full-distance-array consumers
+   (ZEL/DJKA/BRBC/dominance/eval) always see plain Dijkstra, the plain
+   targeted lookups ({!plain_for}) and {!settle_below}, which need a
+   distance-ordered frontier, and every lookup of a cache created without
+   a bound.  The bound is fixed at creation, so a frontier is only ever
+   resumed under the h it was opened with. *)
 type t = {
   g : Gstate.t;
   restrict : Fr_util.Bitset.t option;
@@ -56,19 +58,15 @@ let refresh t =
     t.stamp <- ver
   end
 
-(* The table a lookup uses: goal-directed only when it is targeted and
-   the cache has a bound. *)
-let table_for t ~complete =
-  match t.future with Some _ when not complete -> t.directed | _ -> t.plain
-
 (* Look up (or run) the per-source result, bounded to [targets] when the
-   cache is in targeted mode.  [targets = None] demands a complete result
-   and always runs plain. *)
-let lookup t ~src ~targets =
+   cache is in targeted mode.  Only a [directed] lookup that stays
+   targeted runs under the cache's bound, if it has one; [targets = None]
+   demands a complete result and always runs plain. *)
+let lookup t ~src ~targets ~directed =
   refresh t;
   let targets = if t.targeted then targets else None in
-  let complete = Option.is_none targets in
-  let table = table_for t ~complete in
+  let directed = directed && Option.is_some targets && Option.is_some t.future in
+  let table = if directed then t.directed else t.plain in
   match Hashtbl.find_opt table src with
   | Some res ->
       t.hits <- t.hits + 1;
@@ -78,15 +76,19 @@ let lookup t ~src ~targets =
       res
   | None ->
       t.misses <- t.misses + 1;
-      let future_cost = if complete then None else t.future in
+      let future_cost = if directed then t.future else None in
       let res = Dijkstra.run ?restrict:t.restrict ?targets ?future_cost t.g ~src in
       t.runs <- t.runs + 1;
       Hashtbl.add table src res;
       res
 
-let result t ~src = lookup t ~src ~targets:None
+let result t ~src = lookup t ~src ~targets:None ~directed:false
 
-let result_for t ~src ~targets = lookup t ~src ~targets:(Some targets)
+let result_for t ~src ~targets = lookup t ~src ~targets:(Some targets) ~directed:true
+
+let plain_for t ~src ~targets = lookup t ~src ~targets:(Some targets) ~directed:false
+
+let settle_below t ~src bound = Dijkstra.extend_below (plain_for t ~src ~targets:[]) bound
 
 let dist t ~src ~dst = Dijkstra.dist (result_for t ~src ~targets:[ dst ]) dst
 
@@ -95,7 +97,7 @@ let path_edges t ~src ~dst = Dijkstra.path_edges (result_for t ~src ~targets:[ d
 (* "Cached" means: the entry the next targeted lookup would use is live. *)
 let cached t src =
   refresh t;
-  Hashtbl.mem (table_for t ~complete:(not t.targeted)) src
+  Hashtbl.mem (if t.targeted && Option.is_some t.future then t.directed else t.plain) src
 
 let pick_cached_side t a b = if cached t a then (a, b) else if cached t b then (b, a) else (a, b)
 

@@ -22,12 +22,16 @@
     it when the attempt returns, so nothing bounds or evicts its entries.
 
     {b Goal-direction.}  A future-cost lower bound given to {!create}
-    goal-directs every {e targeted} lookup, for the cache's whole life, so
-    a frontier is only ever resumed under the [h] it was opened with.
-    Complete lookups ({!result}, [targets = None]) always run {e plain}
-    Dijkstra under entries of their own: the KMB/ZEL distance-graph and
-    full-array consumers read exact distances at every index and gain
-    nothing from goal-direction, so they bypass it entirely.
+    goal-directs every {!result_for} lookup (and the lookups built on it),
+    for the cache's whole life, so a frontier is only ever resumed under
+    the [h] it was opened with.  The router gives a bound only to its
+    two-pin connections' caches, one sink each; the tree constructions'
+    caches have none.  Complete lookups ({!result}, [targets = None]) and
+    {!plain_for} always run {e plain} Dijkstra under entries of their
+    own: full-array consumers read exact distances at every index and gain
+    nothing from goal-direction, and IGMST's candidate scan settles its
+    member rows to a distance ({!settle_below}), which only a
+    distance-ordered frontier has.
 
     Hit/miss/settled-node counters expose the layer's behavior to
     benchmarks and tests.
@@ -56,9 +60,8 @@ val create :
     cache and its results share the bitset, so it must stay unchanged for
     the cache's lifetime; callers must ensure all nodes they query are
     set.  [future_cost] is the admissible, consistent bound every
-    targeted lookup is goal-directed by (none: plain searches).  The
-    router passes one bound per net, over all its terminals, which stays
-    a lower bound for any subset of them it queries.  [targeted] (default
+    {!result_for} lookup is goal-directed by (none: plain searches).
+    [targeted] (default
     [true]) enables target-bounded partial runs; [false] forces every run
     to settle the whole graph, the reference tests hold targeted caches
     to. *)
@@ -72,16 +75,29 @@ val result : t -> src:int -> Dijkstra.result
 
 val result_for : t -> src:int -> targets:int list -> Dijkstra.result
 (** Like {!result} but only guarantees the listed nodes are settled — the
-    cheap form for Δ-scans that read the [dist] array at known indices.
-    The returned result may be partial; reads beyond [targets] must go
-    through {!Dijkstra.dist} (which resumes on demand). *)
+    cheap form for Δ-scans that read the [dist] array at known indices —
+    and goal-directed when the cache has a bound.  The returned result may
+    be partial; reads beyond [targets] must go through {!Dijkstra.dist}
+    (which resumes on demand). *)
+
+val plain_for : t -> src:int -> targets:int list -> Dijkstra.result
+(** Like {!result_for}, but never goal-directed: the lookup runs (or
+    resumes) a plain search, under the same entry as {!result}, whatever
+    bound the cache was created with.  The result is distance-ordered, so
+    {!settle_below} can extend it. *)
+
+val settle_below : t -> src:int -> float -> unit
+(** [settle_below t ~src bound] settles the plain entry of [src] (opening
+    it if there is none) below [bound] ({!Dijkstra.extend_below}): after
+    it, the entry's [dist] array is exact at every node at most [bound]
+    away, and above [bound] everywhere else. *)
 
 val dist : t -> src:int -> dst:int -> float
 (** One-way targeted lookup: the search runs (or resumes) from [src]. *)
 
 val cached : t -> int -> bool
-(** Whether the entry the next targeted lookup for this source would use
-    (goal-directed when the cache has a bound, plain otherwise) is
+(** Whether the entry the next {!result_for} lookup for this source would
+    use (goal-directed when the cache has a bound, plain otherwise) is
     currently valid. *)
 
 val dist_sym : t -> int -> int -> float

@@ -394,6 +394,103 @@ let prop_all_algorithms_valid =
           valid && arb_ok)
         C.Routing_alg.all)
 
+(* The quick scan's member rows, as IGMST builds them: each a plain search
+   targeted at the members, then settled below the members' longest MST
+   edge L.  L is computed here with [Mst.prim_dense], independently of
+   the scan.  Returns the rows and the nodes the settle below L added. *)
+let bounded_member_rows cache members =
+  let targets = Array.to_list members in
+  let rows =
+    Array.map
+      (fun m -> (G.Dist_cache.plain_for cache ~src:m ~targets).G.Dijkstra.dist)
+      members
+  in
+  let weight i j = if i < j then rows.(i).(members.(j)) else rows.(j).(members.(i)) in
+  let edges, _ = G.Mst.prim_dense ~n:(Array.length members) ~weight in
+  let longest = List.fold_left (fun l (i, j) -> Float.max l (weight i j)) neg_infinity edges in
+  let settled = G.Dist_cache.settled_nodes cache in
+  Array.iter (fun m -> G.Dist_cache.settle_below cache ~src:m longest) members;
+  (rows, G.Dist_cache.settled_nodes cache - settled)
+
+let same_ranking got want =
+  let same (t1, c1) (t2, c2) =
+    Int.equal t1 t2 && Int64.equal (Int64.bits_of_float c1) (Int64.bits_of_float c2)
+  in
+  List.equal same got want
+
+(* Rows exact only up to L must rank exactly as complete rows do, bit for
+   bit.  Weights from {0.1, 0.2, 0.3, 0.7} make a distance summed from
+   either end round differently; unit grids make ties everywhere.  Half
+   the instances search inside a region, as the router's bounding boxes
+   do. *)
+let prop_bounded_rows_rank_like_complete_rows =
+  QCheck.Test.make ~name:"candidate scan over rows settled below L = over complete rows"
+    ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.make seed in
+      let g =
+        if seed mod 2 = 0 then begin
+          let n = 12 + Rng.int rng 25 in
+          let b = G.Wgraph.create n in
+          let weight () = [| 0.1; 0.2; 0.3; 0.7 |].(Rng.int rng 4) in
+          for v = 1 to n - 1 do
+            ignore (G.Wgraph.add_edge b (Rng.int rng v) v (weight ()))
+          done;
+          for _ = 1 to n do
+            let u = Rng.int rng n and v = Rng.int rng n in
+            if u <> v then ignore (G.Wgraph.add_edge b u v (weight ()))
+          done;
+          G.Gstate.of_builder b
+        end
+        else (G.Grid.create ~width:(4 + Rng.int rng 4) ~height:(4 + Rng.int rng 4) ()).G.Grid.graph
+      in
+      let n = G.Gstate.num_nodes g in
+      let perm = Array.init n Fun.id in
+      Rng.shuffle rng perm;
+      let k = 3 + Rng.int rng 6 in
+      let members = Array.sub perm 0 k in
+      let restrict =
+        if Random.State.bool rng then None
+        else begin
+          let keep = Fr_util.Bitset.create n in
+          Array.iteri (fun i v -> if i >= k && Rng.int rng 4 = 0 then Fr_util.Bitset.set keep v false) perm;
+          Some keep
+        end
+      in
+      let candidates =
+        List.filter
+          (fun v -> match restrict with None -> true | Some b -> Fr_util.Bitset.get b v)
+          (Array.to_list (Array.sub perm k (n - k)))
+      in
+      let rows, _ = bounded_member_rows (G.Dist_cache.create ?restrict g) members in
+      let complete = Array.map (fun m -> (G.Dijkstra.run ?restrict g ~src:m).G.Dijkstra.dist) members in
+      let got = C.Igmst.rank_candidates ~members ~rows ~candidates in
+      let want = C.Igmst.rank_candidates ~members ~rows:complete ~candidates in
+      if not (same_ranking got want) then
+        QCheck.Test.fail_reportf "seed %d: bounded rows ranked %d candidates, complete rows %d"
+          seed (List.length got) (List.length want);
+      true)
+
+(* Targeting the members does not reach L on its own.  Members a, b, c:
+   a-n2-n1-b weigh 0.1, 0.2, 0.3, so a's search reaches b at
+   0.1+0.2+0.3 = 0.6000000000000001 but b's reaches a at 0.3+0.2+0.1 =
+   0.6, and L is the former (c hangs off b at 0.1).  b's search stops at
+   a, leaving y, at 0.6 through n2 but queued after a, unsettled below L:
+   the settle must take it. *)
+let test_member_row_stops_below_longest_edge () =
+  let a = 0 and n2 = 1 and n1 = 2 and b = 3 and c = 4 and y = 5 in
+  let g = G.Wgraph.create 6 in
+  List.iter
+    (fun (u, v, w) -> ignore (G.Wgraph.add_edge g u v w))
+    [ (a, n2, 0.1); (n2, n1, 0.2); (n1, b, 0.3); (b, c, 0.1); (n2, y, 0.1) ];
+  let g = G.Gstate.of_builder g in
+  let cache = G.Dist_cache.create g in
+  let rows, added = bounded_member_rows cache [| a; b; c |] in
+  Alcotest.(check bool) "b reaches a below a's distance to b" true (rows.(1).(a) < rows.(0).(b));
+  Alcotest.(check int) "the settle below L settled y" 1 added;
+  Alcotest.(check (float 0.)) "y exact in b's row" 0.6 rows.(1).(y)
+
 (* Target-bounded and goal-directed lookups change only the work, never a
    tree: every construction, with and without a candidate bound, must
    build the full-settle cache's trees from a targeted cache, plain or
@@ -401,7 +498,10 @@ let prop_all_algorithms_valid =
    the exact distance to a landmark node, the kind of bound the router's
    Manhattan future cost is.  Odd seeds use a unit-weight grid, where
    equal-distance paths are everywhere and scale 1 makes f-ties common:
-   that is where canonical equal-distance parents earn their keep. *)
+   that is where canonical equal-distance parents earn their keep.  On the
+   goal-directed cache, IKMB's and IZEL's member scans take the cache's
+   plain lookup, settled below the members' longest MST edge, beside the
+   goal-directed entries their heuristics read. *)
 let prop_targeted_cache_identical_trees =
   QCheck.Test.make ~name:"all 8 algorithms: targeted cache = full cache" ~count:30
     QCheck.(int_range 0 10_000)
@@ -603,6 +703,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_ikmb_never_worse_than_kmb;
           QCheck_alcotest.to_alcotest prop_izel_never_worse_than_zel;
           QCheck_alcotest.to_alcotest prop_rank_candidates_matches_prim;
+          QCheck_alcotest.to_alcotest prop_bounded_rows_rank_like_complete_rows;
+          Alcotest.test_case "member row stops below L" `Quick
+            test_member_row_stops_below_longest_edge;
         ] );
       ( "exact",
         [

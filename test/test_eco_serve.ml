@@ -569,7 +569,8 @@ let test_server_roundtrip () =
   let bad = request (S.Json.Obj [ ("cmd", S.Json.Str "fly") ]) in
   Alcotest.(check bool) "unknown cmd rejected" true
     (Option.bind (field "ok" bad) S.Json.bool = Some false);
-  (* A route whose circuit does not fit (an empty array, a width of 0) is
+  (* A route whose circuit does not fit (an empty array, a width of 0, a
+     width whose routing graph is over the architecture's cap) is
      answered in the architecture's own words, not as an internal error,
      and the session it would have replaced keeps serving (the digest
      checks below). *)
@@ -591,7 +592,11 @@ let test_server_roundtrip () =
         (Printf.sprintf "%s: a plain error (%s)" what err)
         true
         (String.starts_with ~prefix:"Arch.make: " err))
-    [ ("empty array", "circuit x 0 3\n", 6); ("width 0", F.Netlist.to_string circuit, 0) ];
+    [
+      ("empty array", "circuit x 0 3\n", 6);
+      ("width 0", F.Netlist.to_string circuit, 0);
+      ("width 100000", F.Netlist.to_string circuit, 100000);
+    ];
   let cp = expect_ok (request (S.Json.Obj [ ("cmd", S.Json.Str "checkpoint") ])) in
   let cp_id = field_int "id" cp in
   let eco_resp =

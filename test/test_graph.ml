@@ -868,6 +868,94 @@ let prop_frontier_matches_lazy_reference =
       check "extend_all";
       true)
 
+(* [extend_below] against the lazy-deletion reference run to exhaustion:
+   it must settle exactly the nodes settled before plus those the
+   reference puts closer than the bound (a plain search settles in
+   distance order), leave every entry up to the bound bit-equal to the
+   reference and every other above it, and a later [extend_all] must
+   match the full run.  Weights from {0.1, 0.2, 0.3, 0.7} make sums round
+   differently along different paths; integer weights make ties.  Some
+   bounds are exact distances, so nodes sit on the bound itself. *)
+let prop_extend_below_matches_reference =
+  QCheck.Test.make ~name:"extend_below = distance cut of the reference" ~count:300
+    QCheck.(pair (int_range 2 40) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let rng = Rng.make seed in
+      let b = G.Wgraph.create n in
+      let weight =
+        if Random.State.bool rng then fun () -> [| 0.1; 0.2; 0.3; 0.7 |].(Rng.int rng 4)
+        else fun () -> float_of_int (1 + Rng.int rng 2)
+      in
+      for v = 1 to n - 1 do
+        ignore (G.Wgraph.add_edge b (Rng.int rng v) v (weight ()))
+      done;
+      for _ = 1 to 2 * n do
+        let u = Rng.int rng n and v = Rng.int rng n in
+        if u <> v then ignore (G.Wgraph.add_edge b u v (weight ()))
+      done;
+      let g = G.Gstate.of_builder b in
+      let src = Rng.int rng n in
+      let region =
+        if Random.State.bool rng then None
+        else begin
+          let keep = Fr_util.Bitset.create n in
+          for v = 0 to n - 1 do
+            if Rng.int rng 4 = 0 then Fr_util.Bitset.set keep v false
+          done;
+          Some keep
+        end
+      in
+      let ref_s = lazy_run ?region g ~src in
+      lazy_lookup ref_s None;
+      let first = List.init (Rng.int rng 4) (fun _ -> Rng.int rng n) in
+      let r = G.Dijkstra.run ?restrict:region ~targets:first g ~src in
+      let before = Array.init n (G.Dijkstra.is_settled r) in
+      let bound =
+        match Rng.int rng 4 with
+        | 0 -> Rng.float rng 3.
+        | 1 -> infinity
+        | _ -> ref_s.ldist.(Rng.int rng n)
+      in
+      G.Dijkstra.extend_below r bound;
+      let expected = ref 0 in
+      for v = 0 to n - 1 do
+        let want = before.(v) || ref_s.ldist.(v) < bound in
+        if want then incr expected;
+        if G.Dijkstra.is_settled r v <> want then
+          QCheck.Test.fail_reportf "node %d: settled %b, expected %b" v (not want) want;
+        let d = r.G.Dijkstra.dist.(v) in
+        if ref_s.ldist.(v) <= bound then begin
+          if not (Float.equal d ref_s.ldist.(v)) then
+            QCheck.Test.fail_reportf "node %d: dist %h, reference %h (bound %h)" v d
+              ref_s.ldist.(v) bound
+        end
+        else if not (d > bound) then
+          QCheck.Test.fail_reportf "node %d: entry %h not above the bound %h" v d bound
+      done;
+      if G.Dijkstra.settled_count r <> !expected then
+        QCheck.Test.fail_reportf "settled_count %d, expected %d" (G.Dijkstra.settled_count r)
+          !expected;
+      G.Dijkstra.extend_all r;
+      if G.Dijkstra.settled_count r <> ref_s.count then
+        QCheck.Test.fail_reportf "extend_all settled %d, reference %d"
+          (G.Dijkstra.settled_count r) ref_s.count;
+      for v = 0 to n - 1 do
+        if not (Float.equal r.G.Dijkstra.dist.(v) ref_s.ldist.(v)) then
+          QCheck.Test.fail_reportf "extend_all: dist at %d differs" v;
+        if r.G.Dijkstra.parent_edge.(v) <> ref_s.lparent.(v) then
+          QCheck.Test.fail_reportf "extend_all: parent edge at %d differs" v
+      done;
+      true)
+
+(* Under a heuristic the frontier is ordered by g + h, which has no
+   distance cut to stop at. *)
+let test_extend_below_rejects_heuristic () =
+  let g, _, _, _, _, _ = diamond () in
+  let r = G.Dijkstra.run ~targets:[ 1 ] ~future_cost:(fun _ -> 0.) g ~src:0 in
+  Alcotest.check_raises "goal-directed"
+    (Invalid_argument "Dijkstra.extend_below: goal-directed search") (fun () ->
+      G.Dijkstra.extend_below r 10.)
+
 let test_dijkstra_stale_resume_rejected () =
   let g, e01, _, _, _, _ = diamond () in
   let r = G.Dijkstra.run ~targets:[ 1 ] g ~src:0 in
@@ -1136,6 +1224,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_astar_matches_plain;
           QCheck_alcotest.to_alcotest prop_dijkstra_stop_rule;
           QCheck_alcotest.to_alcotest prop_frontier_matches_lazy_reference;
+          QCheck_alcotest.to_alcotest prop_extend_below_matches_reference;
+          Alcotest.test_case "extend_below rejects a heuristic" `Quick
+            test_extend_below_rejects_heuristic;
         ]
         @ List.map
             (fun ((name, _) as accessor) ->

@@ -17,9 +17,10 @@ It also checks:
   two-pin net still answers with the session digest;
 - a route request asking for more domains than the cap (64) gets an
   error reply, and the session survives it;
-- a route whose circuit does not fit (header `circuit x 0 3`, or
-  `"width":0`) gets an error reply that is not an internal error, and the
-  session survives it;
+- a route whose circuit does not fit (header `circuit x 0 3`,
+  `"width":0`, or `"width":100000`, whose routing graph is over the
+  architecture's cap) gets an error reply that is not an internal error,
+  and the session survives it;
 - on a second connection, a 1 MiB frame of '[' (newline included), which
   the JSON nesting cap must answer with an error within 0.25 s, leaving
   the connection able to answer stats.
@@ -176,10 +177,13 @@ def main():
 
         # A circuit that does not fit is an error reply in the router's or
         # the architecture's own words, not a crash reported as an internal
-        # error, and the session survives it.
+        # error, and the session survives it.  Never send the width-100000
+        # line to a daemon built without the routing-graph cap: it would
+        # preallocate 3 x 138 M edge slots (3.3 GB) for term1.
         for what, text, w in (
             ("an empty array", "circuit x 0 3\n", width),
             ("width 0", circuit, 0),
+            ("width 100000", circuit, 100000),
         ):
             unfit = c.exchange(
                 json.dumps({"cmd": "route", "circuit": text, "width": w}).encode()
