@@ -159,17 +159,17 @@ let rank_candidates ~members ~rows ~candidates =
 
    The rows need only be exact up to the members' longest MST edge L
    (see {!rank_candidates}), so each member search targets the members
-   alone and is then settled below L.  Both run plain, whatever bound the
-   cache has: a plain frontier settles in distance order, so "settled
-   below L" means every entry up to L is exact and every other is above
-   it.  Targeting the members does not reach L by itself: member i's row
-   gives the weight to member j > i, and j's own search, summed the other
-   way, can round to a slightly shorter distance and stop short. *)
+   alone and is then settled below L.  The cache's searches are plain: a
+   plain frontier settles in distance order, so "settled below L" means
+   every entry up to L is exact and every other is above it.  Targeting
+   the members does not reach L by itself: member i's row gives the
+   weight to member j > i, and j's own search, summed the other way, can
+   round to a slightly shorter distance and stop short. *)
 let quick_scan cache ~members ~candidates =
   let members = Array.of_list members in
   let targets = Array.to_list members in
   let rows =
-    Array.map (fun m -> (G.Dist_cache.plain_for cache ~src:m ~targets).G.Dijkstra.dist) members
+    Array.map (fun m -> (G.Dist_cache.result_for cache ~src:m ~targets).G.Dijkstra.dist) members
   in
   let _, _, _, out = member_mst ~members ~rows in
   Array.iter (fun m -> G.Dist_cache.settle_below cache ~src:m out.(1)) members;

@@ -62,9 +62,11 @@ val rank_candidates :
     distance exceeds L, any value above L ranks the same, bit for bit,
     since such an entry decides no skip, Prim pick, tie or sum.  The
     weights between members must be exact.  {!solve} builds its rows that
-    way: each member's plain search targets the members alone, then is
-    settled below L ({!Fr_graph.Dist_cache.settle_below}); no search is
-    extended toward the candidates.
+    way: each member's search, a cache lookup targeted at the members
+    alone ({!Fr_graph.Dist_cache.result_for}; the cache's searches are
+    plain), is then settled below L
+    ({!Fr_graph.Dist_cache.settle_below}); no search is extended toward
+    the candidates.
     @raise Invalid_argument unless there is one row per member. *)
 
 val steiner_nodes :

@@ -166,66 +166,59 @@ let candidates_for rrg ~cap region =
     List.filteri (fun i _ -> i mod stride = 0) !acc
   end
 
-(* A fresh cache for one search scope of a solve attempt, over the graph
-   the attempt was handed, recorded in [made] so the attempt can report
-   its work.  [future_cost] is fixed for the cache's life. *)
-let new_cache made ?restrict ?future_cost rrg =
-  let cache = G.Dist_cache.create ?restrict ?future_cost rrg.Rrg.graph in
-  made := cache :: !made;
-  cache
-
 (* One cache per net, with no future-cost bound: a tree construction's
    searches run from several terminals toward sets of them, where a bound
    to the nearest of all the net's terminals saved no time — what A*
-   pruned, its heuristic evaluations cost (DESIGN.md §4.8). *)
-let solve_tree_alg made alg rrg net ~restricted =
+   pruned, its heuristic evaluations cost (DESIGN.md §4.8).  The cache is
+   recorded in [caches] so the attempt can report its work. *)
+let solve_tree_alg ~caches alg rrg net ~restricted =
   let cnet = Netlist.rrg_net rrg net in
   let restrict = if restricted then Some (bbox_region rrg net) else None in
-  let cache = new_cache made ?restrict rrg in
+  let cache = G.Dist_cache.create ?restrict rrg.Rrg.graph in
+  caches := cache :: !caches;
   let candidates = candidates_for rrg ~cap:max_candidates restrict in
   alg.C.Routing_alg.solve ~candidates cache ~net:cnet
 
 (* The CGE/SEGA/GBP-style baseline: each source-sink connection is routed
-   as an independent two-pin net on its own wires.  Each connection is a
-   single-target query, so in targeted mode the search stops at its sink. *)
-let solve_two_pin made rrg net ~restricted =
+   as an independent two-pin net on its own wires.  The solve claims a
+   connection's wires by clearing their bits in its own allowed-node set
+   (the bounding-box region, or every node for the full-graph retry), so
+   the next connection cannot reuse them — the decomposition's
+   inefficiency — while the graph is only read.  Each connection is one
+   point-to-point search, the sharpest case for goal-direction: it runs
+   under the Manhattan bound to its sink, and is recorded in [searches]
+   for the attempt's work. *)
+let solve_two_pin ~searches rrg net ~restricted =
   let g = rrg.Rrg.graph in
   let cnet = Netlist.rrg_net rrg net in
   let src = cnet.C.Net.source in
-  let restrict = if restricted then Some (bbox_region rrg net) else None in
-  (* The wires claimed per connection are released wholesale by rolling the
-     journal back to this mark — no per-node bookkeeping. *)
-  let cp = G.Gstate.checkpoint g in
+  let allowed =
+    if restricted then bbox_region rrg net else Fr_util.Bitset.create (G.Gstate.num_nodes g)
+  in
   let route_sink edges sink =
-    (* A cache per connection, under a per-sink bound: each connection is a
-       pure point-to-point search, the sharpest case for goal-direction.
-       Claiming the previous connection's wires bumped the graph version,
-       so no frontier could have survived between sinks anyway. *)
-    let cache = new_cache made ?restrict ~future_cost:(Rrg.future_cost rrg ~targets:[ sink ]) rrg in
-    let r = G.Dist_cache.result_for cache ~src ~targets:[ sink ] in
-    if not (G.Dijkstra.reachable r sink) then begin
-      G.Gstate.rollback g cp;
-      C.Routing_err.fail "two-pin"
-    end;
+    let r =
+      G.Dijkstra.run ~restrict:allowed ~targets:[ sink ]
+        ~future_cost:(Rrg.future_cost rrg ~targets:[ sink ]) g ~src
+    in
+    searches := r :: !searches;
+    if not (G.Dijkstra.reachable r sink) then C.Routing_err.fail "two-pin";
     let path = G.Dijkstra.path_edges r sink in
-    (* Claim this connection's wires so the next connection cannot reuse
-       them — the decomposition's inefficiency. *)
+    (* The sink is settled, so nothing resumes this search under the
+       bitset it shares. *)
     List.iter
-      (fun v -> if Rrg.is_wire rrg v then G.Gstate.disable_node g v)
+      (fun v -> if Rrg.is_wire rrg v then Fr_util.Bitset.set allowed v false)
       (G.Dijkstra.path_nodes r sink);
     path @ edges
   in
-  let edges = List.fold_left route_sink [] cnet.C.Net.sinks in
-  G.Gstate.rollback g cp;
-  G.Tree.of_edges edges
+  G.Tree.of_edges (List.fold_left route_sink [] cnet.C.Net.sinks)
 
-let solve_net made cfg rrg net ~restricted =
+let solve_net ~caches ~searches cfg rrg net ~restricted =
   let critical = match cfg.critical_strategy with Some p -> p net | None -> false in
-  if critical then solve_tree_alg made critical_alg rrg net ~restricted
+  if critical then solve_tree_alg ~caches critical_alg rrg net ~restricted
   else
     match cfg.strategy with
-    | Tree_alg alg -> solve_tree_alg made alg rrg net ~restricted
-    | Two_pin_decomposition -> solve_two_pin made rrg net ~restricted
+    | Tree_alg alg -> solve_tree_alg ~caches alg rrg net ~restricted
+    | Two_pin_decomposition -> solve_two_pin ~searches rrg net ~restricted
 
 (* The RRG nodes of a net's pins, source first. *)
 let pin_nodes rrg net =
@@ -296,11 +289,13 @@ let land_net rrg base_w net tree =
    conflicts stay rare — but the test is purely a throughput heuristic;
    correctness comes from the commit-time validation. *)
 
-(* Two-pin decomposition claims wires through the live journal while it
-   solves, so those nets cannot run on a frozen view; each one becomes a
-   singleton batch solved serially at commit time — exactly the pre-batch
-   behavior. *)
-let serial_only cfg net =
+(* A two-pin net batches alone.  Its solve is a pure read like any other,
+   but the decomposition is the sequential baseline of CGE/SEGA/GBP: each
+   net routes against every earlier net's commits.  Solving it against a
+   batch-start state instead would move its trees, and with them the
+   channel widths the baseline table compares against.  Alone in its
+   batch, it solves against the live state. *)
+let batches_alone cfg net =
   match cfg.strategy with
   | Tree_alg _ -> false
   | Two_pin_decomposition -> (
@@ -310,7 +305,7 @@ let boxes_disjoint (ac0, ar0, ac1, ar1) (bc0, br0, bc1, br1) =
   ac1 < bc0 || bc1 < ac0 || ar1 < br0 || br1 < ar0
 
 type batch = {
-  serial : bool;
+  alone : bool;
   (* wave-reversed during construction; finalized to wave order *)
   mutable members : (Netlist.net * (int * int * int * int)) list;
   mutable size : int;
@@ -321,13 +316,13 @@ let partition_wave cfg order =
   let rev_batches = ref [] in
   List.iter
     (fun net ->
-      if serial_only cfg net then
+      if batches_alone cfg net then
         rev_batches :=
-          { serial = true; members = [ (net, (0, 0, 0, 0)) ]; size = 1 } :: !rev_batches
+          { alone = true; members = [ (net, (0, 0, 0, 0)) ]; size = 1 } :: !rev_batches
       else begin
         let box = Netlist.bounding_box net in
         let fits b =
-          (not b.serial)
+          (not b.alone)
           && b.size < par_batch
           && List.for_all (fun (_, b2) -> boxes_disjoint box b2) b.members
         in
@@ -336,7 +331,7 @@ let partition_wave cfg order =
             b.members <- (net, box) :: b.members;
             b.size <- b.size + 1
         | None ->
-            rev_batches := { serial = false; members = [ (net, box) ]; size = 1 } :: !rev_batches
+            rev_batches := { alone = false; members = [ (net, box) ]; size = 1 } :: !rev_batches
       end)
     order;
   List.rev_map
@@ -350,7 +345,7 @@ let partition_wave cfg order =
 (* ------------------------------------------------------------------ *)
 
 (* The search work of solve attempts: Dijkstra runs, settled nodes and
-   heuristic evaluations, summed over the caches they created. *)
+   heuristic evaluations. *)
 type work = {
   runs : int;
   settled : int;
@@ -362,69 +357,54 @@ let no_work = { runs = 0; settled = 0; h_evals = 0 }
 let add_work a b =
   { runs = a.runs + b.runs; settled = a.settled + b.settled; h_evals = a.h_evals + b.h_evals }
 
-(* Restricted solve first, full-graph retry on failure.  Every cache the
-   attempt creates is its own, so its work is a function of the net and
-   the state alone; it counts the work of a try that failed too. *)
+(* Restricted solve first, full-graph retry on failure.  Every cache,
+   search and bitset the attempt creates is its own, so its work is a
+   function of the net and the state alone; it counts the work of a try
+   that failed too. *)
 let attempt cfg rrg net =
-  let made = ref [] in
+  let caches = ref [] and searches = ref [] in
   let go restricted =
-    match solve_net made cfg rrg net ~restricted with
+    match solve_net ~caches ~searches cfg rrg net ~restricted with
     | tree -> Some tree
     | exception C.Routing_err.Unroutable _ -> None
   in
   let tree = match go true with Some t -> Some t | None -> go false in
-  let sum f = List.fold_left (fun acc c -> acc + f c) 0 !made in
+  let sum xs f = List.fold_left (fun acc x -> acc + f x) 0 xs in
   ( tree,
     {
-      runs = sum G.Dist_cache.runs;
-      settled = sum G.Dist_cache.settled_nodes;
-      h_evals = sum G.Dist_cache.future_cost_evals;
+      runs = sum !caches G.Dist_cache.runs + List.length !searches;
+      settled = sum !caches G.Dist_cache.settled_nodes + sum !searches G.Dijkstra.settled_count;
+      h_evals = sum !searches G.Dijkstra.future_cost_evals;
     } )
 
 (* The speculative-solve worker body, a named module-level function
    partial-applied at the Pool.map site.  Everything a worker touches is
    an explicit parameter: frdomcheck checks this as the worker root, and
    the allowlist carries the ownership argument for the writes it sees
-   (they land in caches the attempt itself created over the read-only
-   view [rrg]). *)
+   (they land in caches, searches and bitsets the attempt itself created
+   over the read-only view [rrg]). *)
 let solve_job cfg rrg nets i = attempt cfg rrg nets.(i) [@@frdomcheck.worker]
 
-(* A serial solve, on the main domain against the live RRG (two-pin nets
-   claim wires through its journal), its work added to [work]. *)
-let attempt_serial ~work cfg rrg net =
-  let tree, w = attempt cfg rrg net in
-  work := add_work !work w;
-  tree
-
 (* Solve [nets] against the current state, results in input order — one
-   waves batch or one negotiated iteration — adding their work to [work]
-   on the main domain.  The nets that solve as pure reads of the frozen
-   state fan out over [pool], against the read-only [view], when there are
-   two or more, and each such fan-out counts in [par_batches] whatever the
-   domain count; the serial-only two-pin nets, which claim wires through
-   the live journal while solving (and roll back when done), then solve
-   in order on the main domain. *)
-let solve_all ~par_batches ~work pool view cfg rrg nets =
-  let results = Array.make (Array.length nets) None in
-  let solve_here i = results.(i) <- attempt_serial ~work cfg rrg nets.(i) in
-  let serial, frozen =
-    List.partition (fun i -> serial_only cfg nets.(i)) (List.init (Array.length nets) Fun.id)
+   waves batch, one conflict re-solve or one negotiated iteration —
+   adding their work to [work] on the main domain.  Every solve is a pure
+   read of the read-only [view]: two or more nets fan out over [pool], and
+   each such fan-out counts in [par_batches] whatever the domain count;
+   a single net solves in place. *)
+let solve_all ~par_batches ~work pool view cfg nets =
+  let count = Array.length nets in
+  let solved =
+    if count >= 2 then begin
+      incr par_batches;
+      Fr_util.Pool.map pool ~count (solve_job cfg view nets)
+    end
+    else Array.map (attempt cfg view) nets
   in
-  let frozen = Array.of_list frozen in
-  let count = Array.length frozen in
-  if count >= 2 then begin
-    incr par_batches;
-    let jobs = Array.map (Array.get nets) frozen in
-    let solved = Fr_util.Pool.map pool ~count (solve_job cfg view jobs) in
-    Array.iteri
-      (fun k (tree, w) ->
-        results.(frozen.(k)) <- tree;
-        work := add_work !work w)
-      solved
-  end
-  else Array.iter solve_here frozen;
-  List.iter solve_here serial;
-  results
+  Array.map
+    (fun (tree, w) ->
+      work := add_work !work w;
+      tree)
+    solved
 
 (* ------------------------------------------------------------------ *)
 (* Session plumbing                                                    *)
@@ -472,11 +452,12 @@ module Eco = struct
     | Remove_net of string
     | Retime_net of string * Netlist.pin_ref * Netlist.pin_ref list
 
-  (* One landed batch of the maintained pass schedule: the journal mark
-     taken before its first commit (rolling back to it erases this batch
-     and everything after it), the member nets (the schedule key; the
-     session's config fixes which of them are serial-only) and the commits
-     it produced, in commit order. *)
+  (* One landed batch of the maintained routing: the journal mark taken
+     before its first commit (rolling back to it erases this batch and
+     everything after it), the member nets and the commits it produced, in
+     commit order.  Waves mode keeps one per batch of its pass schedule,
+     the nets being the schedule key; negotiated mode keeps one for its
+     converged landing, all nets in canonical order. *)
   type batch_rec = {
     br_cp : G.Gstate.checkpoint;
     br_nets : Netlist.net list;
@@ -489,11 +470,10 @@ module Eco = struct
     e_base_w : float array;
     e_cp0 : G.Gstate.checkpoint;
     e_pool : Fr_util.Pool.t;
-    e_view : Rrg.t;  (* the read-only view worker solves read *)
+    e_view : Rrg.t;  (* the read-only view every solve reads *)
     e_domains : int;
     mutable e_circuit : Netlist.circuit;
     mutable e_batches : batch_rec list;
-    mutable e_routed : routed_net list;
     mutable e_memo : (string, G.Tree.t) Hashtbl.t;
     mutable e_last : stats option;
     mutable e_closed : bool;
@@ -552,7 +532,6 @@ module Eco = struct
       e_domains = domains;
       e_circuit = circuit;
       e_batches = [];
-      e_routed = [];
       e_memo = Hashtbl.create 64;
       e_last = None;
       e_closed = false;
@@ -562,8 +541,9 @@ module Eco = struct
      landing in wave order.  Returns the batch's ledger entry and its
      failed nets. *)
   let run_batch t ~work ~par_batches ~par_conflicts b =
-    let rrg = t.e_rrg and cfg = t.e_cfg in
+    let rrg = t.e_rrg in
     let g = rrg.Rrg.graph in
+    let solve nets = solve_all ~par_batches ~work t.e_pool t.e_view t.e_cfg nets in
     let cp = G.Gstate.checkpoint g in
     let landed = ref [] and failed = ref [] in
     let land_tree net tree = landed := land_net rrg t.e_base_w net tree :: !landed in
@@ -581,17 +561,15 @@ module Eco = struct
           if G.Tree.uses_only_enabled g tree then land_tree net tree
           else begin
             (* A batch-mate committed first and took one of this tree's
-               wires: re-solve against the live state, serially. *)
+               wires: re-solve against the live state. *)
             incr par_conflicts;
-            match attempt_serial ~work cfg rrg net with
+            match (solve [| net |]).(0) with
             | Some tree -> land_tree net tree
             | None -> failed := net.Netlist.net_name :: !failed
           end
     in
     let nets = Array.of_list (List.map fst b.members) in
-    Array.iteri
-      (fun i r -> land_result nets.(i) r)
-      (solve_all ~par_batches ~work t.e_pool t.e_view cfg rrg nets);
+    Array.iteri (fun i r -> land_result nets.(i) r) (solve nets);
     ({ br_cp = cp; br_nets = Array.to_list nets; br_routed = List.rev !landed }, List.rev !failed)
 
   (* Land a stored batch again, under a fresh journal mark, by committing
@@ -681,10 +659,7 @@ module Eco = struct
     in
     let rec loop n order ~best ~stalled =
       let ledger, failed = pass n order in
-      if failed = [] then begin
-        t.e_batches <- ledger;
-        Ok (List.concat_map (fun br -> br.br_routed) ledger, n)
-      end
+      if failed = [] then Ok (ledger, n)
       else begin
         let count = List.length failed in
         let best, stalled = if count < best then (count, 0) else (best, stalled + 1) in
@@ -733,8 +708,7 @@ module Eco = struct
           Hashtbl.replace ripped nets.(i).Netlist.net_name ())
         active;
       let results =
-        solve_all ~par_batches ~work t.e_pool t.e_view t.e_cfg rrg
-          (Array.map (Array.get nets) active)
+        solve_all ~par_batches ~work t.e_pool t.e_view t.e_cfg (Array.map (Array.get nets) active)
       in
       let missing = ref [] in
       Array.iteri
@@ -757,15 +731,16 @@ module Eco = struct
         if overuse = 0 then begin
           (* Converged: the trees are mutually disjoint.  Roll the prices
              back to the base weights, then land the trees as the waves
-             mode does, in canonical net order. *)
+             mode does, in canonical net order, as one ledger entry. *)
           G.Gstate.rollback g t.e_cp0;
+          let cp = G.Gstate.checkpoint g in
           let routed =
             Array.to_list (Array.mapi (fun i tree -> land_net rrg t.e_base_w nets.(i) tree) trees)
           in
           let memo = Hashtbl.create (2 * n_nets) in
           Array.iteri (fun i net -> Hashtbl.replace memo (terminal_key net) iter1.(i)) nets;
           t.e_memo <- memo;
-          Ok (routed, n)
+          Ok ([ { br_cp = cp; br_nets = Array.to_list nets; br_routed = routed } ], n)
         end
         else begin
           let best, stalled = if overuse < best then (overuse, 0) else (best, stalled + 1) in
@@ -830,10 +805,11 @@ module Eco = struct
       | Negotiated -> negotiated_route t circuit ~ripped ~reused ~work ~par_batches
     in
     Result.map
-      (fun (routed, n) ->
+      (fun (ledger, n) ->
+        let routed = List.concat_map (fun br -> br.br_routed) ledger in
         let stats = mk_stats t ~base ~work ~par_batches ~par_conflicts routed n in
         t.e_circuit <- circuit;
-        t.e_routed <- routed;
+        t.e_batches <- ledger;
         t.e_last <- Some stats;
         {
           stats;
@@ -844,15 +820,12 @@ module Eco = struct
       res
 
   (* Re-establish the maintained routing after a failed [apply]: tear the
-     failed attempt down and replay the stored trees.  Committing a known
-     tree is deterministic given the commit order, so this reproduces the
-     exact pre-request state (with fresh journal marks for the ledger). *)
+     failed attempt down and replay the ledger.  Committing a known tree is
+     deterministic given the commit order, so this reproduces the exact
+     pre-request state (with fresh journal marks for the ledger). *)
   let restore t =
-    let g = t.e_rrg.Rrg.graph in
-    G.Gstate.rollback g t.e_cp0;
-    (match t.e_cfg.mode with
-    | Waves -> t.e_batches <- List.map (replay_batch t) t.e_batches
-    | Negotiated -> List.iter (fun r -> commit t.e_rrg r.net r.tree) t.e_routed)
+    G.Gstate.rollback t.e_rrg.Rrg.graph t.e_cp0;
+    t.e_batches <- List.map (replay_batch t) t.e_batches
 
   let close t =
     if not t.e_closed then begin
@@ -916,7 +889,7 @@ module Eco = struct
 
   let circuit t = t.e_circuit
 
-  let routed t = t.e_routed
+  let routed t = List.concat_map (fun br -> br.br_routed) t.e_batches
 
   let last_stats t = t.e_last
 end

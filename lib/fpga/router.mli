@@ -18,7 +18,9 @@
     admissible Manhattan future-cost bound to its sink
     ({!Rrg.future_cost}); the tree constructions' searches run plain,
     since a bound to the nearest of a net's terminals pruned about as much
-    work as its evaluations cost.  Because relaxation canonicalizes
+    work as its evaluations cost.  No solve writes the graph: a two-pin
+    solve claims each connection's wires in an allowed-node bitset of its
+    own, so the next connection avoids them.  Because relaxation canonicalizes
     equal-distance parents (see {!Fr_graph.Dijkstra}), the trees are
     those a full, plain search would give either way.
 
@@ -29,11 +31,14 @@
     batch's start, then committed serially in wave order; a speculative
     tree that lost a wire to an earlier commit of its own batch is
     re-solved on the spot against the live state (counted in
-    [par_conflicts]).  [route ~domains:n] fans the speculative solves of
-    each batch out over [n] domains holding read-only graph views.  Every
-    solve creates its own distance caches and drops them when it returns,
-    so its search work, like its tree, is a pure function of the net and
-    the frozen state; everything else is serial and order-fixed.  The
+    [par_conflicts]).  A two-pin net (one not routed as critical) batches
+    alone, so it solves against the live state, as the sequential
+    baseline it models does.  [route ~domains:n] fans the speculative
+    solves of each batch out over [n] domains; every solve, on a worker
+    or not, reads one read-only graph view.  Every solve creates its own
+    distance caches or searches and drops them when it returns, so its
+    search work, like its tree, is a pure function of the net and the
+    frozen state; everything else is serial and order-fixed.  The
     routed result and every counter in {!stats} except [domains] are
     therefore identical for every [domains] value; only the wall time
     changes.
@@ -112,17 +117,18 @@ type stats = {
           metric *)
   mutations : int;
       (** effective graph mutations (journal entries written) across all
-          passes *)
+          passes: commits and pricing.  Solves write none, so a two-pin
+          connection's wire claims are not counted. *)
   rollbacks : int;
       (** journal rollbacks performed, empty ones included.  Waves: one
           per rip-up pass after the first, plus, in an {!Eco.apply}, one in
           pass 1 to the first ledger batch the edit invalidates;
           negotiated: one at entry, tearing the maintained routing down,
-          and one to the base weights once prices converge.  Plus one per
-          two-pin net solve.  A scratch {!route} is a fresh session, so it
-          counts what {!Eco.create} counts: no pass-1 rollback in waves
-          mode (there is no ledger to roll back into), and an empty entry
-          rollback in negotiated mode. *)
+          and one to the base weights once prices converge.  Solves roll
+          nothing back, two-pin ones included.  A scratch {!route} is a
+          fresh session, so it counts what {!Eco.create} counts: no pass-1
+          rollback in waves mode (there is no ledger to roll back into),
+          and an empty entry rollback in negotiated mode. *)
   journal_depth : int;
       (** peak undo-journal depth during {e this} call (the high-water mark
           is reset at entry) — the per-pass restore cost, to compare
@@ -135,7 +141,7 @@ type stats = {
           parallelism available and is equal for every domain count *)
   par_conflicts : int;
       (** speculative trees invalidated by a batch-mate's commit and
-          re-solved serially *)
+          re-solved against the live state *)
   future_cost_evals : int;
       (** heuristic evaluations performed by the goal-directed searches
           (the two-pin decomposition's; 0 for a tree construction) *)

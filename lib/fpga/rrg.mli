@@ -84,8 +84,9 @@ val future_cost : t -> targets:int list -> int -> float
     (Waves congestion adds, {!Fr_graph.Cost_model} multiplies by factors
     >= 1, disabling removes paths), so a bound made once stays valid for
     the life of the search it directs.  The router goal-directs each
-    connection of the two-pin decomposition by the bound to its one sink;
-    the tree constructions search plain.  Verified by property test on
+    connection of the two-pin decomposition by the bound to its one sink,
+    passed straight to that connection's {!Fr_graph.Dijkstra.run}; the
+    tree constructions search plain.  Verified by property test on
     seeded random architectures in both base-cost and Cost_model-priced
     states. *)
 

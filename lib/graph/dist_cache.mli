@@ -18,50 +18,39 @@
       graph drops the whole table before the next query.
 
     A cache lives as long as one net's construction: the router creates
-    one per solve attempt (one per connection for two-pin nets) and drops
-    it when the attempt returns, so nothing bounds or evicts its entries.
+    one per tree-construction solve attempt and drops it when the attempt
+    returns, so nothing bounds or evicts its entries.
 
-    {b Goal-direction.}  A future-cost lower bound given to {!create}
-    goal-directs every {!result_for} lookup (and the lookups built on it),
-    for the cache's whole life, so a frontier is only ever resumed under
-    the [h] it was opened with.  The router gives a bound only to its
-    two-pin connections' caches, one sink each; the tree constructions'
-    caches have none.  Complete lookups ({!result}, [targets = None]) and
-    {!plain_for} always run {e plain} Dijkstra under entries of their
-    own: full-array consumers read exact distances at every index and gain
-    nothing from goal-direction, and IGMST's candidate scan settles its
-    member rows to a distance ({!settle_below}), which only a
-    distance-ordered frontier has.
+    {b One plain table.}  Every search a cache runs is plain Dijkstra, one
+    entry per source: a targeted and a complete lookup of the same source
+    resume the same search.  Full-array consumers read exact distances at
+    every index, and IGMST's candidate scan settles its member rows to a
+    distance ({!settle_below}), which only a distance-ordered frontier
+    has.  Goal-direction lives outside the cache, at the one call that
+    pays for it: the router's two-pin connections run
+    {!Dijkstra.run} under a future-cost bound directly.
 
     Hit/miss/settled-node counters expose the layer's behavior to
     benchmarks and tests.
 
     {b Thread safety.}  A cache is {e not} thread-safe: lookups mutate its
-    tables, and resuming a memoized {!Dijkstra.result} refines its arrays
+    table, and resuming a memoized {!Dijkstra.result} refines its arrays
     in place.  The parallel router is race-free by ownership: each solve
     creates its own caches over a shared {!Gstate.read_only_view}, so a
     worker domain mutates only what it allocated, and the graph is only
     read.  Cache state never changes {e results}: a hit resumes the same
     search a miss would start, and settled prefixes of a Dijkstra run are
-    final (with or without a heuristic). *)
+    final. *)
 
 type t
 
-val create :
-  ?restrict:Fr_util.Bitset.t ->
-  ?future_cost:(int -> float) ->
-  ?targeted:bool ->
-  Gstate.t ->
-  t
+val create : ?restrict:Fr_util.Bitset.t -> ?targeted:bool -> Gstate.t -> t
 (** [restrict] applies to every memoized Dijkstra run (candidate-pruning on
     big routing graphs): one bit per node of the graph, and a search
     explores only set nodes besides its source ({!Dijkstra.run}, which
-    rejects a bitset of another length).  The
-    cache and its results share the bitset, so it must stay unchanged for
-    the cache's lifetime; callers must ensure all nodes they query are
-    set.  [future_cost] is the admissible, consistent bound every
-    {!result_for} lookup is goal-directed by (none: plain searches).
-    [targeted] (default
+    rejects a bitset of another length).  The cache and its results share
+    the bitset, so it must stay unchanged for the cache's lifetime;
+    callers must ensure all nodes they query are set.  [targeted] (default
     [true]) enables target-bounded partial runs; [false] forces every run
     to settle the whole graph, the reference tests hold targeted caches
     to. *)
@@ -71,34 +60,25 @@ val graph : t -> Gstate.t
 val result : t -> src:int -> Dijkstra.result
 (** The memoized single-source result, {e complete} (every reachable node
     settled, so raw [dist] array reads are final), recomputed if the graph
-    changed.  Always plain Dijkstra — never goal-directed. *)
+    changed. *)
 
 val result_for : t -> src:int -> targets:int list -> Dijkstra.result
 (** Like {!result} but only guarantees the listed nodes are settled — the
-    cheap form for Δ-scans that read the [dist] array at known indices —
-    and goal-directed when the cache has a bound.  The returned result may
-    be partial; reads beyond [targets] must go through {!Dijkstra.dist}
-    (which resumes on demand). *)
-
-val plain_for : t -> src:int -> targets:int list -> Dijkstra.result
-(** Like {!result_for}, but never goal-directed: the lookup runs (or
-    resumes) a plain search, under the same entry as {!result}, whatever
-    bound the cache was created with.  The result is distance-ordered, so
-    {!settle_below} can extend it. *)
+    cheap form for Δ-scans that read the [dist] array at known indices.
+    The returned result may be partial; reads beyond [targets] must go
+    through {!Dijkstra.dist} (which resumes on demand). *)
 
 val settle_below : t -> src:int -> float -> unit
-(** [settle_below t ~src bound] settles the plain entry of [src] (opening
-    it if there is none) below [bound] ({!Dijkstra.extend_below}): after
-    it, the entry's [dist] array is exact at every node at most [bound]
-    away, and above [bound] everywhere else. *)
+(** [settle_below t ~src bound] settles the entry of [src] (opening it if
+    there is none) below [bound] ({!Dijkstra.extend_below}): after it, the
+    entry's [dist] array is exact at every node at most [bound] away, and
+    above [bound] everywhere else. *)
 
 val dist : t -> src:int -> dst:int -> float
 (** One-way targeted lookup: the search runs (or resumes) from [src]. *)
 
 val cached : t -> int -> bool
-(** Whether the entry the next {!result_for} lookup for this source would
-    use (goal-directed when the cache has a bound, plain otherwise) is
-    currently valid. *)
+(** Whether this source's entry is currently valid. *)
 
 val dist_sym : t -> int -> int -> float
 (** [dist_sym t a b] = [dist t ~src:a ~dst:b], but served from whichever of
@@ -123,7 +103,3 @@ val settled_nodes : t -> int
 (** Total nodes settled by every search this cache ever ran, including
     entries since dropped by a graph mutation — the search layer's work
     metric. *)
-
-val future_cost_evals : t -> int
-(** Total heuristic evaluations across every search this cache ever ran
-    (same lifetime accounting as {!settled_nodes}). *)

@@ -81,16 +81,16 @@ let parse_request j =
       | Some circuit_text, Some width -> (
           let mode_s = Option.value ~default:"waves" (field_str j "mode") in
           let domains = Option.value ~default:1 (field_int j "domains") in
-          match mode_of_name mode_s with
-          | None -> Error (Printf.sprintf "unknown mode %S" mode_s)
-          | Some _ when domains < 1 || domains > Fr_util.Pool.max_domains ->
+          let max_passes = field_int j "max_passes" in
+          match (mode_of_name mode_s, max_passes) with
+          | None, _ -> Error (Printf.sprintf "unknown mode %S" mode_s)
+          | Some _, _ when domains < 1 || domains > Fr_util.Pool.max_domains ->
               Error
                 (Printf.sprintf "route: \"domains\" must be in [1, %d], got %d"
                    Fr_util.Pool.max_domains domains)
-          | Some mode ->
-              Ok
-                (Route
-                   { circuit_text; width; mode; domains; max_passes = field_int j "max_passes" }))
+          | Some _, Some p when p < 1 ->
+              Error (Printf.sprintf "route: \"max_passes\" must be at least 1, got %d" p)
+          | Some mode, _ -> Ok (Route { circuit_text; width; mode; domains; max_passes }))
       | _ -> Error "route: needs \"circuit\" and \"width\"")
   | Some "eco" -> (
       match Option.bind (Json.member "deltas" j) Json.arr with

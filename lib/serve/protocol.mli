@@ -34,6 +34,7 @@ type route_req = {
       (** default 1; a value not between 1 and {!Fr_util.Pool.max_domains}
           is a parse error *)
   max_passes : int option;
+      (** default the router's 20; a value below 1 is a parse error *)
 }
 
 type checkpoint_req =

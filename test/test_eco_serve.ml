@@ -183,6 +183,13 @@ let test_protocol_parse_rest () =
     (Printf.sprintf {|{"cmd":"route","circuit":"x","width":4,"domains":%d}|}
        (Fr_util.Pool.max_domains + 1));
   bad {|{"cmd":"route","circuit":"x","width":4,"domains":100000}|};
+  (* A pass cap below 1 would run one pass anyway: rejected, not clamped. *)
+  bad {|{"cmd":"route","circuit":"x","width":4,"max_passes":0}|};
+  bad {|{"cmd":"route","circuit":"x","width":4,"max_passes":-5}|};
+  Alcotest.(check bool) "max_passes 1 accepted" true
+    (match parse_line {|{"cmd":"route","circuit":"x","width":4,"max_passes":1}|} with
+    | Ok (S.Protocol.Route r) -> r.S.Protocol.max_passes = Some 1
+    | _ -> false);
   bad {|{"cmd":"eco"}|};
   bad {|{"cmd":"eco","deltas":[{"op":"warp"}]}|};
   bad {|{"cmd":"eco","deltas":[{"op":"retime","name":"b","source":"bogus","sinks":[]}]}|};
@@ -490,32 +497,40 @@ let test_eco_rejects_missing_pin_slot () =
 let test_eco_failed_apply_restores_session () =
   (* A 1-track session holding just net b; growing it to the full tiny
      circuit is infeasible at W=1, so the apply must fail and roll the
-     session back to a usable single-net state. *)
-  let circuit = { (tiny_circuit ()) with F.Netlist.nets = [ List.nth (tiny_circuit ()).F.Netlist.nets 1 ] } in
-  let eco, _ = eco_create circuit ~w:1 in
-  let before = eco_digest eco in
-  let tiny = tiny_circuit () in
-  let a = List.nth tiny.F.Netlist.nets 0 and c = List.nth tiny.F.Netlist.nets 2 in
-  (match F.Router.Eco.apply eco [ F.Router.Eco.Add_net a; F.Router.Eco.Add_net c ] with
-  | Ok _ -> Alcotest.fail "tiny circuit should not route at W=1"
-  | Error f -> Alcotest.(check bool) "failure names nets" true (f.F.Router.failed_nets <> []));
-  Alcotest.(check int) "netlist restored" 1 (List.length (F.Router.Eco.circuit eco).F.Netlist.nets);
-  Alcotest.(check string) "routing restored" before (eco_digest eco);
-  (* Still usable: a feasible delta applies after the failed one. *)
-  (match
-     F.Router.Eco.apply eco
-       [
-         F.Router.Eco.Add_net
-           (F.Netlist.make_net ~name:"d" ~source:(pin 3 0 F.Rrg.South 0)
-              ~sinks:[ pin 3 1 F.Rrg.South 0 ]);
-       ]
-   with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "session unusable after a failed apply");
-  Alcotest.(check string) "differential after recovery"
-    (scratch_digest (F.Router.Eco.circuit eco) ~w:1)
-    (eco_digest eco);
-  F.Router.Eco.close eco
+     session back to a usable single-net state.  Both modes restore by
+     replaying the ledger. *)
+  List.iter
+    (fun mode ->
+      let config = F.Router.config_with ~mode () in
+      let circuit =
+        { (tiny_circuit ()) with F.Netlist.nets = [ List.nth (tiny_circuit ()).F.Netlist.nets 1 ] }
+      in
+      let eco, _ = eco_create ~config circuit ~w:1 in
+      let before = eco_digest eco in
+      let tiny = tiny_circuit () in
+      let a = List.nth tiny.F.Netlist.nets 0 and c = List.nth tiny.F.Netlist.nets 2 in
+      (match F.Router.Eco.apply eco [ F.Router.Eco.Add_net a; F.Router.Eco.Add_net c ] with
+      | Ok _ -> Alcotest.fail "tiny circuit should not route at W=1"
+      | Error f -> Alcotest.(check bool) "failure names nets" true (f.F.Router.failed_nets <> []));
+      Alcotest.(check int) "netlist restored" 1
+        (List.length (F.Router.Eco.circuit eco).F.Netlist.nets);
+      Alcotest.(check string) "routing restored" before (eco_digest eco);
+      (* Still usable: a feasible delta applies after the failed one. *)
+      (match
+         F.Router.Eco.apply eco
+           [
+             F.Router.Eco.Add_net
+               (F.Netlist.make_net ~name:"d" ~source:(pin 3 0 F.Rrg.South 0)
+                  ~sinks:[ pin 3 1 F.Rrg.South 0 ]);
+           ]
+       with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "session unusable after a failed apply");
+      Alcotest.(check string) "differential after recovery"
+        (scratch_digest ~config (F.Router.Eco.circuit eco) ~w:1)
+        (eco_digest eco);
+      F.Router.Eco.close eco)
+    [ F.Router.Waves; F.Router.Negotiated ]
 
 (* ------------------------------------------------------------------ *)
 (* Server + Client over a live socket                                 *)

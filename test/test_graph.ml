@@ -1009,32 +1009,18 @@ let test_dist_cache_targeted_counters () =
   Alcotest.(check bool) "dropped" false (G.Dist_cache.cached ct 0);
   Alcotest.(check int) "counters survive" 4 (G.Dist_cache.settled_nodes ct)
 
-(* A cache's bound is fixed at creation: targeted lookups run under it,
-   so a frontier is only resumed under the h it was opened with, and
-   complete lookups are always plain, under entries of their own. *)
-let test_dist_cache_heuristic_keying () =
+(* Targeted and complete lookups of one source share one plain entry: the
+   complete lookup resumes the targeted search instead of running its
+   own. *)
+let test_dist_cache_one_entry_per_source () =
   let g, _, _, _, _, _ = diamond () in
-  let c = G.Dist_cache.create ~future_cost:(fun _ -> 0.) g in
+  let c = G.Dist_cache.create g in
   ignore (G.Dist_cache.result_for c ~src:0 ~targets:[ 3 ]);
-  Alcotest.(check bool) "directed entry live" true (G.Dist_cache.cached c 0);
-  Alcotest.(check int) "one run" 1 (G.Dist_cache.runs c);
-  Alcotest.(check bool) "heuristic evaluated" true (G.Dist_cache.future_cost_evals c > 0);
-  (* A complete lookup of the same source does not resume the
-     goal-directed frontier: it runs plain, under its own entry. *)
   let r = G.Dist_cache.result c ~src:0 in
-  Alcotest.(check int) "complete lookup reran" 2 (G.Dist_cache.runs c);
-  Alcotest.(check bool) "complete" true (G.Dijkstra.complete r);
-  Alcotest.(check int) "complete lookup is plain" 0 (G.Dijkstra.future_cost_evals r);
-  (* A later targeted lookup resumes the goal-directed entry. *)
-  ignore (G.Dist_cache.result_for c ~src:0 ~targets:[ 1 ]);
-  Alcotest.(check int) "no rerun under the bound" 2 (G.Dist_cache.runs c);
+  Alcotest.(check int) "one run" 1 (G.Dist_cache.runs c);
   Alcotest.(check int) "resumed as a hit" 1 (G.Dist_cache.hits c);
-  (* Without a bound, both kinds of lookup share one plain entry. *)
-  let p = G.Dist_cache.create g in
-  ignore (G.Dist_cache.result_for p ~src:0 ~targets:[ 3 ]);
-  ignore (G.Dist_cache.result p ~src:0);
-  Alcotest.(check int) "unbounded cache: one run" 1 (G.Dist_cache.runs p);
-  Alcotest.(check int) "unbounded cache: plain" 0 (G.Dist_cache.future_cost_evals p)
+  Alcotest.(check bool) "complete" true (G.Dijkstra.complete r);
+  Alcotest.(check int) "plain" 0 (G.Dijkstra.future_cost_evals r)
 
 (* ------------------------------------------------------------------ *)
 (* Gstate journal                                                     *)
@@ -1270,7 +1256,7 @@ let () =
           Alcotest.test_case "invalidation" `Quick test_dist_cache_invalidation;
           Alcotest.test_case "symmetric lookups" `Quick test_dist_cache_sym;
           Alcotest.test_case "targeted counters" `Quick test_dist_cache_targeted_counters;
-          Alcotest.test_case "heuristic keying" `Quick test_dist_cache_heuristic_keying;
+          Alcotest.test_case "one entry per source" `Quick test_dist_cache_one_entry_per_source;
           QCheck_alcotest.to_alcotest prop_cache_never_stale;
         ] );
     ]

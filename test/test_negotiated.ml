@@ -144,9 +144,10 @@ let test_max_path_deep_tree () =
 (* Negotiated routing: convergence, validity, determinism             *)
 (* ------------------------------------------------------------------ *)
 
-let route_negotiated name ~domains ~width =
+let route_negotiated ?(strategy = F.Router.default_config.F.Router.strategy) name ~domains
+    ~width =
   let spec = Option.get (F.Circuits.find_spec name) in
-  let config = F.Router.config_with ~mode:F.Router.Negotiated () in
+  let config = { (F.Router.config_with ~mode:F.Router.Negotiated ()) with F.Router.strategy } in
   let circuit = F.Circuits.generate spec in
   let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:width) in
   match F.Router.route ~config ~domains rrg circuit with
@@ -210,26 +211,43 @@ let test_convergence_and_validity () =
   check_converged circuit rrg stats;
   check_term1_golden ~domains:1 stats
 
+let check_same_route what ~domains s1 s =
+  let check_int field f =
+    Alcotest.(check int) (Printf.sprintf "%s: %s (domains=%d)" what field domains) (f s1) (f s)
+  in
+  check_int "par_batches" (fun s -> s.F.Router.par_batches);
+  (* Every solve creates its own caches and searches, so the search work
+     does not depend on which domain ran it either. *)
+  check_int "dijkstra_runs" (fun s -> s.F.Router.dijkstra_runs);
+  check_int "settled_nodes" (fun s -> s.F.Router.settled_nodes);
+  check_int "future_cost_evals" (fun s -> s.F.Router.future_cost_evals);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: trees bit-identical (domains=%d)" what domains)
+    true
+    (canonical_trees s1 = canonical_trees s)
+
 let test_domain_determinism () =
   let _, _, s1 = Lazy.force term1_w8 in
-  let trees1 = canonical_trees s1 in
   List.iter
     (fun domains ->
       let _, _, s = route_negotiated "term1" ~domains ~width:8 in
       check_term1_golden ~domains s;
-      let check_int field f =
-        Alcotest.(check int) (Printf.sprintf "%s (domains=%d)" field domains) (f s1) (f s)
-      in
-      check_int "par_batches" (fun s -> s.F.Router.par_batches);
-      (* Every solve creates its own distance caches, so the search work
-         does not depend on which domain ran it either. *)
-      check_int "dijkstra_runs" (fun s -> s.F.Router.dijkstra_runs);
-      check_int "settled_nodes" (fun s -> s.F.Router.settled_nodes);
-      check_int "future_cost_evals" (fun s -> s.F.Router.future_cost_evals);
-      Alcotest.(check bool)
-        (Printf.sprintf "trees bit-identical (domains=%d)" domains)
-        true
-        (trees1 = canonical_trees s))
+      check_same_route "term1 W=8" ~domains s1 s)
+    [ 2; 4 ];
+  (* Two-pin decomposition claims each connection's wires in its solve's
+     own bitset, so its solves fan out like any other: every iteration's
+     conflicted nets solve as one batch.  term1 converges at W=24. *)
+  let route domains =
+    let _, _, s =
+      route_negotiated ~strategy:F.Router.Two_pin_decomposition "term1" ~domains ~width:24
+    in
+    s
+  in
+  let t1 = route 1 in
+  Alcotest.(check bool) "two-pin solves fan out" true (t1.F.Router.par_batches > 0);
+  Alcotest.(check bool) "two-pin searches goal-directed" true (t1.F.Router.future_cost_evals > 0);
+  List.iter
+    (fun domains -> check_same_route "term1 two-pin W=24" ~domains t1 (route domains))
     [ 2; 4 ]
 
 (* apex7 at its published waves width W=10, on the domain pool. *)

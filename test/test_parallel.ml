@@ -158,8 +158,8 @@ let test_view_sees_base_mutations () =
 (* Router determinism across domain counts                            *)
 (* ------------------------------------------------------------------ *)
 
-let route_with_domains ?(alg = Fr_core.Routing_alg.ikmb) spec ~domains =
-  let config = F.Router.config_with ~alg ~max_passes:3 () in
+let route_with_domains ?(strategy = F.Router.Tree_alg Fr_core.Routing_alg.ikmb) spec ~domains =
+  let config = { (F.Router.config_with ~max_passes:3 ()) with F.Router.strategy } in
   let circuit = F.Circuits.generate spec in
   let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:14) in
   match F.Router.route ~config ~domains rrg circuit with
@@ -224,11 +224,29 @@ let test_determinism_across_domains () =
   (* ZEL reads complete plain distance arrays for its triples: the only
      lookups two nets' solves could ever have shared. *)
   let spec = Option.get (F.Circuits.find_spec "term1") in
-  let alg = Option.get (Fr_core.Routing_alg.by_name "ZEL") in
-  let serial = route_with_domains ~alg spec ~domains:1 in
+  let strategy = F.Router.Tree_alg (Option.get (Fr_core.Routing_alg.by_name "ZEL")) in
+  let serial = route_with_domains ~strategy spec ~domains:1 in
   List.iter
     (fun domains ->
-      check_same_as_serial "term1 ZEL" ~serial ~domains (route_with_domains ~alg spec ~domains))
+      check_same_as_serial "term1 ZEL" ~serial ~domains
+        (route_with_domains ~strategy spec ~domains))
+    [ 2; 4 ];
+  (* The two-pin decomposition: no workload routes it, and its connections
+     are the router's only goal-directed searches, so their work is pinned
+     here (1 pass, wirelength 1163, max path 622). *)
+  let strategy = F.Router.Two_pin_decomposition in
+  let serial = route_with_domains ~strategy spec ~domains:1 in
+  let pin field want got = Alcotest.(check int) ("term1 two-pin: " ^ field) want got in
+  pin "passes" 1 serial.F.Router.passes;
+  Alcotest.(check (float 0.)) "term1 two-pin: wirelength" 1163. serial.F.Router.total_wirelength;
+  Alcotest.(check (float 0.)) "term1 two-pin: max path" 622. serial.F.Router.total_max_path;
+  pin "dijkstra_runs" 192 serial.F.Router.dijkstra_runs;
+  pin "settled_nodes" 77_084 serial.F.Router.settled_nodes;
+  pin "future_cost_evals" 129_239 serial.F.Router.future_cost_evals;
+  List.iter
+    (fun domains ->
+      check_same_as_serial "term1 two-pin" ~serial ~domains
+        (route_with_domains ~strategy spec ~domains))
     [ 2; 4 ]
 
 let () =

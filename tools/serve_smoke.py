@@ -15,8 +15,9 @@ It also checks:
 - an eco that names a pin slot the routing graph lacks (slot 2) gets an
   error reply and leaves the session usable: a rotation of the last
   two-pin net still answers with the session digest;
-- a route request asking for more domains than the cap (64) gets an
-  error reply, and the session survives it;
+- a route request asking for more domains than the cap (64), or for a
+  pass cap below 1 (`"max_passes":0` or `-5`), gets an error reply, and
+  the session survives it;
 - a route whose circuit does not fit (header `circuit x 0 3`,
   `"width":0`, or `"width":100000`, whose routing graph is over the
   architecture's cap) gets an error reply that is not an internal error,
@@ -174,6 +175,18 @@ def main():
             die(f"a route asking for 100000 domains was not rejected: {greedy}")
         if c.request({"cmd": "stats"}).get("digest") != d0:
             die("the session did not survive the rejected route")
+
+        # A pass cap below 1 is an error reply, not a one-pass route.
+        for passes in (0, -5):
+            capped = c.exchange(
+                json.dumps(
+                    {"cmd": "route", "circuit": circuit, "width": width, "max_passes": passes}
+                ).encode()
+            )
+            if capped.get("ok") is not False:
+                die(f"a route with max_passes {passes} was not rejected: {capped}")
+            if c.request({"cmd": "stats"}).get("digest") != d0:
+                die(f"the session did not survive the route with max_passes {passes}")
 
         # A circuit that does not fit is an error reply in the router's or
         # the architecture's own words, not a crash reported as an internal
