@@ -72,7 +72,13 @@ let alg_arg =
   Arg.(value & opt alg_conv C.Routing_alg.ikmb & info [ "a"; "alg" ] ~docv:"ALG" ~doc:"Routing algorithm.")
 
 let passes_arg =
-  Arg.(value & opt positive_int 20 & info [ "passes" ] ~docv:"N" ~doc:"Maximum rip-up passes.")
+  Arg.(
+    value
+    & opt (some positive_int) None
+    & info [ "passes" ] ~docv:"N"
+        ~doc:
+          "Maximum rip-up passes of $(b,--mode waves) (default 20). Negotiated mode stops on its \
+           own iteration limits, so $(b,--passes) with $(b,--mode negotiated) is a usage error.")
 
 let domains_arg =
   Arg.(
@@ -103,11 +109,20 @@ let spec_arg = Arg.(required & pos 0 (some spec_conv) None & info [] ~docv:"CIRC
 let width_arg =
   Arg.(value & opt positive_int 10 & info [ "w"; "width" ] ~docv:"W" ~doc:"Channel width.")
 
+(* A pass cap caps waves passes only: given with negotiated mode, which
+   would ignore it, it is a usage error, reported before anything is
+   built; [k] runs otherwise. *)
+let with_passes mode passes k =
+  match (mode, passes) with
+  | F.Router.Negotiated, Some _ ->
+      `Error (true, "--passes caps waves passes; --mode negotiated takes none")
+  | _ -> k ()
+
 (* Route the circuit on the RRG and report: the summary line (and the
    occupancy map with [render]) and exit 0, or the failure and exit 1.
    Shared by [route] and [route-file]. *)
 let route_and_report rrg circuit alg passes mode domains render =
-  let config = F.Router.config_with ~alg ~max_passes:passes ~mode () in
+  let config = F.Router.config_with ~alg ?max_passes:passes ~mode () in
   match F.Router.route ~config ~domains rrg circuit with
   | Ok stats ->
       print_endline (F.Render.summary rrg stats);
@@ -129,6 +144,7 @@ let with_arch spec ~channel_width k =
   | exception Invalid_argument msg -> `Error (true, msg)
 
 let run_route spec width alg passes mode domains render =
+  with_passes mode passes @@ fun () ->
   with_arch spec ~channel_width:width (fun arch ->
       route_and_report (F.Rrg.build arch) (F.Circuits.generate spec) alg passes mode domains render)
 
@@ -145,7 +161,7 @@ let route_cmd =
 
 let sweep_width spec alg passes mode domains start =
   let circuit = F.Circuits.generate spec in
-  let config = F.Router.config_with ~alg ~max_passes:passes ~mode () in
+  let config = F.Router.config_with ~alg ?max_passes:passes ~mode () in
   let arch_of_width w = F.Circuits.arch_for spec ~channel_width:w in
   match F.Router.min_channel_width ~config ~domains ~arch_of_width ~circuit ~start () with
   | Some (w, stats) ->
@@ -170,6 +186,7 @@ let run_width spec alg passes mode domains start =
     | None -> (
         match spec.F.Circuits.published.F.Circuits.ours_ikmb with Some w -> w | None -> 10)
   in
+  with_passes mode passes @@ fun () ->
   with_arch spec ~channel_width:start (fun _ -> sweep_width spec alg passes mode domains start)
 
 let width_cmd =
@@ -222,7 +239,7 @@ let table_cmd =
 let figures =
   Fr_exp.Figures.
     [
-      ("3", fun () -> fig3 ());
+      ("3", fig3);
       ("4", fig4);
       ("6", fig6);
       ("10", fun () -> fig10 ());
@@ -259,6 +276,7 @@ let export_cmd =
     Term.(const run_export $ spec_arg)
 
 let run_route_file file width series alg passes mode domains render =
+  with_passes mode passes @@ fun () ->
   let read_all path =
     let ic = open_in path in
     let n = in_channel_length ic in
@@ -269,7 +287,7 @@ let run_route_file file width series alg passes mode domains render =
   match F.Netlist.of_string (read_all file) with
   | Error msg ->
       Printf.printf "cannot parse %s: %s\n" file msg;
-      2
+      `Ok 2
   | Ok circuit -> (
       let arch =
         match series with
@@ -287,10 +305,10 @@ let run_route_file file width series alg passes mode domains render =
         in
         route_and_report rrg circuit alg passes mode domains render
       with
-      | code -> code
+      | code -> `Ok code
       | exception Invalid_argument msg ->
           Printf.printf "cannot route %s: %s\n" file msg;
-          2)
+          `Ok 2)
 
 let route_file_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST_FILE") in
@@ -305,8 +323,9 @@ let route_file_cmd =
   Cmd.v
     (Cmd.info "route-file" ~doc:"Route a circuit from a textual netlist file")
     Term.(
-      const run_route_file $ file $ width_arg $ series $ alg_arg $ passes_arg $ mode_arg
-      $ domains_arg $ render)
+      ret
+        (const run_route_file $ file $ width_arg $ series $ alg_arg $ passes_arg $ mode_arg
+       $ domains_arg $ render))
 
 (* ---------------- circuits ---------------- *)
 

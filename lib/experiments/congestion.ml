@@ -3,7 +3,7 @@ module C = Fr_core
 module Rng = Fr_util.Rng
 
 let congested_grid ?(width = 20) ?(height = 20) rng ~k =
-  let grid = G.Grid.create ~width ~height () in
+  let grid = G.Grid.create ~width ~height in
   let g = grid.G.Grid.graph in
   for _ = 1 to k do
     let pins = 2 + Rng.int rng 4 in

@@ -4,8 +4,8 @@ module F = Fr_fpga
 module Rng = Fr_util.Rng
 module Tab = Fr_util.Tab
 
-let fig3 ?(seed = 3) () =
-  let rng = Rng.make seed in
+let fig3 () =
+  let rng = Rng.make 3 in
   let grid = Congestion.congested_grid rng ~k:20 in
   let g = grid.G.Grid.graph in
   let t =

@@ -4,7 +4,7 @@
     pseudocode (their reproduction is the code itself); the data-bearing
     figures are regenerated here. *)
 
-val fig3 : ?seed:int -> unit -> string
+val fig3 : unit -> string
 (** Congestion detours: on a congested 20×20 grid, compares shortest-path
     distance to rectilinear distance for sample pairs (Fig 3's point that
     routed nets destroy the rectilinear metric). *)

@@ -181,12 +181,7 @@ let route_at spec alg ~width ~max_passes =
   let rrg = F.Rrg.build arch in
   match F.Router.route ~config rrg circuit with Ok stats -> Some stats | Error _ -> None
 
-let table5 ?specs ?(max_passes = 20) t4_rows =
-  let rows =
-    match specs with
-    | None -> t4_rows
-    | Some ss -> List.filter (fun r -> List.memq r.spec4 ss) t4_rows
-  in
+let table5 ?(max_passes = 20) t4_rows =
   List.filter_map
     (fun r ->
       match (r.w_ikmb, r.w_pfa, r.w_idom) with
@@ -209,7 +204,7 @@ let table5 ?specs ?(max_passes = 20) t4_rows =
                 }
           | _ -> None)
       | _ -> None)
-    rows
+    t4_rows
 
 let table5_to_table rows =
   let t =

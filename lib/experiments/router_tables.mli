@@ -48,10 +48,9 @@ type table5_row = {
   idom_path_pct : float;
 }
 
-val table5 :
-  ?specs:Fr_fpga.Circuits.spec list -> ?max_passes:int -> table4_row list -> table5_row list
-(** Uses Table 4's per-circuit widths: each circuit is routed with IKMB,
-    PFA and IDOM at the smallest width feasible for all three. *)
+val table5 : ?max_passes:int -> table4_row list -> table5_row list
+(** Uses Table 4's per-circuit widths: each circuit of the rows is routed
+    with IKMB, PFA and IDOM at the smallest width feasible for all three. *)
 
 val table5_to_table : table5_row list -> Fr_util.Tab.t
 

@@ -445,7 +445,7 @@ let check_route_args ~fname rrg circuit domains =
    targeted rollback and a re-route of the affected suffix.  A scratch
    [route] is a session opened, routed once and closed, so the ECO
    identity (an apply equals a scratch route of the edited netlist) holds
-   by construction for everything but the kept prefix or memo. *)
+   by construction for everything but the kept and replayed batches. *)
 module Eco = struct
   type delta =
     | Add_net of Netlist.net
@@ -474,7 +474,6 @@ module Eco = struct
     e_domains : int;
     mutable e_circuit : Netlist.circuit;
     mutable e_batches : batch_rec list;
-    mutable e_memo : (string, G.Tree.t) Hashtbl.t;
     mutable e_last : stats option;
     mutable e_closed : bool;
   }
@@ -508,9 +507,6 @@ module Eco = struct
       future_cost_evals = !work.h_evals;
     }
 
-  let terminal_key net =
-    String.concat "|" (List.map Netlist.pin_to_string (Netlist.net_pins net))
-
   let batch_matches br (b : batch) =
     Int.equal (List.length br.br_nets) b.size
     && List.for_all2 (fun n (m, _) -> Netlist.same_net n m) br.br_nets b.members
@@ -532,7 +528,6 @@ module Eco = struct
       e_domains = domains;
       e_circuit = circuit;
       e_batches = [];
-      e_memo = Hashtbl.create 64;
       e_last = None;
       e_closed = false;
     }
@@ -599,62 +594,50 @@ module Eco = struct
   let waves_route t circuit ~ripped ~reused ~work ~par_batches ~par_conflicts =
     let g = t.e_rrg.Rrg.graph in
     let tally tbl nets = List.iter (fun n -> Hashtbl.replace tbl n.Netlist.net_name ()) nets in
-    (* Run [batches] on the live state, which is the state the ledger
-       [stale] held at its first mark, walking [stale] alongside.  The state
-       at a mark is a function of the commits landed before it, in order.
-       So while every batch run so far has landed what [stale] stored at
-       its position, the live state is also the stored one at the next
-       mark; and a batch with the stored batch's nets, solving from the
-       same state (speculative solves read the frozen batch-start state,
-       conflict re-solves and commits the live one, all deterministic),
-       would land exactly what was stored, so it is replayed instead.  The
-       first landing that differs or fails drops the rest of the ledger,
-       and everything after it is solved; so does an empty ledger. *)
-    let run ~stale batches =
-      let rec go ledger failed stale = function
-        | [] -> (List.rev ledger, List.rev failed)
-        | b :: rest -> (
+    (* One walk over the new [schedule] beside the stored ledger [stale].
+       The state at a ledger mark is a function of the commits landed
+       before it, in order.  While nothing has been rolled back ([kept]),
+       the stored batches are still in the graph, so a scheduled batch with
+       the stored batch's nets is kept as it stands.  The first mismatch, or
+       the schedule's end with ledger left over, rolls the journal back to
+       that stored batch's mark, erasing it and everything after it.  From
+       there batches are solved, but while every batch solved so far landed
+       what the ledger stored at its position, the live state is the stored
+       one at the next mark: a batch with the stored batch's nets, solving
+       from that state (speculative solves read the frozen batch-start
+       state, conflict re-solves and commits the live one, all
+       deterministic), would land exactly what was stored, so it is replayed
+       instead.  The first landing that differs or fails drops the rest of
+       the ledger; an empty ledger solves every batch. *)
+    let rec walk ~kept ledger failed stale schedule =
+      match (stale, schedule) with
+      | br :: stale', b :: rest when batch_matches br b ->
+          tally reused br.br_nets;
+          let br = if kept then br else replay_batch t br in
+          walk ~kept (br :: ledger) failed stale' rest
+      | br :: _, _ when kept ->
+          G.Gstate.rollback g br.br_cp;
+          walk ~kept:false ledger failed stale schedule
+      | _, [] -> (List.rev ledger, List.rev failed)
+      | _, b :: rest ->
+          let landed, lost = run_batch t ~work ~par_batches ~par_conflicts b in
+          tally ripped landed.br_nets;
+          let stale =
             match stale with
-            | br :: stale' when batch_matches br b ->
-                tally reused br.br_nets;
-                go (replay_batch t br :: ledger) failed stale' rest
-            | _ -> (
-                let landed, lost = run_batch t ~work ~par_batches ~par_conflicts b in
-                tally ripped landed.br_nets;
-                let failed = List.rev_append lost failed in
-                match stale with
-                | br :: stale' when lost = [] && same_landing t.e_rrg br landed ->
-                    go (landed :: ledger) failed stale' rest
-                | _ -> go (landed :: ledger) failed [] rest))
-      in
-      go [] [] stale batches
+            | br :: stale' when lost = [] && same_landing t.e_rrg br landed -> stale'
+            | _ -> []
+          in
+          walk ~kept:false (landed :: ledger) (List.rev_append lost failed) stale rest
     in
     let pass n order =
       let schedule = partition_wave t.e_cfg order in
-      if n = 1 then begin
-        (* The longest prefix of the new schedule that matches the ledger is
-           already, verbatim, in the graph.  Everything from the first
-           mismatched batch on is rolled back in one targeted journal
-           rollback and run again, next to the ledger's stale rest; a fresh
-           session has no ledger and rolls nothing back. *)
-        let rec split acc stored sched =
-          match (stored, sched) with
-          | br :: stored', b :: sched' when batch_matches br b ->
-              split (br :: acc) stored' sched'
-          | _ -> (List.rev acc, stored, sched)
-        in
-        let pre, stale, suffix = split [] t.e_batches schedule in
-        (match stale with br :: _ -> G.Gstate.rollback g br.br_cp | [] -> ());
-        List.iter (fun br -> tally reused br.br_nets) pre;
-        let landed, failed = run ~stale suffix in
-        (pre @ landed, failed)
-      end
+      if n = 1 then walk ~kept:true [] [] t.e_batches schedule
       else begin
         Hashtbl.reset reused;
         (* Each later pass rips the previous one up by rolling the journal
            back to the base — O(entries the pass wrote), not O(V+E). *)
         G.Gstate.rollback g t.e_cp0;
-        run ~stale:[] schedule
+        walk ~kept:false [] [] [] schedule
       end
     in
     let rec loop n order ~best ~stalled =
@@ -686,27 +669,19 @@ module Eco = struct
      convergence — so results are bit-identical across [~domains].
 
      Pricing has no batch structure to keep a prefix of: the maintained
-     trees are torn down and the netlist negotiated from the base state.
-     Iteration-1 solves are pure functions of that state, so they are
-     served from the previous request's memo (keyed by terminals, so a
-     memoized tree is exactly what a fresh solve would return); any net
-     the loop solves is counted as ripped.  On [Error] the graph is rolled
-     back to the base. *)
-  let negotiated_route t circuit ~ripped ~reused ~work ~par_batches =
+     trees are torn down and the whole netlist negotiated from the base
+     state, every net ripped.  On [Error] the graph is rolled back to the
+     base. *)
+  let negotiated_route t circuit ~ripped ~work ~par_batches =
     let rrg = t.e_rrg in
     let g = rrg.Rrg.graph in
     G.Gstate.rollback g t.e_cp0;
     let nets = Array.of_list (initial_order circuit.Netlist.nets) in
+    Array.iter (fun net -> Hashtbl.replace ripped net.Netlist.net_name ()) nets;
     let cm = G.Cost_model.create g in
     let n_nets = Array.length nets in
     let trees = Array.make n_nets G.Tree.empty in
-    let iter1 = Array.make n_nets G.Tree.empty in
     let rec iterate n ~active ~best ~stalled =
-      Array.iter
-        (fun i ->
-          Hashtbl.remove reused nets.(i).Netlist.net_name;
-          Hashtbl.replace ripped nets.(i).Netlist.net_name ())
-        active;
       let results =
         solve_all ~par_batches ~work t.e_pool t.e_view t.e_cfg (Array.map (Array.get nets) active)
       in
@@ -717,7 +692,6 @@ module Eco = struct
           | Some tree -> trees.(active.(k)) <- tree
           | None -> missing := nets.(active.(k)).Netlist.net_name :: !missing)
         results;
-      if n = 1 then Array.blit trees 0 iter1 0 n_nets;
       if !missing <> [] then begin
         (* Some net is unroutable even with every resource shared: no
            price schedule can fix that.  Restore the entry state. *)
@@ -737,9 +711,6 @@ module Eco = struct
           let routed =
             Array.to_list (Array.mapi (fun i tree -> land_net rrg t.e_base_w nets.(i) tree) trees)
           in
-          let memo = Hashtbl.create (2 * n_nets) in
-          Array.iteri (fun i net -> Hashtbl.replace memo (terminal_key net) iter1.(i)) nets;
-          t.e_memo <- memo;
           Ok ([ { br_cp = cp; br_nets = Array.to_list nets; br_routed = routed } ], n)
         end
         else begin
@@ -776,20 +747,12 @@ module Eco = struct
         end
       end
     in
-    let first = ref [] in
-    for i = n_nets - 1 downto 0 do
-      match Hashtbl.find_opt t.e_memo (terminal_key nets.(i)) with
-      | Some tree ->
-          trees.(i) <- tree;
-          Hashtbl.replace reused nets.(i).Netlist.net_name ()
-      | None -> first := i :: !first
-    done;
-    iterate 1 ~active:(Array.of_list !first) ~best:max_int ~stalled:0
+    iterate 1 ~active:(Array.init n_nets Fun.id) ~best:max_int ~stalled:0
 
-  (* Route [circuit] in the session, keeping what the ledger or the memo
-     proves still valid.  On [Ok] the session maintains the new routing;
-     on [Error] it keeps the old one, while the graph holds the failed
-     attempt's end state (waves: its final pass; negotiated: the base). *)
+  (* Route [circuit] in the session, keeping what the ledger proves still
+     valid.  On [Ok] the session maintains the new routing; on [Error] it
+     keeps the old one, while the graph holds the failed attempt's end
+     state (waves: its final pass; negotiated: the base). *)
   let reroute t circuit =
     let g = t.e_rrg.Rrg.graph in
     (* Per-call stats hygiene: the peak journal depth is a high-water mark
@@ -802,7 +765,7 @@ module Eco = struct
     let res =
       match t.e_cfg.mode with
       | Waves -> waves_route t circuit ~ripped ~reused ~work ~par_batches ~par_conflicts
-      | Negotiated -> negotiated_route t circuit ~ripped ~reused ~work ~par_batches
+      | Negotiated -> negotiated_route t circuit ~ripped ~work ~par_batches
     in
     Result.map
       (fun (ledger, n) ->

@@ -81,7 +81,11 @@ type config = {
           with [strategy].  [None] (default) routes everything with
           [strategy]. *)
   max_passes : int;
-      (** rip-up pass cap (default 20, the paper's feasibility threshold) *)
+      (** waves mode's rip-up pass cap (default 20, the paper's feasibility
+          threshold).  Negotiated mode does not read it: it stops after 64
+          pricing iterations, or 12 in a row without a new best overuse.
+          The daemon and the CLI reject a pass cap given with negotiated
+          mode. *)
 }
 
 val default_config : config
@@ -111,7 +115,8 @@ type stats = {
   total_max_path : float;
   peak_occupancy : int;  (** max wires consumed in any channel segment *)
   dijkstra_runs : int;
-      (** Dijkstra searches started across all passes (cache misses) *)
+      (** Dijkstra searches started across all passes: one per source a
+          solve's cache looked up, plus one per two-pin connection *)
   settled_nodes : int;
       (** total nodes settled by those searches — the search layer's work
           metric *)
@@ -210,29 +215,35 @@ val min_channel_width :
     followed by a re-route of the affected suffix against the live state
     on the session's persistent domain pool.
 
-    In waves mode that re-route stops solving as soon as it is back on the
-    stored schedule.  It runs the suffix one batch at a time beside the
-    stale ledger.  While every batch so far has landed what the ledger
-    stored at its position (net by net, the same pins as a set and the same
-    tree), the live state equals the stored one, so a following batch with
-    the stored batch's nets is replayed, its stored trees committed again,
-    instead of solved.  The first landing that differs, or a failed net,
-    ends the replay.  An edit that leaves its batch's trees as they were
-    therefore re-solves that one batch: a driver swap on a net routed by a
-    construction that reads only the terminal set (KMB, ZEL, IKMB, IZEL),
-    or the undo of an earlier edit.
+    In waves mode, pass 1 is one walk over the new schedule beside the
+    stored ledger of batches.  While nothing has been rolled back, a batch
+    with the stored batch's nets is kept as it stands.  The first
+    mismatch, or the schedule's end with ledger left over, rolls the
+    journal back to that stored batch's mark.  From there batches are
+    solved, but while every batch solved so far has landed what the ledger
+    stored at its position (net by net, the same pins as a set and the
+    same tree), the live state equals the stored one, so a following batch
+    with the stored batch's nets is replayed, its stored trees committed
+    again, instead of solved.  The first landing that differs, or a failed
+    net, ends the replay.  An edit that leaves its batch's trees as they
+    were therefore re-solves that one batch: a driver swap on a net routed
+    by a construction that reads only the terminal set (KMB, ZEL, IKMB,
+    IZEL), or the undo of an earlier edit.
+
+    Negotiated mode keeps nothing between requests: every request
+    negotiates every net from the session base, and stores the converged
+    landing as the one ledger entry a failed request's restore replays.
 
     The contract is differential exactness, not best effort: after
     {!Eco.apply}, the maintained routing (trees, wirelength, pathlength,
     pass count, failure verdicts) is bit-identical to a from-scratch
     {!route} of the edited netlist with the same config — waves mode
     because the state at a batch mark is a function of the commits landed
-    before it, in order (so the kept prefix and every replayed batch are
-    what a solve would land), and later passes run the scratch loop
-    verbatim; negotiated mode because reused iteration-1 trees are pure
-    functions of the base state.  What the ECO path saves is the work for
-    the kept prefix, the replayed batches and the memoized solves,
-    reported per request in {!Eco.eco_stats}. *)
+    before it, in order (so every kept and every replayed batch is what a
+    solve would land), and later passes run the scratch loop verbatim;
+    negotiated mode because it runs the scratch negotiation verbatim.
+    What the ECO path saves is the work for the kept and the replayed
+    batches, reported per request in {!Eco.eco_stats}. *)
 
 module Eco : sig
   type t
@@ -249,12 +260,13 @@ module Eco : sig
   type eco_stats = {
     stats : stats;  (** per-request router stats (counters are deltas) *)
     nets_total : int;  (** nets in the edited netlist *)
-    nets_ripped : int;  (** nets this request ripped up and re-solved *)
+    nets_ripped : int;
+        (** nets this request ripped up and re-solved; negotiated, every
+            net ([nets_total]) *)
     nets_reused : int;
-        (** nets this request did not solve: waves, those of the kept
-            prefix and of the replayed batches (none once a later pass
-            re-routes everything); negotiated, those served from the
-            iteration-1 memo and never re-solved *)
+        (** nets this request did not solve: waves, those of the kept and
+            the replayed batches (none once a later pass re-routes
+            everything); negotiated, none *)
   }
 
   val create :

@@ -13,9 +13,15 @@
       point-to-point queries run Dijkstra only until the requested nodes are
       settled and store the {e partial} result; a later query that needs a
       farther node transparently resumes the same search ({!Dijkstra.extend}).
-    - {b Versioned entries.}  Every entry is checked against
-      {!Gstate.version}; any weight or enable/disable mutation of the host
-      graph drops the whole table before the next query.
+    - {b One graph state.}  A cache records {!Gstate.version} at
+      creation and serves that state only: after any weight or
+      enable/disable mutation of the host graph, each lookup ({!result},
+      {!result_for}, {!settle_below}, {!dist}, {!cached}, {!dist_sym},
+      {!path_edges_sym}) raises
+      [Invalid_argument "Dist_cache.<entry>: graph mutated since the cache was created"]
+      with its own name as [<entry>], instead of answering from the old
+      state or searching again.  A caller that mutates the graph makes a
+      new cache.
 
     A cache lives as long as one net's construction: the router creates
     one per tree-construction solve attempt and drops it when the attempt
@@ -30,17 +36,17 @@
     pays for it: the router's two-pin connections run
     {!Dijkstra.run} under a future-cost bound directly.
 
-    Hit/miss/settled-node counters expose the layer's behavior to
-    benchmarks and tests.
+    Run and settled-node counters expose the layer's work to the router's
+    stats and to tests.
 
     {b Thread safety.}  A cache is {e not} thread-safe: lookups mutate its
     table, and resuming a memoized {!Dijkstra.result} refines its arrays
     in place.  The parallel router is race-free by ownership: each solve
     creates its own caches over a shared {!Gstate.read_only_view}, so a
     worker domain mutates only what it allocated, and the graph is only
-    read.  Cache state never changes {e results}: a hit resumes the same
-    search a miss would start, and settled prefixes of a Dijkstra run are
-    final. *)
+    read.  Cache state never changes {e results}: a lookup of a cached
+    source resumes the search a fresh one would start, and settled
+    prefixes of a Dijkstra run are final. *)
 
 type t
 
@@ -59,8 +65,7 @@ val graph : t -> Gstate.t
 
 val result : t -> src:int -> Dijkstra.result
 (** The memoized single-source result, {e complete} (every reachable node
-    settled, so raw [dist] array reads are final), recomputed if the graph
-    changed. *)
+    settled, so raw [dist] array reads are final). *)
 
 val result_for : t -> src:int -> targets:int list -> Dijkstra.result
 (** Like {!result} but only guarantees the listed nodes are settled — the
@@ -78,7 +83,7 @@ val dist : t -> src:int -> dst:int -> float
 (** One-way targeted lookup: the search runs (or resumes) from [src]. *)
 
 val cached : t -> int -> bool
-(** Whether this source's entry is currently valid. *)
+(** Whether this source has an entry. *)
 
 val dist_sym : t -> int -> int -> float
 (** [dist_sym t a b] = [dist t ~src:a ~dst:b], but served from whichever of
@@ -91,15 +96,9 @@ val path_edges_sym : t -> int -> int -> Gstate.edge list
     (edge sets are orientation-independent). *)
 
 val runs : t -> int
-(** Number of Dijkstra searches started (= misses) over the cache's
-    lifetime. *)
-
-val hits : t -> int
-(** Queries answered from a live entry (possibly after resuming it). *)
-
-val misses : t -> int
+(** Number of Dijkstra searches started: one per source looked up, since
+    a later lookup of the same source resumes its search. *)
 
 val settled_nodes : t -> int
-(** Total nodes settled by every search this cache ever ran, including
-    entries since dropped by a graph mutation — the search layer's work
-    metric. *)
+(** Total nodes settled by every search this cache ran — the search
+    layer's work metric. *)

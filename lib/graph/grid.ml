@@ -8,14 +8,15 @@ type t = {
    for each node in row-major order, first the horizontal then the vertical
    outgoing edge (when they exist). *)
 
-let create ?(weight = 1.) ~width ~height () =
+(* Unit weights: before congestion, shortest paths are rectilinear. *)
+let create ~width ~height =
   if width < 1 || height < 1 then invalid_arg "Grid.create: empty grid";
   let b = Wgraph.create ~edge_capacity:(2 * width * height) (width * height) in
   let id x y = (y * width) + x in
   for y = 0 to height - 1 do
     for x = 0 to width - 1 do
-      if x + 1 < width then ignore (Wgraph.add_edge b (id x y) (id (x + 1) y) weight);
-      if y + 1 < height then ignore (Wgraph.add_edge b (id x y) (id x (y + 1)) weight)
+      if x + 1 < width then ignore (Wgraph.add_edge b (id x y) (id (x + 1) y) 1.);
+      if y + 1 < height then ignore (Wgraph.add_edge b (id x y) (id x (y + 1)) 1.)
     done
   done;
   { graph = Gstate.of_builder b; width; height }

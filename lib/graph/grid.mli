@@ -10,8 +10,9 @@ type t = {
   height : int;  (** number of rows (y in [0..height-1]) *)
 }
 
-val create : ?weight:float -> width:int -> height:int -> unit -> t
-(** 4-connected grid; all edges share the initial [weight] (default 1.). *)
+val create : width:int -> height:int -> t
+(** 4-connected grid; every edge has weight 1.
+    @raise Invalid_argument when either side is below 1. *)
 
 val node : t -> x:int -> y:int -> int
 (** @raise Invalid_argument when out of range. *)

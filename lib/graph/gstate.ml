@@ -11,7 +11,7 @@ type undo =
 (* Version counter, journal and lifetime counters live in a [meta] record
    shared between a state and every read-only view of it, so a view sees
    exactly the parent's version history: a Dist_cache built over a view
-   goes stale the moment the parent mutates, and vice versa. *)
+   refuses lookups the moment the parent mutates, and vice versa. *)
 type meta = {
   mutable ver : int;
   mutable journal : undo array;

@@ -8,9 +8,11 @@
     nets stay electrically disjoint; an edge is usable while both its
     endpoints are enabled).
 
-    Every effective mutation bumps a {!version} counter so shortest-path
-    caches ({!Dist_cache}) can detect staleness, and appends an inverse
-    entry to an {b undo journal}.  {!checkpoint} marks a journal position;
+    Every effective mutation bumps a {!version} counter, which a
+    shortest-path cache ({!Dist_cache}) and a resumable search
+    ({!Dijkstra.extend}) check so that neither serves a state other than
+    the one it was made on, and appends an inverse entry to an {b undo
+    journal}.  {!checkpoint} marks a journal position;
     {!rollback} restores the state at a mark in time proportional to the
     number of entries written since it — the router's per-pass rip-up no
     longer scans the whole graph.  Mutations that change nothing (setting a
@@ -24,7 +26,7 @@
     wave whose solves run concurrently over views is free of data races
     {e provided the owning state is not mutated while the wave is in
     flight}.  The version counter is shared, so a {!Dist_cache} built over
-    a view still detects the parent's mutations between waves. *)
+    a view refuses lookups once the parent has mutated. *)
 
 type t
 

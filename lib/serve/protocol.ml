@@ -90,6 +90,8 @@ let parse_request j =
                    Fr_util.Pool.max_domains domains)
           | Some _, Some p when p < 1 ->
               Error (Printf.sprintf "route: \"max_passes\" must be at least 1, got %d" p)
+          | Some F.Router.Negotiated, Some _ ->
+              Error "route: \"max_passes\" caps waves passes; negotiated mode takes none"
           | Some mode, _ -> Ok (Route { circuit_text; width; mode; domains; max_passes }))
       | _ -> Error "route: needs \"circuit\" and \"width\"")
   | Some "eco" -> (

@@ -34,7 +34,10 @@ type route_req = {
       (** default 1; a value not between 1 and {!Fr_util.Pool.max_domains}
           is a parse error *)
   max_passes : int option;
-      (** default the router's 20; a value below 1 is a parse error *)
+      (** the waves pass cap, default the router's 20; a value below 1 is a
+          parse error, and so is any value beside ["mode":"negotiated"],
+          which stops on its own iteration limits
+          ({!Fr_fpga.Router.config}) *)
 }
 
 type checkpoint_req =

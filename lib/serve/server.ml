@@ -74,9 +74,7 @@ let handle_route t (r : Protocol.route_req) =
   | Error e -> Protocol.error (Printf.sprintf "bad circuit: %s" e)
   | Ok circuit -> (
       let config =
-        match r.Protocol.max_passes with
-        | Some p -> F.Router.config_with ~mode:r.Protocol.mode ~max_passes:p ()
-        | None -> F.Router.config_with ~mode:r.Protocol.mode ()
+        F.Router.config_with ~mode:r.Protocol.mode ?max_passes:r.Protocol.max_passes ()
       in
       (* A circuit that does not fit — an empty array, a non-positive
          width, pins the RRG lacks — is rejected with Invalid_argument by

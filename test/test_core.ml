@@ -443,7 +443,7 @@ let prop_bounded_rows_rank_like_complete_rows =
           done;
           G.Gstate.of_builder b
         end
-        else (G.Grid.create ~width:(4 + Rng.int rng 4) ~height:(4 + Rng.int rng 4) ()).G.Grid.graph
+        else (G.Grid.create ~width:(4 + Rng.int rng 4) ~height:(4 + Rng.int rng 4)).G.Grid.graph
       in
       let n = G.Gstate.num_nodes g in
       let perm = Array.init n Fun.id in
@@ -503,7 +503,7 @@ let prop_targeted_cache_identical_trees =
       let g, net =
         if seed mod 2 = 0 then random_instance seed ~n:25 ~m:60 ~k:5
         else begin
-          let g = (G.Grid.create ~width:6 ~height:6 ()).G.Grid.graph in
+          let g = (G.Grid.create ~width:6 ~height:6).G.Grid.graph in
           (g, C.Net.of_terminals (G.Random_graph.random_net (Rng.make seed) g ~k:5))
         end
       in

@@ -118,13 +118,13 @@ let parse_line s =
 let test_protocol_parse_route () =
   match
     parse_line
-      {|{"cmd":"route","circuit":"x","width":6,"mode":"negotiated","domains":2,"max_passes":5}|}
+      {|{"cmd":"route","circuit":"x","width":6,"mode":"waves","domains":2,"max_passes":5}|}
   with
   | Ok (S.Protocol.Route r) ->
       Alcotest.(check string) "circuit" "x" r.S.Protocol.circuit_text;
       Alcotest.(check int) "width" 6 r.S.Protocol.width;
       Alcotest.(check int) "domains" 2 r.S.Protocol.domains;
-      Alcotest.(check bool) "mode" true (r.S.Protocol.mode = F.Router.Negotiated);
+      Alcotest.(check bool) "mode" true (r.S.Protocol.mode = F.Router.Waves);
       Alcotest.(check (option int)) "max_passes" (Some 5) r.S.Protocol.max_passes
   | Ok _ -> Alcotest.fail "parsed to the wrong request"
   | Error e -> Alcotest.failf "route parse failed: %s" e
@@ -189,6 +189,14 @@ let test_protocol_parse_rest () =
   Alcotest.(check bool) "max_passes 1 accepted" true
     (match parse_line {|{"cmd":"route","circuit":"x","width":4,"max_passes":1}|} with
     | Ok (S.Protocol.Route r) -> r.S.Protocol.max_passes = Some 1
+    | _ -> false);
+  (* Negotiated mode stops on its own iteration limits: a pass cap beside
+     it would be ignored, so it is rejected. *)
+  bad {|{"cmd":"route","circuit":"x","width":4,"mode":"negotiated","max_passes":1}|};
+  bad {|{"cmd":"route","circuit":"x","width":4,"mode":"negotiated","max_passes":20}|};
+  Alcotest.(check bool) "negotiated without max_passes accepted" true
+    (match parse_line {|{"cmd":"route","circuit":"x","width":4,"mode":"negotiated"}|} with
+    | Ok (S.Protocol.Route r) -> r.S.Protocol.max_passes = None
     | _ -> false);
   bad {|{"cmd":"eco"}|};
   bad {|{"cmd":"eco","deltas":[{"op":"warp"}]}|};
@@ -302,7 +310,8 @@ let play_script ~config ~domains (circuit : F.Netlist.circuit) ~w script =
 let ripped steps step = (List.assoc step steps).F.Router.Eco.nets_ripped
 
 (* Every delta kind on the tiny circuit, in both modes, serial and on 2
-   domains. *)
+   domains.  Negotiated mode keeps nothing between requests: every apply
+   negotiates every net from the session base. *)
 let test_eco_differential_deltas () =
   let script =
     [
@@ -324,7 +333,15 @@ let test_eco_differential_deltas () =
   List.iter
     (fun mode ->
       let config = F.Router.config_with ~mode () in
-      ignore (play_script ~config ~domains:[ 1; 2 ] (tiny_circuit ()) ~w:6 script))
+      let steps = play_script ~config ~domains:[ 1; 2 ] (tiny_circuit ()) ~w:6 script in
+      if mode = F.Router.Negotiated then
+        List.iter
+          (fun (step, es) ->
+            let open F.Router.Eco in
+            Alcotest.(check int) (step ^ ": negotiated reuses no net") 0 es.nets_reused;
+            Alcotest.(check int) (step ^ ": negotiated rips every net") es.nets_total
+              es.nets_ripped)
+          steps)
     [ F.Router.Waves; F.Router.Negotiated ]
 
 (* The last element first: a net's terminals with its last sink as the new

@@ -440,7 +440,7 @@ let test_tree_empty () =
 (* ------------------------------------------------------------------ *)
 
 let test_grid_structure () =
-  let gr = G.Grid.create ~width:4 ~height:3 () in
+  let gr = G.Grid.create ~width:4 ~height:3 in
   Alcotest.(check int) "nodes" 12 (G.Gstate.num_nodes gr.G.Grid.graph);
   (* edges: 3*3 horizontal rows? horizontal: (4-1)*3 = 9, vertical: 4*2 = 8 *)
   Alcotest.(check int) "edges" 17 (G.Gstate.num_edges gr.G.Grid.graph);
@@ -451,7 +451,7 @@ let test_grid_structure () =
 
 let test_grid_distances_rectilinear () =
   (* Fig 3a: before any routing, graph distance = rectilinear distance. *)
-  let gr = G.Grid.create ~width:6 ~height:6 () in
+  let gr = G.Grid.create ~width:6 ~height:6 in
   let src = G.Grid.node gr ~x:1 ~y:2 in
   let r = G.Dijkstra.run gr.G.Grid.graph ~src in
   let ok = ref true in
@@ -462,7 +462,7 @@ let test_grid_distances_rectilinear () =
   Alcotest.(check bool) "all distances rectilinear" true !ok
 
 let test_grid_edge_lookup () =
-  let gr = G.Grid.create ~width:3 ~height:3 () in
+  let gr = G.Grid.create ~width:3 ~height:3 in
   let g = gr.G.Grid.graph in
   (* the edges out of a node, as (neighbor, edge) pairs *)
   let edges_from u = G.Gstate.fold_adj g u (fun acc e v _ -> (v, e) :: acc) [] in
@@ -484,8 +484,8 @@ let test_grid_edge_lookup () =
 
 let test_grid_bad_args () =
   Alcotest.check_raises "empty grid" (Invalid_argument "Grid.create: empty grid") (fun () ->
-      ignore (G.Grid.create ~width:0 ~height:3 ()));
-  let gr = G.Grid.create ~width:2 ~height:2 () in
+      ignore (G.Grid.create ~width:0 ~height:3));
+  let gr = G.Grid.create ~width:2 ~height:2 in
   Alcotest.check_raises "node out of range" (Invalid_argument "Grid.node: out of range")
     (fun () -> ignore (G.Grid.node gr ~x:2 ~y:0))
 
@@ -524,14 +524,43 @@ let test_dist_cache_memoizes () =
   ignore (G.Dist_cache.dist c ~src:1 ~dst:3);
   Alcotest.(check int) "two runs" 2 (G.Dist_cache.runs c)
 
+(* A cache serves the graph state it was created on: after a mutation it
+   refuses instead of answering, and a fresh cache reads the new state. *)
 let test_dist_cache_invalidation () =
   let g, e01, _, _, _, _ = diamond () in
   let c = G.Dist_cache.create g in
-  let d0 = G.Dist_cache.dist c ~src:0 ~dst:1 in
-  Alcotest.(check (float 1e-9)) "before" 1. d0;
+  Alcotest.(check (float 1e-9)) "before" 1. (G.Dist_cache.dist c ~src:0 ~dst:1);
   G.Gstate.set_weight g e01 10.;
-  let d1 = G.Dist_cache.dist c ~src:0 ~dst:1 in
-  Alcotest.(check (float 1e-9)) "after (via 2)" 2.5 d1
+  Alcotest.check_raises "refused after a mutation"
+    (Invalid_argument "Dist_cache.dist: graph mutated since the cache was created") (fun () ->
+      ignore (G.Dist_cache.dist c ~src:0 ~dst:1));
+  Alcotest.(check (float 1e-9))
+    "a fresh cache reads the new state (via 2)" 2.5
+    (G.Dist_cache.dist (G.Dist_cache.create g) ~src:0 ~dst:1)
+
+(* Every public lookup refuses a mutated graph, naming itself, whether or
+   not the source it asks for has an entry. *)
+let dist_cache_lookups =
+  let open G.Dist_cache in
+  [
+    ("result", fun c -> ignore (result c ~src:3));
+    ("result_for", fun c -> ignore (result_for c ~src:3 ~targets:[ 0 ]));
+    ("settle_below", fun c -> settle_below c ~src:0 1.);
+    ("dist", fun c -> ignore (dist c ~src:0 ~dst:3));
+    ("dist_sym", fun c -> ignore (dist_sym c 3 0));
+    ("path_edges_sym", fun c -> ignore (path_edges_sym c 0 3));
+    ("cached", fun c -> ignore (cached c 0));
+  ]
+
+let test_dist_cache_refuses_mutated (entry, lookup) () =
+  let g, _, _, _, _, _ = diamond () in
+  let c = G.Dist_cache.create g in
+  ignore (G.Dist_cache.dist c ~src:0 ~dst:1);
+  G.Gstate.disable_node g 2;
+  Alcotest.check_raises entry
+    (Invalid_argument
+       (Printf.sprintf "Dist_cache.%s: graph mutated since the cache was created" entry))
+    (fun () -> lookup c)
 
 let test_dist_cache_sym () =
   let g, _, _, _, _, _ = diamond () in
@@ -964,7 +993,9 @@ let test_dijkstra_stale_resume_rejected () =
     (Invalid_argument "Dijkstra.extend: graph mutated since the run started") (fun () ->
       G.Dijkstra.extend r ~targets:[ 3 ])
 
-(* Graph mutations must never surface stale distances. *)
+(* Graph mutations must never surface stale distances: after a
+   perturbation the old cache refuses, and a fresh one reads the exact
+   distance. *)
 let prop_cache_never_stale =
   QCheck.Test.make ~name:"version bumps never stale" ~count:40
     QCheck.(int_range 0 1000)
@@ -972,15 +1003,23 @@ let prop_cache_never_stale =
       let rng = Rng.make seed in
       let n = 25 in
       let g = G.Random_graph.connected rng ~n ~m:(3 * n) ~wmin:0.5 ~wmax:4. in
-      let c = G.Dist_cache.create g in
+      let c = ref (G.Dist_cache.create g) in
       for step = 0 to 49 do
-        (* Occasionally perturb a weight: bumps the version. *)
+        (* Occasionally perturb a weight: bumps the version unless the
+           weight is unchanged. *)
         if step mod 7 = 3 then begin
+          let v0 = G.Gstate.version g in
           let e = Rng.int rng (G.Gstate.num_edges g) in
-          G.Gstate.set_weight g e (0.5 +. Rng.float rng 4.)
+          G.Gstate.set_weight g e (0.5 +. Rng.float rng 4.);
+          if G.Gstate.version g <> v0 then begin
+            (match G.Dist_cache.dist !c ~src:0 ~dst:(n - 1) with
+            | _ -> QCheck.Test.fail_reportf "a cache answered after a mutation at step %d" step
+            | exception Invalid_argument _ -> ());
+            c := G.Dist_cache.create g
+          end
         end;
         let src = Rng.int rng n and dst = Rng.int rng n in
-        let got = G.Dist_cache.dist c ~src ~dst in
+        let got = G.Dist_cache.dist !c ~src ~dst in
         let want = G.Dijkstra.dist (G.Dijkstra.run g ~src) dst in
         if got <> want then
           QCheck.Test.fail_reportf "stale dist %d->%d at step %d" src dst step
@@ -997,16 +1036,17 @@ let test_dist_cache_targeted_counters () =
   let cf = G.Dist_cache.create ~targeted:false g in
   ignore (G.Dist_cache.dist cf ~src:0 ~dst:1);
   Alcotest.(check int) "full settle" 4 (G.Dist_cache.settled_nodes cf);
-  (* Hits and misses are tracked per query. *)
-  Alcotest.(check int) "miss" 1 (G.Dist_cache.misses ct);
+  (* A resume continues the source's one search. *)
+  Alcotest.(check int) "one run" 1 (G.Dist_cache.runs ct);
   ignore (G.Dist_cache.dist ct ~src:0 ~dst:3);
-  Alcotest.(check int) "hit on resume" 1 (G.Dist_cache.hits ct);
-  Alcotest.(check int) "still one run" 1 (G.Dist_cache.runs ct);
+  Alcotest.(check int) "still one run after a resume" 1 (G.Dist_cache.runs ct);
   (* The resumed entry's extra settling is accounted for. *)
   Alcotest.(check int) "resumed settle" 4 (G.Dist_cache.settled_nodes ct);
-  (* A version bump drops the entries but keeps the lifetime counters. *)
+  (* A mutation ends the cache's lookups, not its counters. *)
   G.Gstate.set_weight g e01 10.;
-  Alcotest.(check bool) "dropped" false (G.Dist_cache.cached ct 0);
+  Alcotest.check_raises "refused after a mutation"
+    (Invalid_argument "Dist_cache.dist: graph mutated since the cache was created") (fun () ->
+      ignore (G.Dist_cache.dist ct ~src:0 ~dst:3));
   Alcotest.(check int) "counters survive" 4 (G.Dist_cache.settled_nodes ct)
 
 (* Targeted and complete lookups of one source share one plain entry: the
@@ -1018,7 +1058,6 @@ let test_dist_cache_one_entry_per_source () =
   ignore (G.Dist_cache.result_for c ~src:0 ~targets:[ 3 ]);
   let r = G.Dist_cache.result c ~src:0 in
   Alcotest.(check int) "one run" 1 (G.Dist_cache.runs c);
-  Alcotest.(check int) "resumed as a hit" 1 (G.Dist_cache.hits c);
   Alcotest.(check bool) "complete" true (G.Dijkstra.complete r);
   Alcotest.(check int) "plain" 0 (G.Dijkstra.future_cost_evals r)
 
@@ -1258,5 +1297,12 @@ let () =
           Alcotest.test_case "targeted counters" `Quick test_dist_cache_targeted_counters;
           Alcotest.test_case "one entry per source" `Quick test_dist_cache_one_entry_per_source;
           QCheck_alcotest.to_alcotest prop_cache_never_stale;
-        ] );
+        ]
+        @ List.map
+            (fun ((entry, _) as lookup) ->
+              Alcotest.test_case
+                (entry ^ " refuses a mutated graph")
+                `Quick
+                (test_dist_cache_refuses_mutated lookup))
+            dist_cache_lookups );
     ]

@@ -96,9 +96,12 @@ let test_apply_invalidates_caches () =
   CM.escalate cm;
   CM.apply cm;
   Alcotest.(check bool) "version bumped" true (G.Gstate.version g > v0);
+  Alcotest.check_raises "a cache made before the apply refuses"
+    (Invalid_argument "Dist_cache.dist: graph mutated since the cache was created") (fun () ->
+      ignore (G.Dist_cache.dist cache ~src:0 ~dst:3));
   Alcotest.(check bool)
-    "stale cache recomputes against prices" true
-    (G.Dist_cache.dist cache ~src:0 ~dst:3 > 3.)
+    "a fresh cache reads the prices" true
+    (G.Dist_cache.dist (G.Dist_cache.create g) ~src:0 ~dst:3 > 3.)
 
 let test_create_rejects_views () =
   let g, _, _, _ = path_fixture () in

@@ -141,8 +141,9 @@ let test_view_mutators_raise () =
   raises "commit" (fun () -> G.Gstate.commit v cp)
 
 let test_view_sees_base_mutations () =
-  (* The view shares the base state's version counter, so caches keyed on
-     a view still notice mutations made through the base handle. *)
+  (* The view shares the base state's version counter, so a cache over a
+     view refuses lookups after a mutation made through the base handle,
+     and a fresh one reads it. *)
   let g, v, e01, _ = view_fixture () in
   let cache = G.Dist_cache.create v in
   Alcotest.(check (float 1e-9)) "before" 1. (G.Dist_cache.dist cache ~src:0 ~dst:1);
@@ -150,9 +151,12 @@ let test_view_sees_base_mutations () =
   Alcotest.(check bool)
     "version bump visible through the view" true
     (G.Gstate.version v = G.Gstate.version g);
+  Alcotest.check_raises "the old cache refuses"
+    (Invalid_argument "Dist_cache.dist: graph mutated since the cache was created") (fun () ->
+      ignore (G.Dist_cache.dist cache ~src:0 ~dst:1));
   Alcotest.(check (float 1e-9))
-    "stale cache recomputes" 5.
-    (G.Dist_cache.dist cache ~src:0 ~dst:1)
+    "a fresh cache over the view reads the mutation" 5.
+    (G.Dist_cache.dist (G.Dist_cache.create v) ~src:0 ~dst:1)
 
 (* ------------------------------------------------------------------ *)
 (* Router determinism across domain counts                            *)

@@ -62,7 +62,7 @@ let test_pfa_suboptimal_on_congested_grid () =
      loses to IDOM — PFA is not optimal on grid graphs. *)
   let module Rng = Fr_util.Rng in
   let rng = Rng.make 42 in
-  let grid = G.Grid.create ~width:10 ~height:10 () in
+  let grid = G.Grid.create ~width:10 ~height:10 in
   let g = grid.G.Grid.graph in
   for _ = 1 to 120 do
     let e = Rng.int rng (G.Gstate.num_edges g) in

@@ -15,16 +15,22 @@ It also checks:
 - an eco that names a pin slot the routing graph lacks (slot 2) gets an
   error reply and leaves the session usable: a rotation of the last
   two-pin net still answers with the session digest;
-- a route request asking for more domains than the cap (64), or for a
-  pass cap below 1 (`"max_passes":0` or `-5`), gets an error reply, and
-  the session survives it;
+- a route request asking for more domains than the cap (64), for a pass
+  cap below 1 (`"max_passes":0` or `-5`), or for a pass cap beside
+  `"mode":"negotiated"` (which stops on its own iteration limits), gets
+  an error reply, and the session survives it;
 - a route whose circuit does not fit (header `circuit x 0 3`,
   `"width":0`, or `"width":100000`, whose routing graph is over the
   architecture's cap) gets an error reply that is not an internal error,
   and the session survives it;
 - on a second connection, a 1 MiB frame of '[' (newline included), which
   the JSON nesting cap must answer with an error within 0.25 s, leaving
-  the connection able to answer stats.
+  the connection able to answer stats;
+- a negotiated session (2 domains) keeps nothing between requests: the
+  hub net's driver swap and its undo each negotiate every net
+  (`nets_ripped` = `nets_total`, `nets_reused` = 0) and keep the session's
+  first digest, and a fresh negotiated route of the swapped netlist gives
+  that digest too.
 
 Usage: serve_smoke.py BINARY CIRCUIT_FILE [WIDTH]
 Exits non-zero (with a message) on any violation.
@@ -176,17 +182,28 @@ def main():
         if c.request({"cmd": "stats"}).get("digest") != d0:
             die("the session did not survive the rejected route")
 
-        # A pass cap below 1 is an error reply, not a one-pass route.
-        for passes in (0, -5):
+        # A pass cap below 1 is an error reply, not a one-pass route; so is
+        # any pass cap beside negotiated mode, which would ignore it.
+        for what, mode, passes in (
+            ("max_passes 0", "waves", 0),
+            ("max_passes -5", "waves", -5),
+            ("max_passes 1 in negotiated mode", "negotiated", 1),
+        ):
             capped = c.exchange(
                 json.dumps(
-                    {"cmd": "route", "circuit": circuit, "width": width, "max_passes": passes}
+                    {
+                        "cmd": "route",
+                        "circuit": circuit,
+                        "width": width,
+                        "mode": mode,
+                        "max_passes": passes,
+                    }
                 ).encode()
             )
             if capped.get("ok") is not False:
-                die(f"a route with max_passes {passes} was not rejected: {capped}")
+                die(f"a route with {what} was not rejected: {capped}")
             if c.request({"cmd": "stats"}).get("digest") != d0:
-                die(f"the session did not survive the route with max_passes {passes}")
+                die(f"the session did not survive the route with {what}")
 
         # A circuit that does not fit is an error reply in the router's or
         # the architecture's own words, not a crash reported as an internal
@@ -234,6 +251,37 @@ def main():
         )
         if rerouted["digest"] != d0:
             die("from-scratch re-route digest differs (ECO was inexact)")
+
+        # Negotiated mode keeps nothing between requests: the driver swap on
+        # the hub net and its undo each negotiate every net from the session
+        # base.  The swap keeps IKMB's tree, so both keep the digest, and a
+        # fresh negotiated route of the swapped netlist agrees.
+        negotiated = {"cmd": "route", "width": width, "mode": "negotiated", "domains": 2}
+        neg = c.request(dict(negotiated, circuit=circuit))
+        if neg.get("status") != "routed":
+            die(f"negotiated route not routed: {neg}")
+        dn = neg["digest"]
+        swapped = hub_pins[1:] + hub_pins[:1]
+        for what, pins in (("swap", swapped), ("undo", hub_pins)):
+            resp = c.retime(hub, pins)
+            if not resp.get("ok") or resp.get("status") != "routed":
+                die(f"negotiated {what} of {hub} failed: {resp}")
+            if resp["nets_ripped"] != resp["nets_total"] or resp["nets_reused"] != 0:
+                die(
+                    f"negotiated {what} of {hub} reused nets: ripped {resp['nets_ripped']}"
+                    f" of {resp['nets_total']}, reused {resp['nets_reused']}"
+                )
+            if resp["digest"] != dn:
+                die(f"negotiated {what} of {hub} changed the digest")
+        swapped_circuit = "".join(
+            f"net {hub} {' '.join(swapped)}\n"
+            if l.startswith("net ") and l.split()[1] == hub
+            else l + "\n"
+            for l in circuit.splitlines()
+        )
+        fresh = c.request(dict(negotiated, circuit=swapped_circuit))
+        if fresh.get("digest") != dn:
+            die("a fresh negotiated route of the swapped netlist differs from the ECOs")
 
         c.request({"cmd": "shutdown"})
         c.close()
