@@ -445,7 +445,8 @@ let check_route_args ~fname rrg circuit domains =
    targeted rollback and a re-route of the affected suffix.  A scratch
    [route] is a session opened, routed once and closed, so the ECO
    identity (an apply equals a scratch route of the edited netlist) holds
-   by construction for everything but the kept and replayed batches. *)
+   by construction for everything but the kept batches and the landings
+   carried over from a copy. *)
 module Eco = struct
   type delta =
     | Add_net of Netlist.net
@@ -532,13 +533,13 @@ module Eco = struct
       e_closed = false;
     }
 
-  (* Run one batch of a schedule on the live state: one solve fan-out, then
-     landing in wave order.  Returns the batch's ledger entry and its
-     failed nets. *)
-  let run_batch t ~work ~par_batches ~par_conflicts b =
-    let rrg = t.e_rrg in
+  (* Run one batch of a schedule on [rrg], the session's graph or a copy of
+     it, solving against its read-only [view]: one solve fan-out, then
+     landing in wave order.  Returns the batch's ledger entry, marked in
+     [rrg]'s journal, and its failed nets. *)
+  let run_batch t rrg view ~work ~par_batches ~par_conflicts b =
     let g = rrg.Rrg.graph in
-    let solve nets = solve_all ~par_batches ~work t.e_pool t.e_view t.e_cfg nets in
+    let solve nets = solve_all ~par_batches ~work t.e_pool view t.e_cfg nets in
     let cp = G.Gstate.checkpoint g in
     let landed = ref [] and failed = ref [] in
     let land_tree net tree = landed := land_net rrg t.e_base_w net tree :: !landed in
@@ -567,9 +568,10 @@ module Eco = struct
     Array.iteri (fun i r -> land_result nets.(i) r) (solve nets);
     ({ br_cp = cp; br_nets = Array.to_list nets; br_routed = List.rev !landed }, List.rev !failed)
 
-  (* Land a stored batch again, under a fresh journal mark, by committing
-     its trees in their order: on the state the batch first landed on, this
-     rebuilds the state it left, since a commit is deterministic. *)
+  (* Land a batch on the session's graph under a fresh journal mark, by
+     committing its trees in their order: on the state the batch first
+     landed on (the graph's own, or a copy's), this rebuilds the state it
+     left, since a commit is deterministic. *)
   let replay_batch t br =
     let cp = G.Gstate.checkpoint t.e_rrg.Rrg.graph in
     List.iter (fun r -> commit t.e_rrg r.net r.tree) br.br_routed;
@@ -592,52 +594,57 @@ module Eco = struct
      pass is a full re-route from the session base, the same code on the
      same inputs whatever pass 1 kept. *)
   let waves_route t circuit ~ripped ~reused ~work ~par_batches ~par_conflicts =
-    let g = t.e_rrg.Rrg.graph in
+    let rrg = t.e_rrg in
+    let g = rrg.Rrg.graph in
     let tally tbl nets = List.iter (fun n -> Hashtbl.replace tbl n.Netlist.net_name ()) nets in
     (* One walk over the new [schedule] beside the stored ledger [stale].
-       The state at a ledger mark is a function of the commits landed
-       before it, in order.  While nothing has been rolled back ([kept]),
-       the stored batches are still in the graph, so a scheduled batch with
-       the stored batch's nets is kept as it stands.  The first mismatch, or
-       the schedule's end with ledger left over, rolls the journal back to
-       that stored batch's mark, erasing it and everything after it.  From
-       there batches are solved, but while every batch solved so far landed
-       what the ledger stored at its position, the live state is the stored
-       one at the next mark: a batch with the stored batch's nets, solving
-       from that state (speculative solves read the frozen batch-start
-       state, conflict re-solves and commits the live one, all
-       deterministic), would land exactly what was stored, so it is replayed
-       instead.  The first landing that differs or fails drops the rest of
-       the ledger; an empty ledger solves every batch. *)
-    let rec walk ~kept ledger failed stale schedule =
+       While [stale] is not empty nothing has been rolled back, so the
+       graph still holds the stored batches from [stale]'s head on, and the
+       state at a ledger mark is a function of the commits landed before
+       it, in order.  A scheduled batch with the stored batch's nets is
+       kept as it stands.  Any other batch is solved and landed on a copy
+       of the state at the stored batch's mark; if it lands what the ledger
+       stored there (net by net, the same pins as a set and the same tree),
+       the graph already holds that landing and the walk goes on keeping.
+       Otherwise, and at the schedule's end with ledger left over, the
+       journal rolls back to that mark, erasing the stored batch and
+       everything after it; the copy's landing is committed there, and
+       every later batch is solved on the graph. *)
+    let rec walk ledger failed stale schedule =
       match (stale, schedule) with
       | br :: stale', b :: rest when batch_matches br b ->
           tally reused br.br_nets;
-          let br = if kept then br else replay_batch t br in
-          walk ~kept (br :: ledger) failed stale' rest
-      | br :: _, _ when kept ->
+          walk (br :: ledger) failed stale' rest
+      | br :: _, [] ->
           G.Gstate.rollback g br.br_cp;
-          walk ~kept:false ledger failed stale schedule
-      | _, [] -> (List.rev ledger, List.rev failed)
-      | _, b :: rest ->
-          let landed, lost = run_batch t ~work ~par_batches ~par_conflicts b in
-          tally ripped landed.br_nets;
-          let stale =
-            match stale with
-            | br :: stale' when lost = [] && same_landing t.e_rrg br landed -> stale'
-            | _ -> []
+          walk ledger failed [] []
+      | [], [] -> (List.rev ledger, List.rev failed)
+      | br :: stale', b :: rest ->
+          let copy = Rrg.copy_at rrg br.br_cp in
+          let landed, lost =
+            run_batch t copy (Rrg.read_only_view copy) ~work ~par_batches ~par_conflicts b
           in
-          walk ~kept:false (landed :: ledger) (List.rev_append lost failed) stale rest
+          tally ripped landed.br_nets;
+          if lost = [] && same_landing rrg br landed then
+            walk ({ landed with br_cp = br.br_cp } :: ledger) failed stale' rest
+          else begin
+            G.Gstate.rollback g br.br_cp;
+            walk (replay_batch t landed :: ledger) (List.rev_append lost failed) [] rest
+          end
+      | [], b :: rest ->
+          let landed, lost = run_batch t rrg t.e_view ~work ~par_batches ~par_conflicts b in
+          tally ripped landed.br_nets;
+          walk (landed :: ledger) (List.rev_append lost failed) [] rest
     in
     let pass n order =
       let schedule = partition_wave t.e_cfg order in
-      if n = 1 then walk ~kept:true [] [] t.e_batches schedule
+      if n = 1 then walk [] [] t.e_batches schedule
       else begin
         Hashtbl.reset reused;
         (* Each later pass rips the previous one up by rolling the journal
            back to the base — O(entries the pass wrote), not O(V+E). *)
         G.Gstate.rollback g t.e_cp0;
-        walk ~kept:false [] [] [] schedule
+        walk [] [] [] schedule
       end
     in
     let rec loop n order ~best ~stalled =

@@ -210,25 +210,25 @@ val min_channel_width :
     A long-lived routing session over one RRG, the engine every route runs
     in ({!route} is a session opened and closed): the journal is kept live
     (never truncated) above the session's base checkpoint, so a netlist
-    delta only needs a {e targeted rollback} — to the first wave batch the
-    edit invalidates (waves mode) or to the base state (negotiated mode) —
-    followed by a re-route of the affected suffix against the live state
-    on the session's persistent domain pool.
+    delta needs at most a {e targeted rollback} — to the first wave batch
+    whose landing the edit changes (waves mode) or to the base state
+    (negotiated mode) — followed by a re-route of the affected suffix
+    against the live state on the session's persistent domain pool.
 
     In waves mode, pass 1 is one walk over the new schedule beside the
     stored ledger of batches.  While nothing has been rolled back, a batch
-    with the stored batch's nets is kept as it stands.  The first
-    mismatch, or the schedule's end with ledger left over, rolls the
-    journal back to that stored batch's mark.  From there batches are
-    solved, but while every batch solved so far has landed what the ledger
-    stored at its position (net by net, the same pins as a set and the
-    same tree), the live state equals the stored one, so a following batch
-    with the stored batch's nets is replayed, its stored trees committed
-    again, instead of solved.  The first landing that differs, or a failed
-    net, ends the replay.  An edit that leaves its batch's trees as they
-    were therefore re-solves that one batch: a driver swap on a net routed
-    by a construction that reads only the terminal set (KMB, ZEL, IKMB,
-    IZEL), or the undo of an earlier edit.
+    with the stored batch's nets is kept as it stands.  Any other batch is
+    solved and landed on a copy of the graph's state at the stored batch's
+    mark ({!Rrg.copy_at}).  If no net fails and it lands what the ledger
+    stored there (net by net, the same pins as a set and the same tree),
+    the graph already holds that landing, so the walk keeps it and goes on
+    keeping.  Otherwise, and at the schedule's end with ledger left over,
+    the journal rolls back to that mark once, the copy's landing is
+    committed there, and every later batch is solved on the graph.  An
+    edit that leaves its batch's trees as they were therefore solves that
+    one batch, on the copy, and writes nothing to the session's graph: a
+    driver swap on a net routed by a construction that reads only the
+    terminal set (KMB, ZEL, IKMB, IZEL), or the undo of an earlier edit.
 
     Negotiated mode keeps nothing between requests: every request
     negotiates every net from the session base, and stores the converged
@@ -236,14 +236,18 @@ val min_channel_width :
 
     The contract is differential exactness, not best effort: after
     {!Eco.apply}, the maintained routing (trees, wirelength, pathlength,
-    pass count, failure verdicts) is bit-identical to a from-scratch
-    {!route} of the edited netlist with the same config — waves mode
-    because the state at a batch mark is a function of the commits landed
-    before it, in order (so every kept and every replayed batch is what a
-    solve would land), and later passes run the scratch loop verbatim;
-    negotiated mode because it runs the scratch negotiation verbatim.
-    What the ECO path saves is the work for the kept and the replayed
-    batches, reported per request in {!Eco.eco_stats}. *)
+    pass count, failure verdicts) and the graph's state are bit-identical
+    to a from-scratch {!route} of the edited netlist with the same config
+    — waves mode because the state at a batch mark is a function of the
+    commits landed before it, in order, and a copy is the batch's start
+    state bit for bit (so every kept batch, and every landing carried over
+    from a copy, is what a solve on the graph would land), and later
+    passes run the scratch loop verbatim; negotiated mode because it runs
+    the scratch negotiation verbatim.  What the ECO path saves is the work
+    for the kept batches, and the journal writes of an edit that keeps its
+    trees, reported per request in {!Eco.eco_stats}: the [mutations] and
+    [rollbacks] of its {!stats} count writes to the session's graph only,
+    not to a copy. *)
 
 module Eco : sig
   type t
@@ -264,9 +268,9 @@ module Eco : sig
         (** nets this request ripped up and re-solved; negotiated, every
             net ([nets_total]) *)
     nets_reused : int;
-        (** nets this request did not solve: waves, those of the kept and
-            the replayed batches (none once a later pass re-routes
-            everything); negotiated, none *)
+        (** nets this request did not solve: waves, those of the kept
+            batches (none once a later pass re-routes everything);
+            negotiated, none *)
   }
 
   val create :

@@ -306,3 +306,5 @@ let future_cost t ~targets =
     end
 
 let read_only_view t = { t with graph = G.Gstate.read_only_view t.graph }
+
+let copy_at t cp = { t with graph = G.Gstate.copy_at t.graph cp }

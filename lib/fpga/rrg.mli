@@ -111,3 +111,9 @@ val read_only_view : t -> t
 (** The same RRG over {!Fr_graph.Gstate.read_only_view} of its graph: what
     the parallel router hands to worker domains so speculative solves can
     read the live routing state but any attempted mutation raises. *)
+
+val copy_at : t -> Fr_graph.Gstate.checkpoint -> t
+(** The same RRG over {!Fr_graph.Gstate.copy_at} of its graph: a writable
+    routing state equal to this one's at the checkpoint, which an ECO
+    session lands a batch on to compare it with the stored landing
+    without writing its own graph. *)

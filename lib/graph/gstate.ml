@@ -122,26 +122,43 @@ let checkpoint g = g.meta.jlen
 
 let journal_depth g = g.meta.jlen
 
+let check_mark g what cp =
+  if cp < 0 || cp > g.meta.jlen then invalid_arg ("Gstate." ^ what ^ ": invalid checkpoint")
+
+(* Undo one journal entry into the arrays [w] and [n_on]: the state's own
+   on a rollback, a copy's in [copy_at]. *)
+let undo_into w n_on = function
+  | Weight (e, old) -> w.(e) <- old
+  | Node_on u -> Bitset.set n_on u true
+
 let rollback g cp =
   guard g "rollback";
+  check_mark g "rollback" cp;
   let m = g.meta in
-  if cp < 0 || cp > m.jlen then invalid_arg "Gstate.rollback: invalid checkpoint";
   let changed = m.jlen > cp in
   while m.jlen > cp do
     m.jlen <- m.jlen - 1;
-    (match m.journal.(m.jlen) with
-    | Weight (e, w) -> g.w.(e) <- w
-    | Node_on u -> Bitset.set g.n_on u true);
+    undo_into g.w g.n_on m.journal.(m.jlen);
     m.undone <- m.undone + 1
   done;
   m.rollbacks <- m.rollbacks + 1;
   if changed then m.ver <- m.ver + 1
 
+(* The arrays are copied and the entries above the mark undone on the
+   copy, newest first, so [g] and its journal are only read. *)
+let copy_at g cp =
+  check_mark g "copy_at" cp;
+  let m = g.meta in
+  let w = Array.copy g.w and n_on = Bitset.copy g.n_on in
+  for i = m.jlen - 1 downto cp do
+    undo_into w n_on m.journal.(i)
+  done;
+  { topo = g.topo; w; n_on; meta = fresh_meta (); read_only = false }
+
 let commit g cp =
   guard g "commit";
-  let m = g.meta in
-  if cp < 0 || cp > m.jlen then invalid_arg "Gstate.commit: invalid checkpoint";
-  m.jlen <- cp
+  check_mark g "commit" cp;
+  g.meta.jlen <- cp
 
 let mutations g = g.meta.mutations
 

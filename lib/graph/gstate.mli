@@ -112,6 +112,18 @@ val commit : t -> checkpoint -> unit
     the mark without touching the state, so the entries can no longer be
     undone.  The state itself is unchanged (no version bump). *)
 
+val copy_at : t -> checkpoint -> t
+(** [copy_at g cp] is a fresh writable state equal to [g] as it was at the
+    checkpoint: every weight and node flag bit for bit, over the same
+    topology.  [g] is only read (a read-only view may be copied); its
+    state, version, journal and counters are untouched.  The copy has a
+    journal of its own, empty, with version 0 and zero counters, so what
+    is written to it neither shows in [g]'s counters nor can be rolled
+    back into [g].  Costs O(V + E + entries written since [cp]): the
+    arrays are copied and those entries undone on the copy.
+    @raise Invalid_argument on a checkpoint invalidated by an earlier
+    rollback past it. *)
+
 val journal_depth : t -> int
 (** Current number of live journal entries. *)
 

@@ -21,6 +21,8 @@ let create ?(value = true) n =
 
 let length t = t.size
 
+let copy t = { t with words = Array.copy t.words }
+
 let unsafe_words t = t.words
 
 let get t i = (Array.unsafe_get t.words (i lsr shift) lsr (i land mask)) land 1 = 1

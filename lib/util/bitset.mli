@@ -16,6 +16,9 @@ val create : ?value:bool -> int -> t
 
 val length : t -> int
 
+val copy : t -> t
+(** An independent bit set with the same bits. *)
+
 val get : t -> int -> bool
 
 val set : t -> int -> bool -> unit

@@ -244,12 +244,33 @@ let eco_create ?config ?domains circuit ~w =
 
 let eco_digest eco = S.Protocol.routing_digest (F.Router.Eco.routed eco)
 
+(* Whether a session's graph [a] holds the state a scratch route left in
+   [b]: every node's enable bit and every edge's weight, bit for bit.
+   Names the first difference. *)
+let graph_diff (a : F.Rrg.t) (b : F.Rrg.t) =
+  let module Gs = Fr_graph.Gstate in
+  let ga = a.F.Rrg.graph and gb = b.F.Rrg.graph in
+  let first n differs = List.find_opt differs (List.init n Fun.id) in
+  let node_diff v = Gs.node_enabled ga v <> Gs.node_enabled gb v
+  and edge_diff e = not (Float.equal (Gs.weight ga e) (Gs.weight gb e)) in
+  if Gs.num_nodes ga <> Gs.num_nodes gb || Gs.num_edges ga <> Gs.num_edges gb then
+    Some "graph sizes differ"
+  else
+    match (first (Gs.num_nodes ga) node_diff, first (Gs.num_edges ga) edge_diff) with
+    | Some v, _ ->
+        Some (Printf.sprintf "node %d enabled: %b, scratch %b" v (Gs.node_enabled ga v)
+                (Gs.node_enabled gb v))
+    | None, Some e ->
+        Some (Printf.sprintf "edge %d weight: %h, scratch %h" e (Gs.weight ga e) (Gs.weight gb e))
+    | None, None -> None
+
 (* Play an edit script on one session per domain count.  After every step
    each session must hold the from-scratch route of its edited netlist,
-   with the scratch route's quality; the rip-up accounting covers the
-   netlist and, being part of the deterministic schedule, agrees across
-   domain counts.  Returns each step's name with its [eco_stats] (the
-   first session's; every session's rip accounting equals it). *)
+   with the scratch route's quality, and leave its graph in the state the
+   scratch route leaves (every node bit, every weight); the rip-up
+   accounting covers the netlist and, being part of the deterministic
+   schedule, agrees across domain counts.  Returns each step's name with
+   every session's [eco_stats], first session first. *)
 let play_script ~config ~domains (circuit : F.Netlist.circuit) ~w script =
   let tag d s =
     Printf.sprintf "%s/%s/d%d: %s" circuit.F.Netlist.circuit_name
@@ -260,33 +281,39 @@ let play_script ~config ~domains (circuit : F.Netlist.circuit) ~w script =
      s.F.Router.peak_occupancy)
   in
   let check step applied =
-    let _, eco1, es1 = List.hd applied in
+    let _, _, eco1, es1 = List.hd applied in
     let edited = F.Router.Eco.circuit eco1 in
+    let scratch_rrg = F.Rrg.build (arch_of edited w) in
     let scratch =
-      match F.Router.route ~config (F.Rrg.build (arch_of edited w)) edited with
+      match F.Router.route ~config scratch_rrg edited with
       | Ok s -> s
       | Error _ -> Alcotest.failf "%s: scratch route failed" step
     in
-    List.iter
-      (fun (d, eco, es) ->
+    List.map
+      (fun (d, rrg, eco, es) ->
         let open F.Router.Eco in
         Alcotest.(check string) (tag d (step ^ " = scratch"))
           (S.Protocol.routing_digest scratch.F.Router.routed) (eco_digest eco);
         if quality es.stats <> quality scratch then
           Alcotest.fail (tag d (step ^ " quality differs from scratch"));
+        Option.iter
+          (fun diff -> Alcotest.fail (tag d (step ^ " graph differs from scratch: " ^ diff)))
+          (graph_diff rrg scratch_rrg);
         Alcotest.(check int) (tag d (step ^ " rip accounting")) es.nets_total
           (es.nets_ripped + es.nets_reused);
         Alcotest.(check (pair int int))
           (tag d (step ^ " rip accounting = first session"))
-          (es1.nets_ripped, es1.nets_reused) (es.nets_ripped, es.nets_reused))
-      applied;
-    (step, es1)
+          (es1.nets_ripped, es1.nets_reused) (es.nets_ripped, es.nets_reused);
+        (d, es))
+      applied
   in
   let sessions =
     List.map
       (fun d ->
-        let eco, es = eco_create ~config ~domains:d circuit ~w in
-        (d, eco, es))
+        let rrg = F.Rrg.build (arch_of circuit w) in
+        match F.Router.Eco.create ~config ~domains:d rrg circuit with
+        | Ok (eco, es) -> (d, rrg, eco, es)
+        | Error _ -> Alcotest.failf "eco create on %s failed" circuit.F.Netlist.circuit_name)
       domains
   in
   ignore (check "create" sessions);
@@ -295,23 +322,38 @@ let play_script ~config ~domains (circuit : F.Netlist.circuit) ~w script =
       (fun (step, deltas) ->
         let applied =
           List.map
-            (fun (d, eco, _) ->
+            (fun (d, rrg, eco, _) ->
               match F.Router.Eco.apply eco deltas with
-              | Ok es -> (d, eco, es)
+              | Ok es -> (d, rrg, eco, es)
               | Error _ -> Alcotest.fail (tag d (step ^ " apply failed")))
             sessions
         in
-        check step applied)
+        (step, check step applied))
       script
   in
-  List.iter (fun (_, eco, _) -> F.Router.Eco.close eco) sessions;
+  List.iter (fun (_, _, eco, _) -> F.Router.Eco.close eco) sessions;
   steps
 
-let ripped steps step = (List.assoc step steps).F.Router.Eco.nets_ripped
+(* A step's [eco_stats] in the first session; every session's rip
+   accounting equals it. *)
+let first_session steps step = snd (List.hd (List.assoc step steps))
+
+let ripped steps step = (first_session steps step).F.Router.Eco.nets_ripped
+
+(* Each session's graph writes in a step: journal mutations and rollbacks. *)
+let graph_writes steps step =
+  List.map
+    (fun (d, es) ->
+      let s = es.F.Router.Eco.stats in
+      (d, (s.F.Router.mutations, s.F.Router.rollbacks)))
+    (List.assoc step steps)
 
 (* Every delta kind on the tiny circuit, in both modes, serial and on 2
    domains.  Negotiated mode keeps nothing between requests: every apply
-   negotiates every net from the session base. *)
+   negotiates every net from the session base.  The last step removes b,
+   which has the fewest pins and routes last, alone in its batch: the new
+   schedule ends with a stored batch left over, whose commits the walk
+   must roll back out of the graph. *)
 let test_eco_differential_deltas () =
   let script =
     [
@@ -328,6 +370,7 @@ let test_eco_differential_deltas () =
           F.Router.Eco.Remove_net "d";
           F.Router.Eco.Retime_net ("b", pin 1 1 F.Rrg.South 0, [ pin 1 4 F.Rrg.South 0 ]);
         ] );
+      ("remove the last batch", [ F.Router.Eco.Remove_net "b" ]);
     ]
   in
   List.iter
@@ -336,7 +379,8 @@ let test_eco_differential_deltas () =
       let steps = play_script ~config ~domains:[ 1; 2 ] (tiny_circuit ()) ~w:6 script in
       if mode = F.Router.Negotiated then
         List.iter
-          (fun (step, es) ->
+          (fun (step, _) ->
+            let es = first_session steps step in
             let open F.Router.Eco in
             Alcotest.(check int) (step ^ ": negotiated reuses no net") 0 es.nets_reused;
             Alcotest.(check int) (step ^ ": negotiated rips every net") es.nets_total
@@ -376,8 +420,9 @@ let par_batch = 8
    prefix — the locality the incremental path exists to exploit, so some
    step must rip fewer nets than the netlist holds.  Then a driver swap on
    the 11-pin n67, near the front of the order, and its undo: IKMB builds a
-   tree from the terminal set alone, so n67's batch lands what the ledger
-   stored and the rest of the schedule is replayed, not re-solved. *)
+   tree from the terminal set alone, so n67's batch, solved on a copy of
+   its start state, lands what the ledger stored, and the session keeps
+   its graph as it stands: no journal write, no rollback. *)
 let test_eco_term1_script () =
   let circuit = term1 () in
   let nets = Array.of_list circuit.F.Netlist.nets in
@@ -410,18 +455,25 @@ let test_eco_term1_script () =
   let steps = play_script ~config ~domains:[ 1; 2; 4 ] circuit ~w:14 script in
   Alcotest.(check bool) "some step ripped fewer nets than the total" true
     (List.exists
-       (fun (_, es) -> es.F.Router.Eco.nets_ripped < es.F.Router.Eco.nets_total)
+       (fun (step, _) -> ripped steps step < (first_session steps step).F.Router.Eco.nets_total)
        steps);
   List.iter
     (fun step ->
       let r = ripped steps step in
-      if r > par_batch then Alcotest.failf "%s ripped %d nets, more than one batch" step r)
+      if r > par_batch then Alcotest.failf "%s ripped %d nets, more than one batch" step r;
+      List.iter
+        (fun (d, writes) ->
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s/d%d: graph mutations and rollbacks" step d)
+            (0, 0) writes)
+        (graph_writes steps step))
     [ "rotate n67"; "restore n67" ]
 
 (* Under IDOM, a source-rooted construction, a driver swap does change the
    net's tree, so the landing differs from the ledger's and the rest of
-   the schedule must be solved again: every step equals scratch and rips
-   the nets the schedule suffix holds (pinned). *)
+   the schedule must be solved again: every step equals scratch, rips the
+   nets the schedule suffix holds (pinned) and rolls the graph back once,
+   to the edited batch's mark. *)
 let test_eco_term1_idom_rotations () =
   let circuit = term1 () in
   let n14 = net_named circuit "n14" and n29 = net_named circuit "n29" in
@@ -436,7 +488,12 @@ let test_eco_term1_idom_rotations () =
   let config = F.Router.config_with ~alg:Fr_core.Routing_alg.idom ~max_passes:8 () in
   let steps = play_script ~config ~domains:[ 1; 2 ] circuit ~w:14 script in
   List.iter
-    (fun (step, expected) -> Alcotest.(check int) (step ^ " nets ripped") expected (ripped steps step))
+    (fun (step, expected) ->
+      Alcotest.(check int) (step ^ " nets ripped") expected (ripped steps step);
+      List.iter
+        (fun (d, (_, rollbacks)) ->
+          Alcotest.(check int) (Printf.sprintf "%s/d%d: rollbacks" step d) 1 rollbacks)
+        (graph_writes steps step))
     [ ("rotate n14", 58); ("restore n14", 58); ("rotate n29", 44); ("restore n29", 44) ]
 
 let test_eco_invalid_deltas_leave_session () =

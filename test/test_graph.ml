@@ -1144,6 +1144,47 @@ let prop_gstate_rollback_restores =
       G.Gstate.rollback g cp;
       restored && depth_ok && monotone !vers && snapshot () = want)
 
+(* A copy at a checkpoint holds the state at the checkpoint, bit for bit,
+   and is independent: the parent's state, version and counters are
+   untouched by making it and by writing to it, and the copy starts with
+   an empty journal of its own.  A read-only view copies like its parent. *)
+let prop_gstate_copy_at =
+  QCheck.Test.make ~name:"Gstate copy_at is the checkpoint state, independent" ~count:100
+    QCheck.(triple (int_range 0 1000) (int_range 0 30) (int_range 0 30))
+    (fun (seed, n_before, n_after) ->
+      let rng = Rng.make seed in
+      let g = G.Random_graph.connected rng ~n:12 ~m:30 ~wmin:0.5 ~wmax:4. in
+      let ne = G.Gstate.num_edges g and nn = G.Gstate.num_nodes g in
+      let mutate g =
+        match Rng.int rng 3 with
+        | 0 -> G.Gstate.set_weight g (Rng.int rng ne) (Rng.float rng 5.)
+        | 1 -> G.Gstate.add_weight g (Rng.int rng ne) (Rng.float rng 2.)
+        | _ -> G.Gstate.disable_node g (Rng.int rng nn)
+      in
+      let snapshot g =
+        (Array.init ne (G.Gstate.weight g), Array.init nn (G.Gstate.node_enabled g))
+      in
+      let meta g =
+        (G.Gstate.version g, G.Gstate.journal_depth g, G.Gstate.mutations g, G.Gstate.rollbacks g)
+      in
+      for _ = 1 to n_before do
+        mutate g
+      done;
+      let want = snapshot g in
+      let cp = G.Gstate.checkpoint g in
+      for _ = 1 to n_after do
+        mutate g
+      done;
+      let live = snapshot g and live_meta = meta g in
+      let copy = G.Gstate.copy_at g cp in
+      let view_copy = G.Gstate.copy_at (G.Gstate.read_only_view g) cp in
+      let fresh = meta copy = (0, 0, 0, 0) && not (G.Gstate.is_read_only view_copy) in
+      let at_cp = snapshot copy = want && snapshot view_copy = want in
+      for _ = 1 to 10 do
+        mutate copy
+      done;
+      fresh && at_cp && snapshot g = live && meta g = live_meta)
+
 (* Journal rollback across Cost_model.apply epoch boundaries: pricing
    writes are ordinary journaled mutations, so a checkpoint taken before a
    priced sequence restores the exact weight vector (and hence search
@@ -1222,6 +1263,7 @@ let () =
           Alcotest.test_case "checkpoint/rollback/commit" `Quick test_gstate_checkpoint_basics;
           QCheck_alcotest.to_alcotest prop_gstate_rollback_restores;
           QCheck_alcotest.to_alcotest prop_rollback_across_cost_epochs;
+          QCheck_alcotest.to_alcotest prop_gstate_copy_at;
         ] );
       ("dsu", [ Alcotest.test_case "union/find" `Quick test_dsu ]);
       ( "wgraph",

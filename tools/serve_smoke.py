@@ -11,7 +11,9 @@ a stats call on a second connection, and a from-scratch re-route).
 It also checks:
 - a driver swap on the highest-fanout net (the first sink becomes the
   source) keeps every tree under the default IKMB, so it re-solves one
-  batch at most (8 nets) and keeps the digest, and so does its undo;
+  batch at most (8 nets), on a copy of the batch's start state, and keeps
+  the digest without writing to the session's graph (`stats.mutations`
+  and `stats.rollbacks` both 0), and so does its undo;
 - an eco that names a pin slot the routing graph lacks (slot 2) gets an
   error reply and leaves the session usable: a rotation of the last
   two-pin net still answers with the session digest;
@@ -31,6 +33,8 @@ It also checks:
   (`nets_ripped` = `nets_total`, `nets_reused` = 0) and keep the session's
   first digest, and a fresh negotiated route of the swapped netlist gives
   that digest too.
+
+The socket lives in a temporary directory that is removed on exit.
 
 Usage: serve_smoke.py BINARY CIRCUIT_FILE [WIDTH]
 Exits non-zero (with a message) on any violation.
@@ -104,8 +108,14 @@ def main():
     binary, circuit_file = sys.argv[1], sys.argv[2]
     width = int(sys.argv[3]) if len(sys.argv) > 3 else 14
     circuit = open(circuit_file).read()
-    sock_path = os.path.join(tempfile.mkdtemp(), "fr_serve_smoke.sock")
+    with tempfile.TemporaryDirectory() as sock_dir:
+        d0, nets_total = smoke(binary, circuit, width, os.path.join(sock_dir, "fr_serve_smoke.sock"))
+    print(f"serve_smoke: OK (digest {d0}, {nets_total} nets at W={width})")
 
+
+def smoke(binary, circuit, width, sock_path):
+    """Run every check against a daemon on `sock_path`; return the first
+    route's digest and net count."""
     daemon = subprocess.Popen([binary, "serve", "--socket", sock_path])
     try:
         for _ in range(200):
@@ -145,7 +155,8 @@ def main():
 
         # A driver swap on the highest-fanout net, and its undo: the swap
         # keeps the net's pins and, under IKMB, its tree, so the re-route
-        # solves the net's batch and replays the rest of the schedule.
+        # solves the net's batch on a copy, finds the stored landing, and
+        # keeps the session's graph as it stands: no write, no rollback.
         nets = [l.split()[1:] for l in circuit.splitlines() if l.startswith("net ")]
         hub, *hub_pins = max(nets, key=len)
         for what, pins in (("rotation", hub_pins[1:] + hub_pins[:1]), ("undo", hub_pins)):
@@ -156,6 +167,9 @@ def main():
                 die(f"{what} of {hub} ripped {resp['nets_ripped']} nets, more than one batch")
             if resp["digest"] != d0:
                 die(f"{what} of {hub} changed the digest")
+            writes = (resp["stats"]["mutations"], resp["stats"]["rollbacks"])
+            if writes != (0, 0):
+                die(f"{what} of {hub} wrote the graph: (mutations, rollbacks) = {writes}")
 
         # A pin slot the routing graph lacks is rejected before anything is
         # touched, so the next valid edit still routes and keeps the digest.
@@ -292,8 +306,8 @@ def main():
     finally:
         if daemon.poll() is None:
             daemon.kill()
-
-    print(f"serve_smoke: OK (digest {d0}, {nets_total} nets at W={width})")
+            daemon.wait()
+    return d0, nets_total
 
 
 if __name__ == "__main__":
