@@ -1,21 +1,18 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section, preceded by Bechamel CPU-time micro-benchmarks (the
-   paper's §5 reports "several dozen milliseconds" per construction on
-   random graphs with |V|=50, |E|=1000, |N|=5).
-
-   One Bechamel kernel is registered per table/figure workload; the full
-   table regeneration then follows, printing measured values next to the
-   published ones.  The router's end-to-end benchmark, with pinned goldens
-   and per-layer counters, is perfbench/ (see perfbench/README.md).
+(* The paper reproduction: the §5 CPU-time table (Bechamel over the eight
+   constructions; the paper reports "several dozen milliseconds" per
+   construction on random graphs with |V|=50, |E|=1000, |N|=5), then every
+   table and figure of the Fr_exp.Repro registry, each followed by its wall
+   time.  The router's end-to-end benchmark, with pinned goldens and
+   per-layer counters, is perfbench/ (see perfbench/README.md).
 
    Environment:
-     REPRO_QUICK=1   smaller workloads / subset of circuits (CI-friendly)
+     REPRO_QUICK=1   the registry's quick mode (what `fpga_route table N
+                     --quick` runs) and a shorter Bechamel quota
 
    Run with: dune exec bench/main.exe *)
 
 module G = Fr_graph
 module C = Fr_core
-module F = Fr_fpga
 open Bechamel
 open Toolkit
 
@@ -47,42 +44,6 @@ let algorithm_tests =
              ignore (alg.C.Routing_alg.solve cache ~net))))
     C.Routing_alg.all
 
-(* One kernel per table/figure workload. *)
-let table1_kernel () =
-  let rng = Fr_util.Rng.make 5 in
-  let grid = Fr_exp.Congestion.congested_grid rng ~k:10 in
-  let g = grid.G.Grid.graph in
-  let net = C.Net.of_terminals (G.Random_graph.random_net rng g ~k:5) in
-  let cache = G.Dist_cache.create g in
-  List.iter (fun (a : C.Routing_alg.t) -> ignore (a.C.Routing_alg.solve cache ~net)) C.Routing_alg.all
-
-let router_kernel alg () =
-  let spec = Option.get (F.Circuits.find_spec "term1") in
-  let circuit = F.Circuits.generate spec in
-  let rrg = F.Rrg.build (F.Circuits.arch_for spec ~channel_width:10) in
-  let config = F.Router.config_with ~alg ~max_passes:3 () in
-  ignore (F.Router.route ~config rrg circuit)
-
-let fig10_kernel () =
-  let inst = C.Worst_case.pfa_graph ~k:8 in
-  let cache = G.Dist_cache.create inst.C.Worst_case.graph in
-  ignore (C.Pfa.solve cache ~net:inst.C.Worst_case.net)
-
-let fig14_kernel () =
-  let inst = C.Worst_case.idom_graph ~levels:4 in
-  let cache = G.Dist_cache.create inst.C.Worst_case.graph in
-  ignore (C.Idom.solve cache ~net:inst.C.Worst_case.net)
-
-let workload_tests =
-  [
-    Test.make ~name:"table1:one-net-all-algs" (Staged.stage table1_kernel);
-    Test.make ~name:"table2/3:router-term1-IKMB" (Staged.stage (router_kernel C.Routing_alg.ikmb));
-    Test.make ~name:"table4:router-term1-PFA" (Staged.stage (router_kernel C.Routing_alg.pfa));
-    Test.make ~name:"table5:router-term1-IDOM" (Staged.stage (router_kernel C.Routing_alg.idom));
-    Test.make ~name:"fig10:pfa-worst-case" (Staged.stage fig10_kernel);
-    Test.make ~name:"fig14:idom-worst-case" (Staged.stage fig14_kernel);
-  ]
-
 let run_bechamel name tests ~quota_s =
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota_s) ~kde:None () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] (Test.make_grouped ~name tests) in
@@ -113,84 +74,26 @@ let run_bechamel name tests ~quota_s =
   Fr_util.Tab.print t
 
 (* ------------------------------------------------------------------ *)
-(* Full table / figure regeneration                                    *)
+(* Table / figure regeneration                                         *)
 (* ------------------------------------------------------------------ *)
 
-let wall f =
+let timed label run =
   let t0 = Unix.gettimeofday () in
-  let r = f () in
-  Printf.printf "(section took %.1fs)\n%!" (Unix.gettimeofday () -. t0);
-  r
-
-let subset_3000 () =
-  if quick then List.filter (fun s -> s.F.Circuits.circuit = "busc") F.Circuits.specs_3000
-  else F.Circuits.specs_3000
-
-let subset_4000 () =
-  if quick then
-    List.filter
-      (fun s -> List.mem s.F.Circuits.circuit [ "term1"; "9symml"; "apex7" ])
-      F.Circuits.specs_4000
-  else F.Circuits.specs_4000
+  print_endline (run ());
+  Printf.printf "(%s took %.1f s)\n%!" label (Unix.gettimeofday () -. t0)
 
 let () =
-  Printf.printf "Reproduction benches for Alexander-Robins, DAC 1995%s\n%!"
-    (if quick then " [REPRO_QUICK]" else "");
+  Printf.printf "Reproduction benches for Alexander-Robins, DAC 1995%s, %d cores (each table and \
+                 figure runs on one)\n%!"
+    (if quick then " [REPRO_QUICK]" else "")
+    (Domain.recommended_domain_count ());
 
   section "CPU-time micro-benchmarks (paper: 'several dozen ms' on |V|=50, |E|=1000, |N|=5)";
   run_bechamel "algorithms" algorithm_tests ~quota_s:(if quick then 0.2 else 0.5);
 
-  section "Per-table/figure workload kernels";
-  run_bechamel "workloads" workload_tests ~quota_s:(if quick then 0.5 else 1.0);
-
-  let nets_per_config = if quick then 10 else 50 in
-  let max_passes = if quick then 8 else 20 in
-  let config = F.Router.config_with ~max_passes () in
-
-  section "Table 1 (grid congestion study)";
-  wall (fun () ->
-      Fr_util.Tab.print (Fr_exp.Table1.to_table (Fr_exp.Table1.run ~nets_per_config ())));
-
-  section "Table 2 (3000-series channel widths vs CGE)";
-  let rows2 = wall (fun () -> Fr_exp.Router_tables.table2 ~config ~specs:(subset_3000 ()) ()) in
-  Fr_util.Tab.print (Fr_exp.Router_tables.table2_to_table rows2);
-
-  section "Table 3 (4000-series channel widths vs SEGA/GBP)";
-  let rows3 = wall (fun () -> Fr_exp.Router_tables.table3 ~config ~specs:(subset_4000 ()) ()) in
-  Fr_util.Tab.print (Fr_exp.Router_tables.table3_to_table rows3);
-
-  section "Table 4 (channel width by algorithm)";
-  let rows4 =
-    wall (fun () ->
-        Fr_exp.Router_tables.table4 ~specs:(subset_4000 ()) ~max_passes ~reuse_ikmb:rows3 ())
-  in
-  Fr_util.Tab.print (Fr_exp.Router_tables.table4_to_table rows4);
-
-  section "Table 5 (wirelength vs pathlength at equal width)";
-  let rows5 = wall (fun () -> Fr_exp.Router_tables.table5 ~max_passes rows4) in
-  Fr_util.Tab.print (Fr_exp.Router_tables.table5_to_table rows5);
-
-  section "Baseline (two-pin decomposition, the CGE/SEGA/GBP strategy)";
-  let baseline_specs =
-    (* The live baseline is our own addition; keep it to the smaller half
-       of the 4000-series set to bound the run time. *)
-    if quick then subset_4000 ()
-    else
-      List.filter
-        (fun s ->
-          List.mem s.F.Circuits.circuit [ "term1"; "9symml"; "apex7"; "example2"; "alu2" ])
-        F.Circuits.specs_4000
-  in
-  let rowsb = wall (fun () -> Fr_exp.Router_tables.baseline ~specs:baseline_specs ~max_passes ()) in
-  Fr_util.Tab.print (Fr_exp.Router_tables.baseline_to_table rowsb);
+  section "Tables";
+  List.iter (fun (name, run) -> timed ("table " ^ name) run) (Fr_exp.Repro.tables ~quick);
 
   section "Figures";
-  print_endline (Fr_exp.Figures.fig3 ());
-  print_endline (Fr_exp.Figures.fig4 ());
-  print_endline (Fr_exp.Figures.fig6 ());
-  print_endline (Fr_exp.Figures.fig10 ());
-  print_endline (Fr_exp.Figures.fig11 ());
-  print_endline (Fr_exp.Figures.fig13 ());
-  print_endline (Fr_exp.Figures.fig14 ());
-  print_endline (Fr_exp.Figures.fig16 ~channel_width:8 ());
+  List.iter (fun (name, run) -> timed ("figure " ^ name) run) Fr_exp.Repro.figures;
   print_endline "Done."

@@ -198,71 +198,45 @@ let width_cmd =
     (Cmd.info "width" ~doc:"Find a circuit's minimum routable channel width")
     Term.(ret (const run_width $ spec_arg $ alg_arg $ passes_arg $ mode_arg $ domains_arg $ start))
 
-(* ---------------- table ---------------- *)
+(* ---------------- table / figure ---------------- *)
 
-(* Each table by its command-line name, built for the quick or full
-   workload; the names are the only values [table] accepts. *)
-let tables =
-  let module R = Fr_exp.Router_tables in
-  let passes quick = if quick then 8 else 20 in
-  let config quick = F.Router.config_with ~max_passes:(passes quick) () in
-  [
-    ("1", fun quick -> Fr_exp.Table1.(to_table (run ~nets_per_config:(if quick then 10 else 50) ())));
-    ("2", fun quick -> R.table2_to_table (R.table2 ~config:(config quick) ()));
-    ("3", fun quick -> R.table3_to_table (R.table3 ~config:(config quick) ()));
-    ("4", fun quick -> R.table4_to_table (R.table4 ~max_passes:(passes quick) ()));
-    ( "5",
-      fun quick ->
-        let max_passes = passes quick in
-        R.table5_to_table (R.table5 ~max_passes (R.table4 ~max_passes ())) );
-    ("baseline", fun quick -> R.baseline_to_table (R.baseline ~max_passes:(passes quick) ()));
-  ]
-
-let run_table which quick =
-  Fr_util.Tab.print ((List.assoc which tables) quick);
+(* Print the entry [which] of a Fr_exp.Repro registry.  The registry's
+   names, the same in quick and full mode, are the only values [table] and
+   [figure] accept. *)
+let print_entry registry which =
+  print_endline ((List.assoc which registry) ());
   0
 
 let table_cmd =
   let which =
     Arg.(
       required
-      & pos 0 (some (names tables)) None
+      & pos 0 (some (names (Fr_exp.Repro.tables ~quick:false))) None
       & info [] ~docv:"TABLE" ~doc:"$(b,1)-$(b,5) or $(b,baseline).")
   in
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Smaller workloads, fewer passes.") in
+  let quick =
+    Arg.(
+      value & flag
+      & info [ "quick" ]
+          ~doc:
+            "Quick mode: Table 1 at 10 nets per configuration, Table 2 on busc, Tables 3-5 and \
+             the baseline on apex7, term1 and 9symml, each route capped at 8 rip-up passes (full \
+             mode: 50 nets, every circuit, 20 passes).")
+  in
   Cmd.v
     (Cmd.info "table" ~doc:"Regenerate one of the paper's tables (1-5, baseline)")
-    Term.(const run_table $ which $ quick)
-
-(* ---------------- figure ---------------- *)
-
-let figures =
-  Fr_exp.Figures.
-    [
-      ("3", fig3);
-      ("4", fig4);
-      ("6", fig6);
-      ("10", fun () -> fig10 ());
-      ("11", fun () -> fig11 ());
-      ("13", fig13);
-      ("14", fun () -> fig14 ());
-      ("16", fun () -> fig16 ());
-    ]
-
-let run_figure which =
-  print_endline ((List.assoc which figures) ());
-  0
+    Term.(const (fun which quick -> print_entry (Fr_exp.Repro.tables ~quick) which) $ which $ quick)
 
 let figure_cmd =
   let which =
     Arg.(
       required
-      & pos 0 (some (names figures)) None
+      & pos 0 (some (names Fr_exp.Repro.figures)) None
       & info [] ~docv:"FIGURE" ~doc:"One of 3, 4, 6, 10, 11, 13, 14, 16.")
   in
   Cmd.v
     (Cmd.info "figure" ~doc:"Regenerate one of the paper's figures")
-    Term.(const run_figure $ which)
+    Term.(const (print_entry Fr_exp.Repro.figures) $ which)
 
 (* ---------------- export / route-file ---------------- *)
 
@@ -277,14 +251,10 @@ let export_cmd =
 
 let run_route_file file width series alg passes mode domains render =
   with_passes mode passes @@ fun () ->
-  let read_all path =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  match F.Netlist.of_string (read_all file) with
+  match F.Netlist.of_string (In_channel.with_open_bin file In_channel.input_all) with
+  | exception Sys_error msg ->
+      Printf.printf "cannot read %s: %s\n" file msg;
+      `Ok 2
   | Error msg ->
       Printf.printf "cannot parse %s: %s\n" file msg;
       `Ok 2

@@ -19,22 +19,22 @@ val fig6 : unit -> string
 (** IKMB execution trace on a small instance: the Steiner points accepted
     and the cost after each (paper's 7 → 6 → 5 walk-through). *)
 
-val fig10 : ?ks:int list -> unit -> string
+val fig10 : unit -> string
 (** PFA's linear worst case: PFA vs IDOM vs the reference optimum on the
-    weighted-graph gadget for growing k. *)
+    weighted-graph gadget for k = 4, 6, 8, 12 and 16 sinks. *)
 
-val fig11 : ?ns:int list -> unit -> string
-(** PFA on the staircase family: PFA vs interval-DP optimum (the [1,2]
-    window), and the congested-grid instance where PFA is strictly
-    suboptimal. *)
+val fig11 : unit -> string
+(** PFA on the staircase family for n = 4, 8, 12 and 16: PFA vs the
+    interval-DP optimum (the [1,2] window), and the congested-grid
+    instance where PFA is strictly suboptimal. *)
 
 val fig13 : unit -> string
 (** IDOM execution trace: Steiner nodes accepted and the distance-graph
     cost after each (paper's 8 → 6 → 5 walk-through). *)
 
-val fig14 : ?levels_list:int list -> unit -> string
-(** IDOM's logarithmic worst case on the set-cover gadget. *)
+val fig14 : unit -> string
+(** IDOM's logarithmic worst case on the set-cover gadget, 2 to 6 levels. *)
 
-val fig16 : ?circuit:string -> ?channel_width:int -> unit -> string
-(** ASCII rendering of a fully routed circuit (default: busc at the width
-    our router needs), the Fig 16 analogue. *)
+val fig16 : unit -> string
+(** ASCII rendering of busc fully routed at W=9, the width our router
+    needs for it (Table 2), the Fig 16 analogue. *)

@@ -15,12 +15,13 @@ let start_width spec =
   | Some w, _, _ | None, Some w, _ | None, None, Some w -> w
   | None, None, None -> 10
 
-let min_width ?(config = F.Router.default_config) spec =
+let min_width ~config spec =
   let circuit = F.Circuits.generate spec in
   let arch_of_width w = F.Circuits.arch_for spec ~channel_width:w in
   F.Router.min_channel_width ~config ~arch_of_width ~circuit ~start:(start_width spec) ()
 
-let width_rows config specs =
+let width_rows ~max_passes specs =
+  let config = F.Router.config_with ~alg:C.Routing_alg.ikmb ~max_passes () in
   List.map
     (fun spec ->
       match min_width ~config spec with
@@ -28,12 +29,6 @@ let width_rows config specs =
           { spec; measured = Some w; wirelength = stats.F.Router.total_wirelength }
       | None -> { spec; measured = None; wirelength = 0. })
     specs
-
-let table2 ?(config = F.Router.default_config) ?(specs = F.Circuits.specs_3000) () =
-  width_rows config specs
-
-let table3 ?(config = F.Router.default_config) ?(specs = F.Circuits.specs_4000) () =
-  width_rows config specs
 
 let opt_cell = function Some w -> string_of_int w | None -> "fail"
 
@@ -113,29 +108,20 @@ type table4_row = {
   w_idom : int option;
 }
 
-let table4 ?(specs = F.Circuits.specs_4000) ?(max_passes = 20) ?reuse_ikmb () =
+let table4 ~max_passes t3_rows =
   List.map
-    (fun spec ->
+    (fun r ->
       let width_for alg =
         let config = F.Router.config_with ~alg ~max_passes () in
-        Option.map fst (min_width ~config spec)
-      in
-      let ikmb =
-        (* Reuse a Table 3 measurement when the caller already has it. *)
-        match reuse_ikmb with
-        | Some rows -> (
-            match List.find_opt (fun r -> r.spec == spec) rows with
-            | Some r -> r.measured
-            | None -> width_for C.Routing_alg.ikmb)
-        | None -> width_for C.Routing_alg.ikmb
+        Option.map fst (min_width ~config r.spec)
       in
       {
-        spec4 = spec;
-        w_ikmb = ikmb;
+        spec4 = r.spec;
+        w_ikmb = r.measured;
         w_pfa = width_for C.Routing_alg.pfa;
         w_idom = width_for C.Routing_alg.idom;
       })
-    specs
+    t3_rows
 
 let table4_to_table rows =
   let t =
@@ -181,7 +167,7 @@ let route_at spec alg ~width ~max_passes =
   let rrg = F.Rrg.build arch in
   match F.Router.route ~config rrg circuit with Ok stats -> Some stats | Error _ -> None
 
-let table5 ?(max_passes = 20) t4_rows =
+let table5 ~max_passes t4_rows =
   List.filter_map
     (fun r ->
       match (r.w_ikmb, r.w_pfa, r.w_idom) with
@@ -254,16 +240,14 @@ type baseline_row = {
   w_twopin : int option;
 }
 
-let baseline ?(specs = F.Circuits.specs_4000) ?(max_passes = 20) () =
+let baseline ~max_passes t3_rows =
+  let config =
+    { (F.Router.config_with ~max_passes ()) with F.Router.strategy = F.Router.Two_pin_decomposition }
+  in
   List.map
-    (fun spec ->
-      let width_with config = Option.map fst (min_width ~config spec) in
-      let tree_cfg = F.Router.config_with ~alg:C.Routing_alg.ikmb ~max_passes () in
-      let twopin_cfg =
-        { tree_cfg with F.Router.strategy = F.Router.Two_pin_decomposition }
-      in
-      { spec_b = spec; w_tree = width_with tree_cfg; w_twopin = width_with twopin_cfg })
-    specs
+    (fun r ->
+      { spec_b = r.spec; w_tree = r.measured; w_twopin = Option.map fst (min_width ~config r.spec) })
+    t3_rows
 
 let baseline_to_table rows =
   let t =

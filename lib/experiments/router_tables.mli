@@ -1,9 +1,9 @@
 (** Regeneration of the paper's Tables 2–5 (and the live baseline
     comparison backing the CGE/SEGA/GBP juxtaposition).
 
-    Channel-width searches are expensive, so each function takes the
-    circuit list to run on (defaults to the full published set) and a
-    router configuration (defaults to the paper's: IKMB, 20 passes). *)
+    Every channel-width search and route runs the paper's router with the
+    given cap on rip-up passes; which circuits and which cap each table
+    runs is {!Repro}'s decision. *)
 
 type width_row = {
   spec : Fr_fpga.Circuits.spec;
@@ -11,12 +11,11 @@ type width_row = {
   wirelength : float;  (** at the minimal width *)
 }
 
-val table2 : ?config:Fr_fpga.Router.config -> ?specs:Fr_fpga.Circuits.spec list -> unit -> width_row list
-(** 3000-series circuits with the IKMB router (vs the published CGE
-    widths). *)
-
-val table3 : ?config:Fr_fpga.Router.config -> ?specs:Fr_fpga.Circuits.spec list -> unit -> width_row list
-(** 4000-series circuits with the IKMB router (vs published SEGA/GBP). *)
+val width_rows : max_passes:int -> Fr_fpga.Circuits.spec list -> width_row list
+(** Each circuit's minimum channel width with the IKMB router, searched
+    from its published width: Table 2's rows on 3000-series circuits (vs
+    the published CGE widths), Table 3's on 4000-series ones (vs SEGA and
+    GBP). *)
 
 val table2_to_table : width_row list -> Fr_util.Tab.t
 val table3_to_table : width_row list -> Fr_util.Tab.t
@@ -28,14 +27,9 @@ type table4_row = {
   w_idom : int option;
 }
 
-val table4 :
-  ?specs:Fr_fpga.Circuits.spec list ->
-  ?max_passes:int ->
-  ?reuse_ikmb:width_row list ->
-  unit ->
-  table4_row list
-(** [reuse_ikmb] lets the caller feed Table 3's IKMB measurements instead of
-    recomputing them (the searches are expensive). *)
+val table4 : max_passes:int -> width_row list -> table4_row list
+(** Table 4 on the circuits of Table 3's rows: the IKMB column is the rows'
+    measured widths, and PFA's and IDOM's minimum widths are searched. *)
 
 val table4_to_table : table4_row list -> Fr_util.Tab.t
 
@@ -48,7 +42,7 @@ type table5_row = {
   idom_path_pct : float;
 }
 
-val table5 : ?max_passes:int -> table4_row list -> table5_row list
+val table5 : max_passes:int -> table4_row list -> table5_row list
 (** Uses Table 4's per-circuit widths: each circuit of the rows is routed
     with IKMB, PFA and IDOM at the smallest width feasible for all three. *)
 
@@ -60,8 +54,10 @@ type baseline_row = {
   w_twopin : int option;  (** two-pin decomposition baseline *)
 }
 
-val baseline : ?specs:Fr_fpga.Circuits.spec list -> ?max_passes:int -> unit -> baseline_row list
-(** Live stand-in for the CGE/SEGA/GBP comparison: the same router with
-    nets broken into two-pin connections. *)
+val baseline : max_passes:int -> width_row list -> baseline_row list
+(** Live stand-in for the CGE/SEGA/GBP comparison on the circuits of
+    Table 3's rows: the IKMB column is the rows' measured widths, and the
+    two-pin column is searched with the same router, its nets broken into
+    two-pin connections. *)
 
 val baseline_to_table : baseline_row list -> Fr_util.Tab.t

@@ -123,8 +123,7 @@ let test_paper_data_complete () =
 
 let test_min_width_term1 () =
   let spec = Option.get (Fr_fpga.Circuits.find_spec "term1") in
-  let config = Fr_fpga.Router.config_with ~max_passes:6 () in
-  match E.Router_tables.table3 ~config ~specs:[ spec ] () with
+  match E.Router_tables.width_rows ~max_passes:6 [ spec ] with
   | [ { E.Router_tables.measured = Some w; wirelength; _ } ] ->
       Alcotest.(check int) "minimum width" 8 w;
       Alcotest.(check (float 0.)) "wirelength of the answer's route" 847. wirelength
@@ -144,7 +143,7 @@ let test_table_renderers () =
 let test_table4_reuse () =
   let spec = Option.get (Fr_fpga.Circuits.find_spec "9symml") in
   let reuse = [ { E.Router_tables.spec; measured = Some 7; wirelength = 0. } ] in
-  let rows = E.Router_tables.table4 ~specs:[ spec ] ~max_passes:4 ~reuse_ikmb:reuse () in
+  let rows = E.Router_tables.table4 ~max_passes:4 reuse in
   match rows with
   | [ r ] ->
       Alcotest.(check bool) "ikmb reused" true (r.E.Router_tables.w_ikmb = Some 7);
@@ -178,17 +177,15 @@ let test_fig13_trace () =
   Alcotest.(check bool) "both hubs" true (contains text "M1, M2")
 
 let test_fig10_11_14 () =
-  Alcotest.(check bool) "fig10" true (contains (E.Figures.fig10 ~ks:[ 4; 6 ] ()) "PFA/OPT");
-  Alcotest.(check bool) "fig11" true (contains (E.Figures.fig11 ~ns:[ 4 ] ()) "OPT");
-  Alcotest.(check bool) "fig14" true
-    (contains (E.Figures.fig14 ~levels_list:[ 2; 3 ] ()) "IDOM/OPT")
+  Alcotest.(check bool) "fig10" true (contains (E.Figures.fig10 ()) "PFA/OPT");
+  Alcotest.(check bool) "fig11" true (contains (E.Figures.fig11 ()) "OPT");
+  Alcotest.(check bool) "fig14" true (contains (E.Figures.fig14 ()) "IDOM/OPT")
 
-let test_fig16_small () =
-  (* Render a small circuit rather than busc to keep the test fast. *)
-  let text = E.Figures.fig16 ~circuit:"term1" ~channel_width:10 () in
-  Alcotest.(check bool) "routed map rendered" true (contains text "routed term1");
-  Alcotest.(check bool) "unknown circuit" true
-    (contains (E.Figures.fig16 ~circuit:"zzz" ()) "unknown circuit")
+let test_fig16 () =
+  (* The registry's entry, as `fpga_route figure 16` and bench/main.exe print it. *)
+  let text = (List.assoc "16" E.Repro.figures) () in
+  Alcotest.(check bool) "busc routed" true (contains text "routed busc at W=9");
+  Alcotest.(check bool) "occupancy map rendered" true (contains text "[]")
 
 let () =
   Alcotest.run "fr_exp"
@@ -225,6 +222,6 @@ let () =
           Alcotest.test_case "fig6 trace" `Quick test_fig6_trace;
           Alcotest.test_case "fig13 trace" `Quick test_fig13_trace;
           Alcotest.test_case "worst-case figures" `Quick test_fig10_11_14;
-          Alcotest.test_case "fig16" `Slow test_fig16_small;
+          Alcotest.test_case "fig16" `Slow test_fig16;
         ] );
     ]
