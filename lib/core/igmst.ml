@@ -36,8 +36,8 @@ let try_cost h cache ~terminals =
    order, so the cost is bit-identical to it.  The cost goes to [out.(0)]
    and the largest picked edge ([neg_infinity] if none) to [out.(1)]:
    through a float array, so nothing is boxed and scoring a candidate
-   allocates nothing. *)
-let prim_into w ~n ~best ~in_tree out =
+   allocates nothing.  The picks, in pick order, go to [picks]. *)
+let prim_into w ~n ~best ~in_tree ~picks out =
   if n <= 1 then begin
     out.(0) <- 0.;
     out.(1) <- neg_infinity
@@ -50,7 +50,7 @@ let prim_into w ~n ~best ~in_tree out =
       best.(j) <- w0.(j)
     done;
     let cost = ref 0. and longest = ref neg_infinity in
-    for _ = 1 to n - 1 do
+    for step = 0 to n - 2 do
       let pick = ref (-1) and pick_w = ref infinity in
       for j = 0 to n - 1 do
         if (not in_tree.(j)) && (!pick < 0 || best.(j) < !pick_w) then begin
@@ -61,6 +61,7 @@ let prim_into w ~n ~best ~in_tree out =
       let j = !pick in
       in_tree.(j) <- true;
       cost := !cost +. !pick_w;
+      picks.(step) <- !pick_w;
       if !pick_w > !longest then longest := !pick_w;
       let wj = w.(j) in
       for k = 0 to n - 1 do
@@ -76,8 +77,9 @@ let prim_into w ~n ~best ~in_tree out =
 
 (* The members' distance graph, in the first [k] rows and columns of a
    [k+1]-square matrix whose last row and column the scan fills with each
-   candidate, and the cost and longest edge of the members' MST.  The
-   weight between members [i < j] is [rows.(i).(members.(j))]. *)
+   candidate, and the cost, longest edge and edges, longest first, of the
+   members' MST.  The weight between members [i < j] is
+   [rows.(i).(members.(j))]. *)
 let member_mst ~members ~rows =
   let k = Array.length members in
   let size = k + 1 in
@@ -90,66 +92,114 @@ let member_mst ~members ~rows =
     done
   done;
   let best = Array.make size infinity and in_tree = Array.make size false in
+  let picks = Array.make size 0. in
   let out = Array.make 2 0. in
-  prim_into w ~n:k ~best ~in_tree out;
-  (w, best, in_tree, out)
+  prim_into w ~n:k ~best ~in_tree ~picks out;
+  let edges = Array.sub picks 0 (Int.max 0 (k - 1)) in
+  Array.sort (fun a b -> Float.compare b a) edges;
+  (w, best, in_tree, picks, out, edges)
 
 (* The Δ proxy of every candidate: the MST cost of the distance graph over
    the members plus that candidate, kept when it beats the members alone
    by more than [improvement_eps], ranked by cost (stable, so equal costs
    keep candidate order).
 
-   A candidate whose second-smallest member distance exceeds the largest
-   edge L of the members' own MST is skipped without running Prim, because
-   its cost provably fails the filter.  Every link from it but the nearest
-   costs more than L, hence more than every pick of the members-only run:
-   it lowers no member's value at that member's pick and cannot win a tie
-   (it has the highest index and the pick is a strict [<]), and it can
-   join the tree only through its nearest member once that member is in —
-   any other way in costs more than L.  So its run is the members' run
-   with one non-negative term inserted, and rounded addition is monotone,
-   so its cost is at least the members' cost.  Infinite distances fall out
-   of the same argument.
+   A candidate is skipped without running Prim when a sum bound shows its
+   cost fails the filter.  Let [T] be the members' MST (cost [base],
+   longest edge L, edges e1 >= e2 >= ...) and [t] a candidate of degree j
+   in the MST over the members plus [t].  Removing [t] leaves j
+   components, which j-1 edges of [T] reconnect, so
+   cost(t) >= base + (t's j links) - (those j-1 edges)
+         >= base + (t's j smallest member distances d1 <= ... <= dj)
+                 - (e1 + ... + e(j-1)).
+   For j = 1 the bound says nothing is gained, so [t] can pass only if
+   f(j) = (d1 + ... + dj) - (e1 + ... + e(j-1)) is negative for some
+   j >= 2.  Its steps d(j+1) - e(j) never decrease, so the least f(j) is
+   where the descent from j = 2 stops: at the first d(j+1) >= e(j), or at
+   the members within L running out (every other distance is at least
+   L >= e(j)).  The scan tests that one j.
 
-   The same argument bounds what the rows must hold.  Every edge of the
-   members' MST is at most L, and a candidate that passes the skip has
-   two links of at most L, so the edges of at most L connect the members
-   plus the candidate: every Prim pick is at most L, and an entry above L
-   decides no pick, tie or sum.  An entry is only compared with L or fed
-   to Prim, so a row may hold any value above L in place of a distance
-   above L — what a search settled below L leaves ({!quick_scan}). *)
+   The test must hold for the rounded sums: a kept candidate's Prim sum
+   undercuts [base]'s, two sums of at most k+1 terms each, so its real
+   f(j) is below about 2ku*base (u the unit roundoff), and the sums of the
+   test round by about ju*(S + B).  Late negotiated prices reach millions
+   per edge, where that exceeds [improvement_eps], so the test keeps [t]
+   while S < B + 8(k+2)u*(base + S + B), with room to spare.  When the
+   second-smallest distance d2 exceeds L the skip needs no margin: every
+   link from [t] but the nearest costs more than every base pick, so the
+   run over the members plus [t] is the base run with one non-negative
+   term inserted, and rounded addition is monotone.
+
+   The same argument bounds what the rows must hold.  A candidate that
+   passes has d1 <= L, and every edge of [T] is at most L, so the edges of
+   at most L connect the members plus that candidate: every Prim pick is
+   at most L, and an entry above L decides no Prim pick, tie or sum.  The
+   test reads only entries below L, and d1 + d2 when fewer than two are,
+   where an entry above L means d2 > L.  So a row may hold any value above
+   L in place of a distance above L — what a search settled below L
+   leaves ({!quick_scan}). *)
 let rank_candidates ~members ~rows ~candidates =
   let k = Array.length members in
   if not (Int.equal (Array.length rows) k) then
     invalid_arg "Igmst.rank_candidates: one row per member";
-  let w, best, in_tree, out = member_mst ~members ~rows in
+  let w, best, in_tree, picks, out, edges = member_mst ~members ~rows in
   let size = k + 1 in
   let base = out.(0) and longest = out.(1) in
+  (* [bsum.(m)]: the m longest member-MST edges, summed longest first. *)
+  let bsum = Array.make k 0. in
+  for m = 1 to k - 1 do
+    bsum.(m) <- bsum.(m - 1) +. edges.(m - 1)
+  done;
+  let margin = 4. *. float_of_int (k + 2) *. epsilon_float in
+  (* [near]: the candidate's member distances below L, ascending. *)
+  let near = Array.make (Int.max k 1) 0. in
+  let passes t =
+    let count = ref 0 and d1 = ref infinity and d2 = ref infinity in
+    for i = 0 to k - 1 do
+      let d = rows.(i).(t) in
+      if d < !d1 then begin
+        d2 := !d1;
+        d1 := d
+      end
+      else if d < !d2 then d2 := d;
+      if d < longest then begin
+        let p = ref !count in
+        while !p > 0 && near.(!p - 1) > d do
+          near.(!p) <- near.(!p - 1);
+          decr p
+        done;
+        near.(!p) <- d;
+        incr count
+      end
+    done;
+    let j = ref 2 and s = ref (!d1 +. !d2) in
+    if !count >= 2 then begin
+      s := near.(0) +. near.(1);
+      while !j < !count && near.(!j) < edges.(!j - 1) do
+        s := !s +. near.(!j);
+        incr j
+      done
+    end;
+    let b = bsum.(!j - 1) in
+    !s < b +. (margin *. (base +. !s +. b))
+  in
   let rec scan acc = function
     | [] -> List.rev acc
     | t :: rest ->
-        let d1 = ref infinity and d2 = ref infinity in
-        for i = 0 to k - 1 do
-          let d = rows.(i).(t) in
-          if d < !d1 then begin
-            d2 := !d1;
-            d1 := d
-          end
-          else if d < !d2 then d2 := d
-        done;
-        if !d2 > longest then scan acc rest
+        if not (passes t) then scan acc rest
         else begin
           for i = 0 to k - 1 do
             let d = rows.(i).(t) in
             w.(i).(k) <- d;
             w.(k).(i) <- d
           done;
-          prim_into w ~n:size ~best ~in_tree out;
+          prim_into w ~n:size ~best ~in_tree ~picks out;
           let c = out.(0) in
           if c < base -. improvement_eps then scan ((t, c) :: acc) rest else scan acc rest
         end
   in
-  List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) (scan [] candidates)
+  if k < 2 then []
+  else List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) (scan [] candidates)
 
 (* Quick Δ proxy: {!rank_candidates} over the members' cached Dijkstra
    arrays, so each candidate costs at most O(k²) float work and no graph
@@ -158,22 +208,22 @@ let rank_candidates ~members ~rows ~candidates =
    true cost(H) improvement (keeping IGMST's performance guarantee).
 
    The rows need only be exact up to the members' longest MST edge L
-   (see {!rank_candidates}), so each member search targets the members
-   alone and is then settled below L.  The cache's searches are plain: a
-   plain frontier settles in distance order, so "settled below L" means
-   every entry up to L is exact and every other is above it.  Targeting
-   the members does not reach L by itself: member i's row gives the
-   weight to member j > i, and j's own search, summed the other way, can
-   round to a slightly shorter distance and stop short. *)
+   (see {!rank_candidates}).  The members' MST reads the weight between
+   members [i < j] from [i]'s row, as the scan does, through a Prim over
+   the member searches that settles each only as far as the MST needs
+   ({!Fr_graph.Mst.prim_searches}); every row is then settled below L.
+   The cache's searches are plain: a plain frontier settles in distance
+   order, so "settled below L" means every entry up to L is exact and
+   every other is above it (the router's weights are positive; an entry
+   at L reached only over a zero-weight edge could stay above it). *)
 let quick_scan cache ~members ~candidates =
   let members = Array.of_list members in
-  let targets = Array.to_list members in
-  let rows =
-    Array.map (fun m -> (G.Dist_cache.result_for cache ~src:m ~targets).G.Dijkstra.dist) members
+  let searches = Array.map (fun m -> G.Dist_cache.result_for cache ~src:m ~targets:[]) members in
+  let _, _, longest =
+    G.Mst.prim_searches ~nodes:members ~search:(fun i j -> searches.(Int.min i j))
   in
-  let _, _, _, out = member_mst ~members ~rows in
-  Array.iter (fun m -> G.Dist_cache.settle_below cache ~src:m out.(1)) members;
-  rank_candidates ~members ~rows ~candidates
+  Array.iter (fun m -> G.Dist_cache.settle_below cache ~src:m longest) members;
+  rank_candidates ~members ~rows:(Array.map (fun r -> r.G.Dijkstra.dist) searches) ~candidates
 
 (* The Fig 5 loop, returning the accepted Steiner set S.
 

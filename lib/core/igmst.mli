@@ -55,16 +55,21 @@ val rank_candidates :
     members [i < j] is [rows.(i).(members.(j))]).  Returns the candidates
     whose score is below the members-only MST cost minus a 1e-7 margin,
     with their scores, stably sorted by score.  Candidates that provably
-    cannot pass (second-smallest member distance above the members' longest
-    MST edge L) are dropped without running Prim.
+    cannot pass are dropped without running Prim: with L the longest edge
+    of the members' MST and [t] joining it with degree j, its cost is at
+    least the members' cost plus the sum of [t]'s j smallest member
+    distances minus the sum of the MST's j-1 longest edges, so [t] is
+    scored only if that difference is negative for some j >= 2, up to a
+    margin that covers the rounding of both Prim sums.
 
     {b Row contract.}  A row need only be exact up to L: wherever the true
     distance exceeds L, any value above L ranks the same, bit for bit,
-    since such an entry decides no skip, Prim pick, tie or sum.  The
-    weights between members must be exact.  {!solve} builds its rows that
-    way: each member's search, a cache lookup targeted at the members
-    alone ({!Fr_graph.Dist_cache.result_for}; the cache's searches are
-    plain), is then settled below L
+    since such an entry decides no skip, Prim pick, tie or sum.  That
+    holds for the weights between members too.  {!solve} builds its rows
+    that way: each member's search ({!Fr_graph.Dist_cache.result_for},
+    plain) is settled only as far as a Prim over the members needs
+    ({!Fr_graph.Mst.prim_searches}, reading the weight between [i < j]
+    from [i]'s search), then below L
     ({!Fr_graph.Dist_cache.settle_below}); no search is extended toward
     the candidates.
     @raise Invalid_argument unless there is one row per member. *)

@@ -6,9 +6,11 @@ let solve cache ~terminals =
   let k = Array.length ts in
   if k <= 1 then G.Tree.empty
   else begin
-    (* 1-2. MST of the distance graph over terminals. *)
-    let dist i j = G.Dist_cache.dist_sym cache ts.(i) ts.(j) in
-    let mst_edges, mst_cost = G.Mst.prim_dense ~n:k ~weight:dist in
+    (* 1-2. MST of the distance graph over terminals, each pair read
+       from the search [dist_sym] would use, settled only as far as the
+       MST needs. *)
+    let search i j = G.Dist_cache.search_sym cache ts.(i) ts.(j) in
+    let mst_edges, mst_cost, _ = G.Mst.prim_searches ~nodes:ts ~search in
     if mst_cost = infinity then Routing_err.fail "KMB";
     (* 3. Expand each distance-graph edge into a shortest path of G. *)
     let expanded =

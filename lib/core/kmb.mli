@@ -5,7 +5,15 @@
     Steps: (1) build the complete "distance graph" over the terminals with
     shortest-path weights, (2) take its MST, (3) expand each MST edge into
     the corresponding shortest path of G, (4) take an MST of that subgraph,
-    (5) prune pendant non-terminal leaves. *)
+    (5) prune pendant non-terminal leaves.
+
+    Steps 1–2 are one Prim over the terminals' searches
+    ({!Fr_graph.Mst.prim_searches}): each pair is read from the search
+    {!Fr_graph.Dist_cache.dist_sym} would read it from, opened by the same
+    call, and settled only as far as the MST's picks need.  The tree and
+    the cache's searches are those of {!Fr_graph.Mst.prim_dense} over
+    [dist_sym]; only fewer nodes are settled, since a search stops near
+    the MST's longest edge instead of at its farthest fellow terminal. *)
 
 val solve : Fr_graph.Dist_cache.t -> terminals:int list -> Fr_graph.Tree.t
 (** @raise Routing_err.Unroutable when the terminals are not all in one

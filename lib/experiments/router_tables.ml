@@ -167,32 +167,63 @@ let route_at spec alg ~width ~max_passes =
   let rrg = F.Rrg.build arch in
   match F.Router.route ~config rrg circuit with Ok stats -> Some stats | Error _ -> None
 
-let table5 ~max_passes t4_rows =
-  List.filter_map
-    (fun r ->
-      match (r.w_ikmb, r.w_pfa, r.w_idom) with
-      | Some a, Some b, Some c ->
-          let width = max a (max b c) in
-          let run alg = route_at r.spec4 alg ~width ~max_passes in
-          (match (run C.Routing_alg.ikmb, run C.Routing_alg.pfa, run C.Routing_alg.idom) with
-          | Some ik, Some pf, Some id ->
-              let pct f g = Fr_util.Stats.percent_vs f g in
-              Some
-                {
-                  spec5 = r.spec4;
-                  width;
-                  pfa_wire_pct =
-                    pct pf.F.Router.total_wirelength ik.F.Router.total_wirelength;
-                  idom_wire_pct =
-                    pct id.F.Router.total_wirelength ik.F.Router.total_wirelength;
-                  pfa_path_pct = pct pf.F.Router.total_max_path ik.F.Router.total_max_path;
-                  idom_path_pct = pct id.F.Router.total_max_path ik.F.Router.total_max_path;
-                }
-          | _ -> None)
-      | _ -> None)
-    t4_rows
+type table5 = {
+  rows5 : table5_row list;
+  left_out : string list;
+}
 
-let table5_to_table rows =
+let table5 ~max_passes t4_rows =
+  let name alg = alg.C.Routing_alg.name in
+  let algs = [ C.Routing_alg.ikmb; C.Routing_alg.pfa; C.Routing_alg.idom ] in
+  let outcomes =
+    List.map
+      (fun r ->
+        let circuit = r.spec4.F.Circuits.circuit in
+        let widths = [ r.w_ikmb; r.w_pfa; r.w_idom ] in
+        match List.filter_map Fun.id widths with
+        | [ a; b; c ] -> (
+            let width = max a (max b c) in
+            let runs = List.map (fun alg -> (alg, route_at r.spec4 alg ~width ~max_passes)) algs in
+            match List.map snd runs with
+            | [ Some ik; Some pf; Some id ] ->
+                let pct f g = Fr_util.Stats.percent_vs f g in
+                Ok
+                  {
+                    spec5 = r.spec4;
+                    width;
+                    pfa_wire_pct =
+                      pct pf.F.Router.total_wirelength ik.F.Router.total_wirelength;
+                    idom_wire_pct =
+                      pct id.F.Router.total_wirelength ik.F.Router.total_wirelength;
+                    pfa_path_pct = pct pf.F.Router.total_max_path ik.F.Router.total_max_path;
+                    idom_path_pct = pct id.F.Router.total_max_path ik.F.Router.total_max_path;
+                  }
+            | _ ->
+                let failing =
+                  List.filter_map
+                    (fun (alg, run) -> if Option.is_none run then Some (name alg) else None)
+                    runs
+                in
+                Error
+                  (Printf.sprintf "%s left out: %s unroutable at W=%d, the widest of its Table 4 widths"
+                     circuit (String.concat " and " failing) width))
+        | _ ->
+            let missing =
+              List.filter_map
+                (fun (alg, w) -> if Option.is_none w then Some (name alg) else None)
+                (List.combine algs widths)
+            in
+            Error
+              (Printf.sprintf "%s left out: Table 4 has no width for %s" circuit
+                 (String.concat " and " missing)))
+      t4_rows
+  in
+  {
+    rows5 = List.filter_map Result.to_option outcomes;
+    left_out = List.filter_map (function Error note -> Some note | Ok _ -> None) outcomes;
+  }
+
+let table5_to_table { rows5 = rows; left_out } =
   let t =
     Tab.create
       ~title:
@@ -232,6 +263,7 @@ let table5_to_table rows =
           (mean (fun r -> r.idom_path_pct))
           Paper_data.table5_avg_pfa_wire Paper_data.table5_avg_idom_wire
           Paper_data.table5_avg_pfa_path Paper_data.table5_avg_idom_path));
+  List.iter (Tab.add_note t) left_out;
   t
 
 type baseline_row = {

@@ -42,11 +42,23 @@ type table5_row = {
   idom_path_pct : float;
 }
 
-val table5 : max_passes:int -> table4_row list -> table5_row list
-(** Uses Table 4's per-circuit widths: each circuit of the rows is routed
-    with IKMB, PFA and IDOM at the smallest width feasible for all three. *)
+type table5 = {
+  rows5 : table5_row list;  (** the circuits all three algorithms route *)
+  left_out : string list;
+      (** one note per circuit left out: the algorithms unroutable at its
+          width, or the ones Table 4 found no width for *)
+}
 
-val table5_to_table : table5_row list -> Fr_util.Tab.t
+val table5 : max_passes:int -> table4_row list -> table5
+(** Uses Table 4's per-circuit widths: each circuit of the rows is routed
+    with IKMB, PFA and IDOM at the widest of its three widths, the
+    smallest at which each of them routed in its own sweep.  Routability
+    need not be monotone in the width, so one of them can still fail
+    there (PFA on alu2 at W=11 in full mode); such a circuit is left out
+    of the rows and named in [left_out]. *)
+
+val table5_to_table : table5 -> Fr_util.Tab.t
+(** The rows, their averages, and a note per circuit left out. *)
 
 type baseline_row = {
   spec_b : Fr_fpga.Circuits.spec;

@@ -204,7 +204,10 @@ let pop st =
   top
 
 (* Settle nodes in frontier order until the current lookup has no
-   pending target left (see [state]), or the frontier runs dry.  The inner
+   pending target left (see [state]), the head's key reaches [below], or
+   the frontier runs dry.  [below] bounds plain searches only; every
+   other caller passes [infinity], which never stops a drain (a
+   heuristic may key a node at [infinity]).  The inner
    loop walks the CSR arrays of the frozen topology directly — no closure
    per edge, no bounds checks — which is the point of the Topology/Gstate
    split; the node enable bits and the restriction are tested on their
@@ -238,8 +241,9 @@ let pop st =
    a pure graph property, independent of whether a heuristic was
    supplied.  That is what keeps routed trees bit-identical across A*
    on/off. *)
-let drain r =
+let drain r ~below =
   let st = r.state in
+  let capped = below < infinity in
   let topo = Gstate.topology st.g in
   let off = topo.Topology.off and pack = topo.Topology.pack in
   let wts = Gstate.unsafe_weights st.g in
@@ -253,6 +257,7 @@ let drain r =
       st.exhausted <- true;
       running := false
     end
+    else if capped && Array.unsafe_get st.qf 0 >= below then running := false
     else begin
       (* One entry per node: the popped node is unsettled, and
          dist.(u) = g(u) is final. *)
@@ -327,7 +332,7 @@ let extend_all r =
   if not st.exhausted then begin
     check_resumable st "extend_all";
     begin_lookup st;
-    drain r
+    drain r ~below:infinity
   end
 
 (* A named recursion rather than [List.iter] with a closure, so a lookup
@@ -346,25 +351,44 @@ let extend_from r ~what ~targets =
     add_targets st ~what ~n:(Array.length r.dist) targets;
     if st.pending > 0 then begin
       check_resumable st what;
-      drain r
+      drain r ~below:infinity
     end
   end
 
 let extend r ~targets = extend_from r ~what:"extend" ~targets
 
 (* A plain frontier's key is the true distance, so settling "below
-   [bound]" means popping while the head's key is under it.  Each step is
-   a one-target lookup of the head, so the drain, its order and its
-   counters are exactly those of the other resumptions. *)
-let extend_below r bound =
+   [bound]" is one drain that stops when the head's key reaches it; a
+   [target] (none when negative) stops it sooner, as any lookup's target
+   does. *)
+let drain_below r ~what ~target bound =
   let st = r.state in
-  if Option.is_some st.future then invalid_arg "Dijkstra.extend_below: goal-directed search";
-  while st.qlen > 0 && Array.unsafe_get st.qf 0 < bound do
-    check_resumable st "extend_below";
+  if Option.is_some st.future then invalid_arg ("Dijkstra." ^ what ^ ": goal-directed search");
+  if st.qlen > 0 && Array.unsafe_get st.qf 0 < bound then begin
     begin_lookup st;
-    add_target st (Array.unsafe_get st.qnode 0);
-    drain r
-  done
+    if target >= 0 then add_target st target;
+    if target < 0 || st.pending > 0 then begin
+      check_resumable st what;
+      drain r ~below:bound
+    end
+  end
+
+let extend_below r bound = drain_below r ~what:"extend_below" ~target:(-1) bound
+
+let extend_toward r ~target ~below =
+  check_node r ~what:"extend_toward" target;
+  drain_below r ~what:"extend_toward" ~target below
+
+(* Every queued key of a plain search is at most the final distance of
+   every node not yet settled, so an entry no larger than the head's key
+   is already the full run's value; with the frontier empty, every entry
+   is. *)
+let is_final r v =
+  check_node r ~what:"is_final" v;
+  let st = r.state in
+  Array.unsafe_get st.tag v = settled_tag
+  || st.qlen = 0
+  || (Option.is_none st.future && Array.unsafe_get r.dist v <= Array.unsafe_get st.qf 0)
 
 let initial_capacity = 64
 
@@ -423,7 +447,7 @@ let ensure r ~what v =
     check_resumable st what;
     begin_lookup st;
     add_target st v;
-    drain r
+    drain r ~below:infinity
   end
 
 let dist r v =

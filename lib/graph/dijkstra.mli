@@ -31,8 +31,11 @@
     with, since only its own [h] keeps the settled prefix an f-order
     prefix.  Only a plain search's settled prefix is a distance prefix,
     so only a plain search can be settled to a distance
-    ({!extend_below}); the router goal-directs nothing but its two-pin
-    connections, where a point-to-point search is what [h] prunes.
+    ({!extend_below}), or have an entry read as final before it settles
+    ({!is_final}): {!Mst.prim_searches} settles KMB's and IGMST's searches
+    only as far as their MSTs' picks need that way.  The router
+    goal-directs nothing but its two-pin connections, where a
+    point-to-point search is what [h] prunes.
 
     {b Cost.}  The frontier is the search's own binary heap: parallel slot
     arrays for [(f, g, seq)] and the node, plus a per-node slot index, with
@@ -105,13 +108,34 @@ val extend_all : result -> unit
 
 val extend_below : result -> float -> unit
 (** [extend_below r bound] resumes a plain search until every node closer
-    than [bound] is settled.  Afterwards [r.dist] is final at every node
-    at most [bound] away, and above [bound] at every other node: a plain
+    than [bound] is settled, in one drain that stops when the frontier's
+    least key reaches [bound].  Afterwards [r.dist] is final at every node
+    closer than [bound] and at least [bound] at every other node: a plain
     search settles in nondecreasing distance, so the settled set is the
     full run's settle order cut where the distance reaches [bound], plus
-    whatever an earlier lookup had settled beyond it.
+    whatever an earlier lookup had settled beyond it.  A node exactly
+    [bound] away is final too, unless its shortest paths all end with an
+    edge from another node at [bound] (a zero-weight edge, or one too
+    light to change the rounded sum): then its entry may still be larger
+    ({!is_final} tells).
     @raise Invalid_argument under a [future_cost] (an f-ordered frontier
     has no such cut), or if the graph was mutated since [run]. *)
+
+val extend_toward : result -> target:int -> below:float -> unit
+(** [extend_toward r ~target ~below] is {!extend_below}[ r below] with a
+    drain that also stops once [target] is settled: it settles the
+    shorter of two prefixes of the settle order, what a lookup of
+    [target] settles and what {!extend_below} does.
+    @raise Invalid_argument as {!extend_below} does, or for a [target]
+    out of range. *)
+
+val is_final : result -> int -> bool
+(** Whether [r.dist] already holds the full run's value at this node,
+    without settling anything: the node is settled, the frontier is
+    empty, or (plain search) its entry is at most the frontier's least
+    key, which bounds the final distance of every node not yet settled
+    from below.  A node can be final before it settles; its [parent_edge]
+    entry is final only once it is settled. *)
 
 val settled_count : result -> int
 (** Number of nodes settled so far — the unit of Dijkstra work that

@@ -62,6 +62,11 @@ let cached t src =
    The callers have checked the version, so [cached] never raises here. *)
 let pick_cached_side t a b = if cached t a then (a, b) else if cached t b then (b, a) else (a, b)
 
+let search_sym t a b =
+  check t "search_sym";
+  let src, _ = pick_cached_side t a b in
+  lookup t ~src ~targets:(Some [])
+
 let dist_sym t a b =
   check t "dist_sym";
   let src, dst = pick_cached_side t a b in

@@ -30,11 +30,13 @@
     {b One plain table.}  Every search a cache runs is plain Dijkstra, one
     entry per source: a targeted and a complete lookup of the same source
     resume the same search.  Full-array consumers read exact distances at
-    every index, and IGMST's candidate scan settles its member rows to a
-    distance ({!settle_below}), which only a distance-ordered frontier
-    has.  Goal-direction lives outside the cache, at the one call that
-    pays for it: the router's two-pin connections run
-    {!Dijkstra.run} under a future-cost bound directly.
+    every index.  KMB's distance-graph MST and the members' MST of IGMST's
+    candidate scan settle their searches only as far as their picks need
+    ({!Mst.prim_searches}, over {!search_sym} for KMB), and the scan then
+    settles its member rows to a distance ({!settle_below}): both need a
+    distance-ordered frontier.  Goal-direction lives outside the cache,
+    at the one call that pays for it: the router's two-pin connections
+    run {!Dijkstra.run} under a future-cost bound directly.
 
     Run and settled-node counters expose the layer's work to the router's
     stats and to tests.
@@ -76,8 +78,9 @@ val result_for : t -> src:int -> targets:int list -> Dijkstra.result
 val settle_below : t -> src:int -> float -> unit
 (** [settle_below t ~src bound] settles the entry of [src] (opening it if
     there is none) below [bound] ({!Dijkstra.extend_below}): after it, the
-    entry's [dist] array is exact at every node at most [bound] away, and
-    above [bound] everywhere else. *)
+    entry's [dist] array is exact at every node at most [bound] away (at
+    [bound] itself, unless a zero-weight edge leads there from another
+    node at [bound]), and at least [bound] everywhere else. *)
 
 val dist : t -> src:int -> dst:int -> float
 (** One-way targeted lookup: the search runs (or resumes) from [src]. *)
@@ -90,6 +93,12 @@ val dist_sym : t -> int -> int -> float
     the two endpoints is already cached (the graph is undirected).  This is
     what makes the Δ-scans of IGMST/IDOM run without any per-candidate
     Dijkstra. *)
+
+val search_sym : t -> int -> int -> Dijkstra.result
+(** [search_sym t a b] is the search {!dist_sym}[ t a b] would read,
+    opened for [a] when neither endpoint has an entry, with nothing more
+    settled: {!Mst.prim_searches} settles it only as far as its MST
+    needs. *)
 
 val path_edges_sym : t -> int -> int -> Gstate.edge list
 (** Shortest-path edge set between two nodes, served like {!dist_sym}

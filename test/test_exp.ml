@@ -152,6 +152,24 @@ let test_table4_reuse () =
       Alcotest.(check bool) "table4 renders" true (contains text "9symml")
   | _ -> Alcotest.fail "one row expected"
 
+(* Table 5 routes each circuit at the widest of its Table 4 widths, where
+   one algorithm can still fail: term1 at W=9 within 2 passes routes with
+   IKMB and PFA but not with IDOM.  The circuit is left out of the rows and
+   named, with the width and the failing algorithm, in a note. *)
+let test_table5_names_left_out () =
+  let spec = Option.get (Fr_fpga.Circuits.find_spec "term1") in
+  let row =
+    { E.Router_tables.spec4 = spec; w_ikmb = Some 9; w_pfa = Some 9; w_idom = Some 9 }
+  in
+  let t5 = E.Router_tables.table5 ~max_passes:2 [ row ] in
+  Alcotest.(check int) "no row" 0 (List.length t5.E.Router_tables.rows5);
+  Alcotest.(check (list string))
+    "the note"
+    [ "term1 left out: IDOM unroutable at W=9, the widest of its Table 4 widths" ]
+    t5.E.Router_tables.left_out;
+  let text = Fr_util.Tab.to_string (E.Router_tables.table5_to_table t5) in
+  Alcotest.(check bool) "the table prints it" true (contains text "term1 left out: IDOM")
+
 (* ------------------------------------------------------------------ *)
 (* Figures                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -214,6 +232,8 @@ let () =
           Alcotest.test_case "term1 min width" `Slow test_min_width_term1;
           Alcotest.test_case "renderers" `Quick test_table_renderers;
           Alcotest.test_case "table4 reuse" `Slow test_table4_reuse;
+          Alcotest.test_case "table5 names a circuit it leaves out" `Slow
+            test_table5_names_left_out;
         ] );
       ( "figures",
         [

@@ -384,6 +384,107 @@ let prop_prim_matches_kruskal =
       let _, kc = G.Mst.kruskal ~nodes:(List.init n (fun i -> i)) ~edges:!edges in
       Float.abs (pc -. kc) < 1e-6)
 
+(* [Mst.prim_searches] over a cache's [search_sym] must be [prim_dense]
+   over [dist_sym] bit for bit: the same edges in the same order, cost,
+   longest pick and searches (the same sources, opened by the same calls),
+   settling no node the dense run does not.  Weights from {0.1, 0.2, 0.3,
+   0.7} make a distance summed from either end round differently, so the
+   side each pair is read from matters; unit grids force ties in the pick
+   and in [best_from]; weights from {0, 1, 2} put nodes at the distance
+   of their zero-weight neighbours, so a pair can tie the pick while its
+   target's entry is still above it; an isolated terminal makes picks
+   infinite; and caches pre-warmed from some terminals, partially
+   settled, send [dist_sym]'s side rule down both branches: reuse an
+   entry, or open one. *)
+let prop_prim_searches_matches_dense =
+  QCheck.Test.make ~name:"prim_searches = prim_dense over dist_sym" ~count:400
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.make seed in
+      let isolated = seed mod 5 = 0 in
+      let graph_kind = seed mod 3 in
+      let g =
+        if graph_kind < 2 then begin
+          let n = 8 + Rng.int rng 30 in
+          let b = G.Wgraph.create (if isolated then n + 1 else n) in
+          let weights = if graph_kind = 0 then [| 0.1; 0.2; 0.3; 0.7 |] else [| 0.; 1.; 2. |] in
+          let weight () = weights.(Rng.int rng (Array.length weights)) in
+          for v = 1 to n - 1 do
+            ignore (G.Wgraph.add_edge b (Rng.int rng v) v (weight ()))
+          done;
+          for _ = 1 to n do
+            let u = Rng.int rng n and v = Rng.int rng n in
+            if u <> v then ignore (G.Wgraph.add_edge b u v (weight ()))
+          done;
+          G.Gstate.of_builder b
+        end
+        else (G.Grid.create ~width:(3 + Rng.int rng 5) ~height:(3 + Rng.int rng 5)).G.Grid.graph
+      in
+      let n = G.Gstate.num_nodes g in
+      let perm = Array.init n Fun.id in
+      Rng.shuffle rng perm;
+      let k = Int.min n (2 + Rng.int rng 9) in
+      let ts = Array.sub perm 0 k in
+      (* The isolated node is the last; make it a terminal. *)
+      if isolated && graph_kind < 2 then ts.(Rng.int rng k) <- n - 1;
+      let ts = Array.of_list (List.sort_uniq Int.compare (Array.to_list ts)) in
+      let k = Array.length ts in
+      let warm =
+        List.filter_map
+          (fun t ->
+            if Rng.int rng 3 = 0 then
+              Some (t, List.init (Rng.int rng 3) (fun _ -> ts.(Rng.int rng k)))
+            else None)
+          (Array.to_list ts)
+      in
+      let cache () =
+        let c = G.Dist_cache.create g in
+        List.iter (fun (src, targets) -> ignore (G.Dist_cache.result_for c ~src ~targets)) warm;
+        c
+      in
+      let dense = cache () and lazy_ = cache () in
+      let read = Hashtbl.create 64 in
+      let weight i j =
+        let d = G.Dist_cache.dist_sym dense ts.(i) ts.(j) in
+        Hashtbl.replace read (i, j) d;
+        d
+      in
+      let want_edges, want_cost = G.Mst.prim_dense ~n:k ~weight in
+      let want_longest =
+        List.fold_left (fun l e -> Float.max l (Hashtbl.find read e)) neg_infinity want_edges
+      in
+      let edges, cost, longest =
+        G.Mst.prim_searches ~nodes:ts ~search:(fun i j -> G.Dist_cache.search_sym lazy_ ts.(i) ts.(j))
+      in
+      let bits x = Int64.bits_of_float x in
+      if edges <> want_edges then QCheck.Test.fail_reportf "seed %d: edges differ" seed;
+      if not (Int64.equal (bits cost) (bits want_cost)) then
+        QCheck.Test.fail_reportf "seed %d: cost %h, prim_dense %h" seed cost want_cost;
+      if not (Int64.equal (bits longest) (bits want_longest)) then
+        QCheck.Test.fail_reportf "seed %d: longest %h, prim_dense %h" seed longest want_longest;
+      if G.Dist_cache.runs lazy_ <> G.Dist_cache.runs dense then
+        QCheck.Test.fail_reportf "seed %d: %d searches, prim_dense %d" seed
+          (G.Dist_cache.runs lazy_) (G.Dist_cache.runs dense);
+      Array.iter
+        (fun t ->
+          if G.Dist_cache.cached lazy_ t <> G.Dist_cache.cached dense t then
+            QCheck.Test.fail_reportf "seed %d: terminal %d searched on one side only" seed t)
+        ts;
+      if G.Dist_cache.settled_nodes lazy_ > G.Dist_cache.settled_nodes dense then
+        QCheck.Test.fail_reportf "seed %d: settled %d nodes, prim_dense %d" seed
+          (G.Dist_cache.settled_nodes lazy_) (G.Dist_cache.settled_nodes dense);
+      true)
+
+let test_prim_searches_trivial () =
+  let g = graph 2 [ (0, 1, 1.) ] in
+  let c = G.Dist_cache.create g in
+  let search i j = G.Dist_cache.search_sym c i j in
+  Alcotest.(check bool) "n=0" true
+    (G.Mst.prim_searches ~nodes:[||] ~search = ([], 0., neg_infinity));
+  Alcotest.(check bool) "n=1" true
+    (G.Mst.prim_searches ~nodes:[| 1 |] ~search = ([], 0., neg_infinity));
+  Alcotest.(check int) "no search opened" 0 (G.Dist_cache.runs c)
+
 (* ------------------------------------------------------------------ *)
 (* Tree                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -548,6 +649,7 @@ let dist_cache_lookups =
     ("settle_below", fun c -> settle_below c ~src:0 1.);
     ("dist", fun c -> ignore (dist c ~src:0 ~dst:3));
     ("dist_sym", fun c -> ignore (dist_sym c 3 0));
+    ("search_sym", fun c -> ignore (search_sym c 3 0));
     ("path_edges_sym", fun c -> ignore (path_edges_sym c 0 3));
     ("cached", fun c -> ignore (cached c 0));
   ]
@@ -700,6 +802,8 @@ let dijkstra_accessors =
     ("path_edges", fun r v -> ignore (G.Dijkstra.path_edges r v));
     ("path_nodes", fun r v -> ignore (G.Dijkstra.path_nodes r v));
     ("is_settled", fun r v -> ignore (G.Dijkstra.is_settled r v));
+    ("is_final", fun r v -> ignore (G.Dijkstra.is_final r v));
+    ("extend_toward", fun r v -> G.Dijkstra.extend_toward r ~target:v ~below:infinity);
   ]
 
 let test_dijkstra_node_range (name, access) () =
@@ -897,6 +1001,32 @@ let prop_frontier_matches_lazy_reference =
       check "extend_all";
       true)
 
+(* A connected random graph on [n] nodes (a random tree plus [2n] more
+   edges), weighted by [weight], a search source and, half the time, a
+   region that drops about a quarter of the nodes. *)
+let random_search_instance rng n weight =
+  let b = G.Wgraph.create n in
+  for v = 1 to n - 1 do
+    ignore (G.Wgraph.add_edge b (Rng.int rng v) v (weight ()))
+  done;
+  for _ = 1 to 2 * n do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v then ignore (G.Wgraph.add_edge b u v (weight ()))
+  done;
+  let g = G.Gstate.of_builder b in
+  let src = Rng.int rng n in
+  let region =
+    if Random.State.bool rng then None
+    else begin
+      let keep = Fr_util.Bitset.create n in
+      for v = 0 to n - 1 do
+        if Rng.int rng 4 = 0 then Fr_util.Bitset.set keep v false
+      done;
+      Some keep
+    end
+  in
+  (g, src, region)
+
 (* [extend_below] against the lazy-deletion reference run to exhaustion:
    it must settle exactly the nodes settled before plus those the
    reference puts closer than the bound (a plain search settles in
@@ -910,30 +1040,11 @@ let prop_extend_below_matches_reference =
     QCheck.(pair (int_range 2 40) (int_range 0 100_000))
     (fun (n, seed) ->
       let rng = Rng.make seed in
-      let b = G.Wgraph.create n in
       let weight =
         if Random.State.bool rng then fun () -> [| 0.1; 0.2; 0.3; 0.7 |].(Rng.int rng 4)
         else fun () -> float_of_int (1 + Rng.int rng 2)
       in
-      for v = 1 to n - 1 do
-        ignore (G.Wgraph.add_edge b (Rng.int rng v) v (weight ()))
-      done;
-      for _ = 1 to 2 * n do
-        let u = Rng.int rng n and v = Rng.int rng n in
-        if u <> v then ignore (G.Wgraph.add_edge b u v (weight ()))
-      done;
-      let g = G.Gstate.of_builder b in
-      let src = Rng.int rng n in
-      let region =
-        if Random.State.bool rng then None
-        else begin
-          let keep = Fr_util.Bitset.create n in
-          for v = 0 to n - 1 do
-            if Rng.int rng 4 = 0 then Fr_util.Bitset.set keep v false
-          done;
-          Some keep
-        end
-      in
+      let g, src, region = random_search_instance rng n weight in
       let ref_s = lazy_run ?region g ~src in
       lazy_lookup ref_s None;
       let first = List.init (Rng.int rng 4) (fun _ -> Rng.int rng n) in
@@ -973,6 +1084,68 @@ let prop_extend_below_matches_reference =
           QCheck.Test.fail_reportf "extend_all: dist at %d differs" v;
         if r.G.Dijkstra.parent_edge.(v) <> ref_s.lparent.(v) then
           QCheck.Test.fail_reportf "extend_all: parent edge at %d differs" v
+      done;
+      true)
+
+(* [extend_toward] stops at the target or at the bound, whichever
+   the drain reaches first, and [is_final] holds exactly where an entry
+   already equals the full run's.  Checked against the lazy-deletion
+   reference run to exhaustion, after a first targeted lookup and two
+   bounded ones: every node the call settled is no farther than the
+   target and closer than the bound; every node strictly closer than both
+   is settled; a target left unsettled means every node closer than the
+   bound is; a final entry is bit-equal to the reference, and a settled
+   node is final.  Weights from {0, 1, 2} put nodes at the distance of
+   their zero-weight neighbours, where an entry can still fall though the
+   frontier has reached it. *)
+let prop_extend_toward_and_is_final =
+  QCheck.Test.make ~name:"extend_toward and is_final against the reference" ~count:300
+    QCheck.(pair (int_range 2 40) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let rng = Rng.make seed in
+      let weights =
+        match Rng.int rng 3 with
+        | 0 -> [| 0.1; 0.2; 0.3; 0.7 |]
+        | 1 -> [| 1.; 2. |]
+        | _ -> [| 0.; 1.; 2. |]
+      in
+      let g, src, region =
+        random_search_instance rng n (fun () -> weights.(Rng.int rng (Array.length weights)))
+      in
+      let ref_s = lazy_run ?region g ~src in
+      lazy_lookup ref_s None;
+      let d = ref_s.ldist in
+      let first = List.init (Rng.int rng 3) (fun _ -> Rng.int rng n) in
+      let r = G.Dijkstra.run ?restrict:region ~targets:first g ~src in
+      let check_final what =
+        for v = 0 to n - 1 do
+          if G.Dijkstra.is_settled r v && not (G.Dijkstra.is_final r v) then
+            QCheck.Test.fail_reportf "%s: node %d settled but not final" what v;
+          if G.Dijkstra.is_final r v && not (Float.equal r.G.Dijkstra.dist.(v) d.(v)) then
+            QCheck.Test.fail_reportf "%s: node %d final at %h, reference %h" what v
+              r.G.Dijkstra.dist.(v) d.(v)
+        done
+      in
+      check_final "first lookup";
+      for step = 1 to 2 do
+        let before = Array.init n (G.Dijkstra.is_settled r) in
+        let target = Rng.int rng n in
+        let bound =
+          match Rng.int rng 3 with
+          | 0 -> Rng.float rng 4.
+          | 1 -> infinity
+          | _ -> d.(Rng.int rng n)
+        in
+        G.Dijkstra.extend_toward r ~target ~below:bound;
+        let reached = G.Dijkstra.is_settled r target in
+        for v = 0 to n - 1 do
+          let now = G.Dijkstra.is_settled r v in
+          if now && (not before.(v)) && not (d.(v) < bound && ((not reached) || d.(v) <= d.(target)))
+          then QCheck.Test.fail_reportf "step %d: node %d settled past the stop" step v;
+          if (not now) && d.(v) < bound && ((not reached) || d.(v) < d.(target)) then
+            QCheck.Test.fail_reportf "step %d: node %d left unsettled before the stop" step v
+        done;
+        check_final (Printf.sprintf "step %d" step)
       done;
       true)
 
@@ -1292,6 +1465,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_dijkstra_stop_rule;
           QCheck_alcotest.to_alcotest prop_frontier_matches_lazy_reference;
           QCheck_alcotest.to_alcotest prop_extend_below_matches_reference;
+          QCheck_alcotest.to_alcotest prop_extend_toward_and_is_final;
           Alcotest.test_case "extend_below rejects a heuristic" `Quick
             test_extend_below_rejects_heuristic;
         ]
@@ -1308,6 +1482,8 @@ let () =
           Alcotest.test_case "kruskal basic" `Quick test_kruskal_basic;
           Alcotest.test_case "kruskal disconnected" `Quick test_kruskal_disconnected;
           QCheck_alcotest.to_alcotest prop_prim_matches_kruskal;
+          QCheck_alcotest.to_alcotest prop_prim_searches_matches_dense;
+          Alcotest.test_case "prim over searches, trivial" `Quick test_prim_searches_trivial;
         ] );
       ( "tree",
         [

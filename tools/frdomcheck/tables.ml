@@ -177,7 +177,8 @@ let () =
   reg_mod "Int" [ "compare"; "equal"; "max"; "min"; "abs"; "to_float"; "to_string"; "max_int"; "min_int" ] pure;
   reg_mod "Float"
     [ "compare"; "equal"; "max"; "min"; "abs"; "of_int"; "to_int"; "is_nan"; "is_finite";
-      "infinity"; "neg_infinity"; "nan"; "max_float"; "min_float"; "epsilon"; "round"; "to_string" ]
+      "infinity"; "neg_infinity"; "nan"; "max_float"; "min_float"; "epsilon"; "round"; "to_string";
+      "succ"; "pred" ]
     pure;
   reg_mod "Bool" [ "compare"; "equal"; "not"; "to_string" ] pure;
   reg_mod "Filename"
