@@ -5,6 +5,8 @@
      width     find a circuit's minimum channel width
      table     regenerate one of the paper's tables (1-5, or "baseline")
      figure    regenerate one of the paper's figures (3,4,6,10,11,13,14,16)
+     repro     the paper reproduction: the CPU-time table, every table and
+               every figure
      circuits  list the benchmark circuit specifications
      net       route one random net on a congested grid with every algorithm
      serve     long-lived routing daemon speaking newline-delimited JSON
@@ -200,6 +202,16 @@ let width_cmd =
 
 (* ---------------- table / figure ---------------- *)
 
+let quick_arg =
+  Arg.(
+    value & flag
+    & info [ "quick" ]
+        ~doc:
+          "Quick mode: Table 1 at 10 nets per configuration, Table 2 on busc, Tables 3-5 and the \
+           baseline on apex7, term1 and 9symml, each route capped at 8 rip-up passes, and 0.2 s \
+           of timed runs per construction in the CPU-time table (full mode: 50 nets, every \
+           circuit, 20 passes, 0.5 s).")
+
 (* Print the entry [which] of a Fr_exp.Repro registry.  The registry's
    names, the same in quick and full mode, are the only values [table] and
    [figure] accept. *)
@@ -214,18 +226,10 @@ let table_cmd =
       & pos 0 (some (names (Fr_exp.Repro.tables ~quick:false))) None
       & info [] ~docv:"TABLE" ~doc:"$(b,1)-$(b,5) or $(b,baseline).")
   in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:
-            "Quick mode: Table 1 at 10 nets per configuration, Table 2 on busc, Tables 3-5 and \
-             the baseline on apex7, term1 and 9symml, each route capped at 8 rip-up passes (full \
-             mode: 50 nets, every circuit, 20 passes).")
-  in
   Cmd.v
     (Cmd.info "table" ~doc:"Regenerate one of the paper's tables (1-5, baseline)")
-    Term.(const (fun which quick -> print_entry (Fr_exp.Repro.tables ~quick) which) $ which $ quick)
+    Term.(
+      const (fun which quick -> print_entry (Fr_exp.Repro.tables ~quick) which) $ which $ quick_arg)
 
 let figure_cmd =
   let which =
@@ -237,6 +241,41 @@ let figure_cmd =
   Cmd.v
     (Cmd.info "figure" ~doc:"Regenerate one of the paper's figures")
     Term.(const (print_entry Fr_exp.Repro.figures) $ which)
+
+(* ---------------- repro ---------------- *)
+
+let section title = Printf.printf "\n%s\n%s\n\n%!" title (String.make (String.length title) '=')
+
+(* Every table and figure on stdout, which repeats byte for byte from run
+   to run; whatever reads a clock (the core count, the CPU-time table and
+   each entry's wall time) on stderr. *)
+let run_repro quick =
+  let module R = Fr_exp.Repro in
+  Printf.printf "Reproduction of Alexander-Robins, DAC 1995, %s mode\n%!"
+    (if quick then "quick" else "full");
+  Printf.eprintf "%d cores (each table and figure runs on one)\n%!"
+    (Domain.recommended_domain_count ());
+  prerr_endline (R.cpu_table (R.cpu_times ~quota_s:(R.cpu_quota_s ~quick)));
+  let timed kind (name, run) =
+    let t0 = Unix.gettimeofday () in
+    print_endline (run ());
+    Printf.eprintf "(%s %s took %.1f s)\n%!" kind name (Unix.gettimeofday () -. t0)
+  in
+  section "Tables";
+  List.iter (timed "table") (R.tables ~quick);
+  section "Figures";
+  List.iter (timed "figure") R.figures;
+  print_endline "Done.";
+  0
+
+let repro_cmd =
+  Cmd.v
+    (Cmd.info "repro"
+       ~doc:
+         "Reproduce the paper's evaluation: the CPU-time table, then every table and figure. \
+          Tables and figures go to stdout, which repeats byte for byte; the core count, the \
+          CPU-time table and each entry's wall time go to stderr")
+    Term.(const run_repro $ quick_arg)
 
 (* ---------------- export / route-file ---------------- *)
 
@@ -401,7 +440,7 @@ let main =
     (Cmd.info "fpga_route" ~version:"1.0.0"
        ~doc:"Performance-driven FPGA routing (Alexander-Robins DAC'95 reproduction)")
     [
-      route_cmd; width_cmd; table_cmd; figure_cmd; circuits_cmd; net_cmd; export_cmd;
+      route_cmd; width_cmd; table_cmd; figure_cmd; repro_cmd; circuits_cmd; net_cmd; export_cmd;
       route_file_cmd; serve_cmd;
     ]
 

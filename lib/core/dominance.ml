@@ -7,25 +7,22 @@ let dominates_via ~source_dist ~p_dist ~p ~s =
   dp < infinity && ds < infinity && dsp < infinity
   && Float.abs (dp -. (ds +. dsp)) <= tol *. (1. +. Float.abs dp) +. tol
 
-let max_dom ?candidates cache ~source ~p ~q =
+let max_dom ?scan cache ~source ~p ~q =
   let g = G.Dist_cache.graph cache in
-  (* With an explicit candidate list the scan (and therefore the Dijkstra
-     settling) is bounded to those nodes; otherwise every node is examined
-     and the per-source results must be complete. *)
-  let scan, rsrc, rp, rq =
-    match candidates with
+  (* With a scan list the scan (and therefore the Dijkstra settling) is
+     bounded to those nodes; otherwise every node is examined and the
+     per-source results must be complete. *)
+  let rsrc, rp, rq =
+    match scan with
     | None ->
-        let rsrc = G.Dist_cache.result cache ~src:source in
-        let rp = G.Dist_cache.result cache ~src:p in
-        let rq = G.Dist_cache.result cache ~src:q in
-        (None, rsrc, rp, rq)
-    | Some cs ->
-        let scan = List.sort_uniq Int.compare (source :: cs) in
+        ( G.Dist_cache.result cache ~src:source,
+          G.Dist_cache.result cache ~src:p,
+          G.Dist_cache.result cache ~src:q )
+    | Some scan ->
         let targets = p :: q :: scan in
-        let rsrc = G.Dist_cache.result_for cache ~src:source ~targets in
-        let rp = G.Dist_cache.result_for cache ~src:p ~targets in
-        let rq = G.Dist_cache.result_for cache ~src:q ~targets in
-        (Some scan, rsrc, rp, rq)
+        ( G.Dist_cache.result_for cache ~src:source ~targets,
+          G.Dist_cache.result_for cache ~src:p ~targets,
+          G.Dist_cache.result_for cache ~src:q ~targets )
   in
   let sd = G.Dijkstra.dist rsrc in
   let pd = G.Dijkstra.dist rp in

@@ -12,7 +12,7 @@ val tol : float
     path sums). *)
 
 val max_dom :
-  ?candidates:int list ->
+  ?scan:int list ->
   Fr_graph.Dist_cache.t ->
   source:int ->
   p:int ->
@@ -22,9 +22,11 @@ val max_dom :
     dominated by both [p] and [q] farthest from the source, with its
     distance.  Always succeeds on connected inputs since the source is
     dominated by everything; [None] only if [p]/[q] are unreachable.
-    [candidates] bounds the scan to the listed nodes plus the source — and
-    with it the Dijkstra settling, via targeted queries; without it the
-    scan settles whole per-source results. *)
+    [scan] bounds the scan to the listed nodes, which must be in ascending
+    order with the source among them — and with it the Dijkstra settling,
+    via targeted queries; without it every node is scanned and the scan
+    settles whole per-source results.  A caller that asks for many pairs
+    builds [scan] once. *)
 
 val nearest_dominated :
   Fr_graph.Dist_cache.t -> source:int -> members:int list -> p:int -> (int * float) option

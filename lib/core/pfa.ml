@@ -8,6 +8,9 @@ let fold_members ?steiner_candidates cache ~net =
   List.iter
     (fun s -> if not (G.Dijkstra.reachable rsrc s) then Routing_err.fail "PFA")
     net.Net.sinks;
+  (* The merge-point candidates, sorted once per net for every pair of
+     every folding round. *)
+  let scan = Option.map (fun cs -> List.sort_uniq Int.compare (source :: cs)) steiner_candidates in
   let active = ref (List.sort_uniq Int.compare (Net.terminals net)) in
   (* [members] keeps the paper's accumulation order (merge points prepended
      to the sorted terminals); [member_set] makes the dedup probe O(1). *)
@@ -18,7 +21,7 @@ let fold_members ?steiner_candidates cache ~net =
     (* Find the pair {p,q} whose MaxDom is farthest from the source. *)
     let best = ref None in
     let consider p q =
-      match Dominance.max_dom ?candidates:steiner_candidates cache ~source ~p ~q with
+      match Dominance.max_dom ?scan cache ~source ~p ~q with
       | None -> ()
       | Some (m, d) -> (
           match !best with

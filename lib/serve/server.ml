@@ -28,13 +28,13 @@ type t = {
   lock : Mutex.t;
   mutable session : session option;
   mutable requests : int;
-  mutable stopping : bool;
-  conn_lock : Mutex.t;
-  conns : (int, Thread.t) Hashtbl.t;
-      (* live connection threads by id, under [conn_lock]: a thread drops
-         itself when its connection ends, so the table holds only open
-         connections however many the daemon has served.  The lock is
-         not [lock], so ending a connection never waits for a route. *)
+  stopping : bool Atomic.t;
+      (* set once, under [lock], by the shutdown request; the accept loop
+         reads it without the lock, so it never waits for a route *)
+  mutable unreplied : int;
+      (* dispatched requests whose reply is not yet written, under [lock]:
+         the exit waits for these, and for no connection *)
+  reply_sent : Condition.t;  (* signalled under [lock] as [unreplied] falls *)
 }
 
 let create ~socket =
@@ -53,12 +53,10 @@ let create ~socket =
     lock = Mutex.create ();
     session = None;
     requests = 0;
-    stopping = false;
-    conn_lock = Mutex.create ();
-    conns = Hashtbl.create 16;
+    stopping = Atomic.make false;
+    unreplied = 0;
+    reply_sent = Condition.create ();
   }
-
-let live_connections t = Mutex.protect t.conn_lock (fun () -> Hashtbl.length t.conns)
 
 let close_session t =
   match t.session with
@@ -182,11 +180,18 @@ let handle_checkpoint s (c : Protocol.checkpoint_req) =
       | None -> Protocol.error (Printf.sprintf "no checkpoint %d" id)
       | Some goal -> handle_eco s (diff_deltas (F.Router.Eco.circuit s.eco) goal))
 
+(* Serve [req] under the session lock; [true] beside the reply once the
+   daemon is stopping.  A request dispatched after the shutdown starts
+   nothing: the exit path may already have closed the session it would
+   use.  Each dispatched request owes a reply, which the exit waits for
+   until [replied] is called. *)
 let dispatch t req =
-  Mutex.lock t.lock;
+  Mutex.protect t.lock @@ fun () ->
+  t.unreplied <- t.unreplied + 1;
   let resp =
     match
       match req with
+      | _ when Atomic.get t.stopping -> Protocol.error "the daemon is shutting down"
       | Protocol.Route r -> handle_route t r
       | Protocol.Eco deltas -> (
           match t.session with
@@ -198,16 +203,20 @@ let dispatch t req =
           | None -> Protocol.error "no session: send a \"route\" request first"
           | Some s -> handle_checkpoint s c)
       | Protocol.Shutdown ->
-          t.stopping <- true;
+          Atomic.set t.stopping true;
           Protocol.ok [ ("status", Json.Str "bye") ]
     with
     | resp -> resp
     | exception e -> Protocol.error (Printf.sprintf "internal error: %s" (Printexc.to_string e))
   in
   t.requests <- t.requests + 1;
-  let stop_now = t.stopping in
-  Mutex.unlock t.lock;
-  (resp, stop_now)
+  (resp, Atomic.get t.stopping)
+
+(* The reply to a dispatched request is written, or its peer is gone. *)
+let replied t =
+  Mutex.protect t.lock (fun () ->
+      t.unreplied <- t.unreplied - 1;
+      Condition.broadcast t.reply_sent)
 
 (* Wake the listener out of [Unix.accept] by connecting to ourselves; the
    accept loop re-checks [stopping] after every accept. *)
@@ -263,51 +272,42 @@ let handle_conn t fd =
         ignore
           (reply (Protocol.error (Printf.sprintf "request line longer than %d bytes" max_line)))
     | `Line line when String.trim line = "" -> loop ()
-    | `Line line ->
-        let resp, stop_now =
+    | `Line line -> (
+        let parsed =
           match Json.of_string line with
-          | Error e -> (Protocol.error (Printf.sprintf "bad JSON: %s" e), false)
-          | Ok j -> (
-              match Protocol.parse_request j with
-              | Error e -> (Protocol.error e, false)
-              | Ok req -> dispatch t req)
+          | Error e -> Error (Printf.sprintf "bad JSON: %s" e)
+          | Ok j -> Protocol.parse_request j
         in
-        let delivered = reply resp in
-        if stop_now then poke t else if delivered then loop ()
+        match parsed with
+        | Error e -> if reply (Protocol.error e) then loop ()
+        | Ok req ->
+            let resp, stop_now = dispatch t req in
+            let delivered = Fun.protect ~finally:(fun () -> replied t) (fun () -> reply resp) in
+            if stop_now then poke t else if delivered then loop ())
   in
   (* Closing through the channel closes the fd exactly once on every exit
      path, and marks the channel closed, so reply bytes a dead peer left
      unflushed can never reach a later connection that reuses the fd. *)
   Fun.protect ~finally:(fun () -> close_out_noerr oc) loop
 
-(* Serve one connection on its own thread.  The thread is registered
-   while [conn_lock] is held, and dropping itself needs the same lock, so
-   even a connection that ends at once is never left in the table. *)
-let spawn_conn t fd =
-  let forget () =
-    Mutex.protect t.conn_lock (fun () -> Hashtbl.remove t.conns (Thread.id (Thread.self ())))
-  in
-  let serve () = Fun.protect ~finally:forget (fun () -> handle_conn t fd) in
-  Mutex.protect t.conn_lock (fun () ->
-      let th = Thread.create serve () in
-      Hashtbl.replace t.conns (Thread.id th) th)
-
+(* Each connection is served on its own thread, which nothing joins: at
+   shutdown, the exit waits only for the replies that dispatched requests
+   owe, so a peer that sends nothing cannot hold it, and the process exit
+   ends the threads still blocked reading. *)
 let serve_forever t =
   let rec accept_loop () =
-    let stop = Mutex.protect t.lock (fun () -> t.stopping) in
-    if not stop then begin
+    if not (Atomic.get t.stopping) then
       match Unix.accept t.sock with
       | fd, _ ->
-          spawn_conn t fd;
+          ignore (Thread.create (handle_conn t) fd);
           accept_loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-    end
   in
   accept_loop ();
-  let live =
-    Mutex.protect t.conn_lock (fun () -> Hashtbl.fold (fun _ th acc -> th :: acc) t.conns [])
-  in
-  List.iter Thread.join live;
-  Mutex.protect t.lock (fun () -> close_session t);
+  Mutex.protect t.lock (fun () ->
+      while t.unreplied > 0 do
+        Condition.wait t.reply_sent t.lock
+      done;
+      close_session t);
   Unix.close t.sock;
   if Sys.file_exists t.path then Sys.remove t.path

@@ -12,7 +12,7 @@
     re-route its netlist incrementally under the ECO differential-exactness
     contract; ["checkpoint"] snapshots the netlist by value and restores by
     replaying a name-keyed diff as ECO deltas; ["shutdown"] stops the
-    accept loop, drains the connection threads and closes the session.
+    accept loop and closes the session.
 
     A request line may be at most 1 MiB long, newline excluded.  A longer
     one gets an [{"ok":false,"error":...}] reply and its connection is
@@ -29,12 +29,10 @@ val create : socket:string -> t
     @raise Unix.Unix_error when the socket cannot be bound. *)
 
 val serve_forever : t -> unit
-(** Accept connections until a ["shutdown"] request arrives, then join
-    the connection threads still live, close the session (shutting its
-    domain pool down) and remove the socket file.  A connection's thread
-    forgets itself when the connection ends, so a long-lived daemon keeps
-    no trace of the connections it has finished serving. *)
-
-val live_connections : t -> int
-(** Connections currently open (their threads not yet finished).  Never
-    waits for a request in progress. *)
+(** Accept connections until a ["shutdown"] request arrives, then wait
+    for the replies owed to requests already dispatched, close the session
+    (shutting its domain pool down) and remove the socket file.  Nothing
+    waits for a connection that has no request in flight, so an idle peer
+    does not hold the shutdown; its thread is left to the process exit.
+    A request dispatched after the shutdown gets an error reply and starts
+    nothing. *)

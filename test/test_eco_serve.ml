@@ -870,8 +870,9 @@ let test_server_rejects_deep_nesting () =
   Thread.join th;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
-(* A long-lived daemon must not grow with every connection it has served:
-   each connection's thread leaves the live set when it ends. *)
+(* A long-lived daemon keeps serving however many connections it has
+   served: each connection's thread ends with its connection, and nothing
+   keeps a trace of it. *)
 let test_server_forgets_finished_connections () =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -890,24 +891,61 @@ let test_server_forgets_finished_connections () =
     ignore (stats client);
     S.Client.close client
   done;
-  (* Each thread drops itself once it reads its peer's EOF; poll. *)
-  let rec settle tries =
-    let live = S.Server.live_connections server in
-    if live = 0 || tries = 0 then live
-    else begin
-      Thread.delay 0.01;
-      settle (tries - 1)
-    end
-  in
-  Alcotest.(check int) "no finished connection stays live" 0 (settle 1000);
   let client = S.Client.connect ~socket:path in
   let last = stats client in
   (* A request counts after it is answered: the 50 before this one. *)
   Alcotest.(check int) "a final stats still answers" 50 (field_int "requests" last);
-  Alcotest.(check int) "only the open connection is live" 1 (S.Server.live_connections server);
   ignore (request client "shutdown");
   S.Client.close client;
   Thread.join th;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
+(* A peer that connects and sends nothing owes no reply, so it cannot hold
+   the shutdown: [serve_forever] returns within 1 s of the bye it sends
+   another client, and a request sent after the bye gets an error reply
+   and starts nothing. *)
+let test_server_shutdown_skips_idle_peer () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fr_serve_idle_%d.sock" (Unix.getpid ()))
+  in
+  let server = S.Server.create ~socket:path in
+  let returned = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        S.Server.serve_forever server;
+        Atomic.set returned true)
+      ()
+  in
+  let idle = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect idle (Unix.ADDR_UNIX path);
+  let late = S.Client.connect ~socket:path in
+  let client = S.Client.connect ~socket:path in
+  let request client cmd =
+    match S.Client.request client (S.Json.Obj [ ("cmd", S.Json.Str cmd) ]) with
+    | Ok resp -> resp
+    | Error e -> Alcotest.failf "framing failure: %s" e
+  in
+  (* Connections are accepted in order, so once [late] has an answer the
+     idle connection has its thread too. *)
+  ignore (expect_ok (request late "stats"));
+  Alcotest.(check string) "bye" "bye" (field_str "status" (expect_ok (request client "shutdown")));
+  let bye = Unix.gettimeofday () in
+  let refused = request late "stats" in
+  Alcotest.(check bool) "a request after the bye is refused" true
+    (Option.bind (field "ok" refused) S.Json.bool = Some false);
+  while (not (Atomic.get returned)) && Unix.gettimeofday () -. bye < 1. do
+    Thread.delay 0.01
+  done;
+  let on_time = Atomic.get returned in
+  (* Closing the idle peer ends a daemon that waited for it, so the join
+     below returns either way. *)
+  Unix.close idle;
+  S.Client.close late;
+  S.Client.close client;
+  Thread.join th;
+  Alcotest.(check bool) "serve_forever returned within 1 s of bye" true on_time;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
 (* Four clients, each on its own connection, toggle their own net's
@@ -1125,6 +1163,8 @@ let () =
             test_server_rejects_deep_nesting;
           Alcotest.test_case "forgets finished connections" `Quick
             test_server_forgets_finished_connections;
+          Alcotest.test_case "shutdown does not wait for an idle peer" `Quick
+            test_server_shutdown_skips_idle_peer;
           Alcotest.test_case "concurrent ECO clients reach a fixpoint" `Quick
             test_server_concurrent_eco_clients;
         ] );

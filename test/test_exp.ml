@@ -200,10 +200,37 @@ let test_fig10_11_14 () =
   Alcotest.(check bool) "fig14" true (contains (E.Figures.fig14 ()) "IDOM/OPT")
 
 let test_fig16 () =
-  (* The registry's entry, as `fpga_route figure 16` and bench/main.exe print it. *)
+  (* The registry's entry, as `fpga_route figure 16` and `fpga_route repro` print it. *)
   let text = (List.assoc "16" E.Repro.figures) () in
   Alcotest.(check bool) "busc routed" true (contains text "routed busc at W=9");
   Alcotest.(check bool) "occupancy map rendered" true (contains text "[]")
+
+(* ------------------------------------------------------------------ *)
+(* CPU-time table                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_cpu_times () =
+  let times = E.Repro.cpu_times ~quota_s:0.001 in
+  Alcotest.(check (list string))
+    "the eight constructions, in Table 1's order"
+    (List.map (fun (a : C.Routing_alg.t) -> a.C.Routing_alg.name) C.Routing_alg.all)
+    (List.map (fun (c : E.Repro.cpu_time) -> c.E.Repro.construction) times);
+  let table = E.Repro.cpu_table times in
+  List.iter
+    (fun (c : E.Repro.cpu_time) ->
+      let name = c.E.Repro.construction in
+      Alcotest.(check bool) (name ^ " timed at least once") true (c.E.Repro.runs >= 1);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: finite, positive median (%g s)" name c.E.Repro.median)
+        true
+        (Float.is_finite c.E.Repro.median && c.E.Repro.median > 0.);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: Q1 %g <= median %g <= Q3 %g" name c.E.Repro.q1 c.E.Repro.median
+           c.E.Repro.q3)
+        true
+        (c.E.Repro.q1 <= c.E.Repro.median && c.E.Repro.median <= c.E.Repro.q3);
+      Alcotest.(check bool) (name ^ " in the table") true (contains table name))
+    times
 
 let () =
   Alcotest.run "fr_exp"
@@ -244,4 +271,5 @@ let () =
           Alcotest.test_case "worst-case figures" `Quick test_fig10_11_14;
           Alcotest.test_case "fig16" `Slow test_fig16;
         ] );
+      ("cpu_times", [ Alcotest.test_case "quartiles per construction" `Quick test_cpu_times ]);
     ]

@@ -181,7 +181,7 @@ let test_manifest () =
 let test_real_tree_clean () =
   let r =
     C.run ~allowlist_path:"../tools/frdomcheck/allowlist"
-      ~dirs:[ "../lib"; "../bin"; "../bench"; "../perfbench"; "../examples" ]
+      ~dirs:[ "../lib"; "../bin"; "../perfbench"; "../examples" ]
       ()
   in
   (* The executables are the dead-export rule's users: without their cmts
@@ -189,9 +189,9 @@ let test_real_tree_clean () =
      loaded them. *)
   List.iter
     (fun unit -> Alcotest.(check bool) (unit ^ " loaded") true (List.mem unit r.C.units))
-    [ "bin/fpga_route.ml"; "bench/main.ml"; "perfbench/bench.ml"; "examples/quickstart.ml" ];
+    [ "bin/fpga_route.ml"; "perfbench/bench.ml"; "examples/quickstart.ml" ];
   Alcotest.(check (list string))
-    "no findings on lib/, bin/, bench/, perfbench/, examples/" []
+    "no findings on lib/, bin/, perfbench/, examples/" []
     (List.map LL.Finding.to_string r.C.findings);
   Alcotest.(check int) "the router's solve job is the only root" 1 r.C.roots;
   Alcotest.(check bool) "a real number of functions analyzed" true (r.C.functions > 400);

@@ -133,7 +133,7 @@ let test_scope () =
   check "lib/util/tab.ml" ~in_lib:true ~hot:false ~print_exempt:false;
   check "lib/experiments/table1.ml" ~in_lib:true ~hot:false ~print_exempt:true;
   check "lib/fpga/render.ml" ~in_lib:true ~hot:true ~print_exempt:true;
-  check "bench/main.ml" ~in_lib:false ~hot:false ~print_exempt:false;
+  check "bin/fpga_route.ml" ~in_lib:false ~hot:false ~print_exempt:false;
   check "frlint_fixtures/lib/graph/x.ml" ~in_lib:true ~hot:true ~print_exempt:false
 
 (* ------------------------------------------------------------------ *)
@@ -143,10 +143,10 @@ let test_scope () =
 let test_real_tree_clean () =
   let s =
     L.Engine.run ~allowlist_path:"../tools/frlint/allowlist"
-      ~roots:[ "../lib"; "../bin"; "../bench"; "../tools" ] ()
+      ~roots:[ "../lib"; "../bin"; "../tools" ] ()
   in
   Alcotest.check pairs
-    "no findings on lib/, bin/, bench/, tools/" []
+    "no findings on lib/, bin/, tools/" []
     (List.map finding_pair s.L.Engine.findings);
   Alcotest.(check bool) "scanned a real number of files" true (s.L.Engine.files > 80)
 

@@ -8,7 +8,7 @@
    [let module R = ... in]) is not a use: it only feeds name
    normalization.  Whatever is loaded is what counts, so the caller's
    directory list decides who the users are; the project passes lib/,
-   bin/, bench/, perfbench/ and examples/ and never test/. *)
+   bin/, perfbench/ and examples/ and never test/. *)
 
 open Typedtree
 module A = Analyze

@@ -49,11 +49,11 @@ let check_ident ctx loc (lid : Longident.t) =
   | Lident p when List.mem p print_idents ->
       if ctx.scope.Scope.in_lib && not ctx.scope.Scope.print_exempt then
         add ctx loc "no-print-in-lib"
-          (p ^ " writes to stdout from library code; return data and print in bin/ or bench/")
+          (p ^ " writes to stdout from library code; return data and print in bin/")
   | Ldot (Lident ("Printf" | "Format"), "printf") ->
       if ctx.scope.Scope.in_lib && not ctx.scope.Scope.print_exempt then
         add ctx loc "no-print-in-lib"
-          "printf writes to stdout from library code; return data and print in bin/ or bench/"
+          "printf writes to stdout from library code; return data and print in bin/"
   | Lident (("==" | "!=") as op) | Ldot (Lident "Stdlib", (("==" | "!=") as op)) ->
       (* Physical equality on immutable data is representation-dependent:
          unboxing, sharing and copying all change the answer without

@@ -32,7 +32,9 @@ It also checks:
   hub net's driver swap and its undo each negotiate every net
   (`nets_ripped` = `nets_total`, `nets_reused` = 0) and keep the session's
   first digest, and a fresh negotiated route of the swapped netlist gives
-  that digest too.
+  that digest too;
+- with a peer connected that sends nothing, the daemon exits 0 within
+  1 s of its `bye` and removes its socket file.
 
 The socket lives in a temporary directory that is removed on exit.
 
@@ -297,10 +299,21 @@ def smoke(binary, circuit, width, sock_path):
         if fresh.get("digest") != dn:
             die("a fresh negotiated route of the swapped netlist differs from the ECOs")
 
-        c.request({"cmd": "shutdown"})
+        # A peer that connects and sends nothing must not hold the exit.
+        # Connections are accepted in order, so once the next one has its
+        # bye, the idle one has been accepted too.
         c.close()
-        if daemon.wait(timeout=30) != 0:
-            die(f"daemon exited with {daemon.returncode}")
+        idle = Client(sock_path)
+        last = Client(sock_path)
+        last.request({"cmd": "shutdown"})
+        try:
+            code = daemon.wait(timeout=1)
+        except subprocess.TimeoutExpired:
+            die("daemon still running 1 s after its bye, with an idle peer connected")
+        idle.close()
+        last.close()
+        if code != 0:
+            die(f"daemon exited with {code}")
         if os.path.exists(sock_path):
             die("daemon left its socket file behind")
     finally:
